@@ -6,12 +6,10 @@
 //     saturating at the hardware thread count; results are bitwise
 //     identical at any thread count (tested in test_parallel.cc).
 //
-//  2. Dispatch cost: the persistent-pool runtime vs the historical
-//     spawn-per-call baseline (one std::thread create+join per region per
-//     call) on the same DBLP-scale workload. The pool amortizes thread
-//     startup across queries, so `BM_ComputeDblpPooled` should beat
-//     `BM_ComputeDblpSpawnPerCall` at every thread count > 1, and
-//     `BM_DispatchOverhead*` isolates the per-region cost difference.
+//  2. Dispatch cost of the persistent pool on a DBLP-scale workload:
+//     `BM_ComputeDblpPooled` times a whole query per thread count and
+//     `BM_DispatchOverheadPooled` isolates the per-region cost the pool
+//     amortizes across queries.
 
 #include <atomic>
 #include <chrono>
@@ -39,8 +37,8 @@ const HinGraph& BigGraph() {
   return *kGraph;
 }
 
-/// The DBLP-scale network (DESIGN.md §4 scale knobs): the acceptance
-/// workload for the pooled-vs-spawn comparison.
+/// The DBLP-scale network (DESIGN.md §4 scale knobs): the workload for
+/// the dispatch-cost benches.
 const HinGraph& DblpGraph() {
   static const HinGraph* const kGraph = [] {
     DblpConfig config;
@@ -74,9 +72,9 @@ void BM_SpGemmThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_SpGemmThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-// --- Pooled vs spawn-per-call on the DBLP-scale generator ---
+// --- Pooled dispatch on the DBLP-scale generator ---
 
-void ComputeDblpWithDispatch(benchmark::State& state, ParallelDispatch dispatch) {
+void BM_ComputeDblpPooled(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const HinGraph& g = DblpGraph();
   // Author-paper-conference-paper-author: a middle type small enough that
@@ -85,29 +83,17 @@ void ComputeDblpWithDispatch(benchmark::State& state, ParallelDispatch dispatch)
   HeteSimOptions options;
   options.num_threads = threads;
   HeteSimEngine engine(g, options);
-  SetParallelDispatch(dispatch);
   for (auto _ : state) {
     DenseMatrix scores = engine.Compute(path);
     benchmark::DoNotOptimize(scores.data().data());
   }
-  SetParallelDispatch(ParallelDispatch::kPooled);
-}
-
-void BM_ComputeDblpPooled(benchmark::State& state) {
-  ComputeDblpWithDispatch(state, ParallelDispatch::kPooled);
 }
 BENCHMARK(BM_ComputeDblpPooled)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-void BM_ComputeDblpSpawnPerCall(benchmark::State& state) {
-  ComputeDblpWithDispatch(state, ParallelDispatch::kSpawnPerCall);
-}
-BENCHMARK(BM_ComputeDblpSpawnPerCall)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
 // --- Raw per-region dispatch cost (the quantity the pool amortizes) ---
 
-void DispatchOverhead(benchmark::State& state, ParallelDispatch dispatch) {
+void BM_DispatchOverheadPooled(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  SetParallelDispatch(dispatch);
   std::vector<double> data(4096, 1.0);
   GrainOptions grain;
   grain.cost_per_element = 1e6;  // force a real multi-block dispatch
@@ -121,18 +107,8 @@ void DispatchOverhead(benchmark::State& state, ParallelDispatch dispatch) {
         },
         grain);
   }
-  SetParallelDispatch(ParallelDispatch::kPooled);
-}
-
-void BM_DispatchOverheadPooled(benchmark::State& state) {
-  DispatchOverhead(state, ParallelDispatch::kPooled);
 }
 BENCHMARK(BM_DispatchOverheadPooled)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-void BM_DispatchOverheadSpawnPerCall(benchmark::State& state) {
-  DispatchOverhead(state, ParallelDispatch::kSpawnPerCall);
-}
-BENCHMARK(BM_DispatchOverheadSpawnPerCall)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // --- Cancellation latency: Cancel() to pool quiescence ---
 //

@@ -15,7 +15,7 @@
 ///
 /// Use the annotated `Mutex`/`MutexLock`/`CondVar` wrappers from
 /// common/mutex.h — plain `std::mutex` is invisible to the analysis (and
-/// rejected by `hetesim_lint`'s `no-raw-mutex` rule in library code).
+/// rejected by the `no-raw-mutex` lint rule in library code).
 ///
 /// Conventions (see DESIGN.md §11 for the full table):
 ///  * Every field touched by more than one thread is either `std::atomic`

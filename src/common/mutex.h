@@ -15,8 +15,9 @@ namespace hetesim {
 /// `GUARDED_BY(mutex_)` may only be touched while a `MutexLock` on (or an
 /// explicit `Lock()` of) that mutex is in scope, and the CI static-analysis
 /// job turns violations into compile errors. All library-internal locking
-/// goes through this type; `hetesim_lint` rejects raw `std::mutex` /
-/// `std::lock_guard` in `src/` outside this header.
+/// goes through this type; the `no-raw-mutex` lint rule (run by
+/// `hetesim_analyze`) rejects raw `std::mutex` / `std::lock_guard` in
+/// `src/` outside this header.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;

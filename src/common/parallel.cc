@@ -1,42 +1,9 @@
 #include "common/parallel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <thread>
-#include <vector>
 
 namespace hetesim {
-
-namespace {
-
-std::atomic<ParallelDispatch> g_dispatch{ParallelDispatch::kPooled};
-
-/// The pre-pool execution strategy: one freshly spawned `std::thread` per
-/// block, joined before returning. Identical block partition to the pooled
-/// path so the two dispatch modes differ only in scheduling cost.
-void SpawnPerCallFor(int64_t begin, int64_t end, int threads,
-                     const std::function<void(int64_t, int64_t)>& body,
-                     const GrainOptions& grain) {
-  const internal::BlockPlan plan = internal::PlanBlocks(end - begin, threads, grain);
-  if (threads <= 1 || plan.num_blocks <= 1) {
-    body(begin, end);
-    return;
-  }
-  // Raw threads are the point of this ablation baseline (bench_pool_dispatch
-  // measures pooled dispatch against exactly this spawn cost).
-  std::vector<std::thread> workers;  // hetesim-lint: allow(no-raw-thread)
-  workers.reserve(static_cast<size_t>(plan.num_blocks));
-  for (int64_t block = 0; block < plan.num_blocks; ++block) {
-    const int64_t block_begin = begin + block * plan.block_size;
-    const int64_t block_end = std::min(end, block_begin + plan.block_size);
-    workers.emplace_back([&body, block_begin, block_end] {
-      body(block_begin, block_end);
-    });
-  }
-  for (std::thread& worker : workers) worker.join();  // hetesim-lint: allow(no-raw-thread)
-}
-
-}  // namespace
 
 int HardwareThreads() {
   const unsigned reported = std::thread::hardware_concurrency();
@@ -48,36 +15,12 @@ int ResolveNumThreads(int num_threads) {
   return std::max(num_threads, 1);
 }
 
-void SetParallelDispatch(ParallelDispatch dispatch) {
-  g_dispatch.store(dispatch, std::memory_order_relaxed);
-}
-
-ParallelDispatch GetParallelDispatch() {
-  return g_dispatch.load(std::memory_order_relaxed);
-}
-
 void ParallelFor(int64_t begin, int64_t end, int num_threads,
                  const std::function<void(int64_t, int64_t)>& body,
                  const GrainOptions& grain) {
   if (end - begin <= 0) return;
   const int threads = ResolveNumThreads(num_threads);
-  if (GetParallelDispatch() == ParallelDispatch::kSpawnPerCall) {
-    SpawnPerCallFor(begin, end, threads, body, grain);
-    return;
-  }
   ThreadPool::Global().ParallelFor(begin, end, threads, body, grain);
-}
-
-void ParallelChunks(int64_t begin, int64_t end, int num_threads,
-                    const std::function<void(int64_t, int64_t)>& body) {
-  // Static split into at most `num_threads` chunks: min_grain 1 with one
-  // block per thread reproduces the historical chunk shape, now executed
-  // on the pool (or spawned, under the ablation baseline).
-  GrainOptions grain;
-  grain.cost_per_element = 1e9;  // always split down to min_grain
-  grain.min_grain = 1;
-  grain.max_blocks_per_thread = 1;
-  ParallelFor(begin, end, num_threads, body, grain);
 }
 
 }  // namespace hetesim

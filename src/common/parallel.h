@@ -16,16 +16,6 @@ int HardwareThreads();
 /// negative values clamp to 1, everything else passes through.
 int ResolveNumThreads(int num_threads);
 
-/// How parallel regions are executed. `kPooled` (the default) dispatches
-/// onto the persistent `ThreadPool::Global()`; `kSpawnPerCall` creates and
-/// joins raw `std::thread`s for every region — the pre-pool behaviour, kept
-/// only as an ablation baseline for `bench_parallel` and tests. The setting
-/// is process-global and atomic; flip it only from a single thread while no
-/// region is in flight.
-enum class ParallelDispatch { kPooled, kSpawnPerCall };
-void SetParallelDispatch(ParallelDispatch dispatch);
-ParallelDispatch GetParallelDispatch();
-
 /// \brief Runs `body(block_begin, block_end)` over `[begin, end)` on the
 /// global thread pool with cost-based grain sizing (see `GrainOptions`).
 ///
@@ -40,19 +30,6 @@ ParallelDispatch GetParallelDispatch();
 void ParallelFor(int64_t begin, int64_t end, int num_threads,
                  const std::function<void(int64_t, int64_t)>& body,
                  const GrainOptions& grain = {});
-
-/// \brief Runs `body(chunk_begin, chunk_end)` over a contiguous index
-/// range split into up to `num_threads` chunks.
-///
-/// Thin shim over `ParallelFor` with static up-to-`num_threads` chunking,
-/// kept for callers that size per-chunk scratch buffers off the thread
-/// count. `num_threads == 0` uses all hardware threads; `<= 1` (or a range
-/// smaller than 2 elements) runs inline on the calling thread — no
-/// dispatch cost for the sequential case. `body` must be safe to run
-/// concurrently on disjoint chunks; chunks partition `[begin, end)`
-/// exactly. Blocks until every chunk finishes.
-void ParallelChunks(int64_t begin, int64_t end, int num_threads,
-                    const std::function<void(int64_t, int64_t)>& body);
 
 }  // namespace hetesim
 

@@ -35,26 +35,33 @@ PoolMetrics& GlobalPoolMetrics() {
   return metrics;
 }
 
-}  // namespace
-
-namespace internal {
-
-namespace {
 /// Target work per block, in `GrainOptions::cost_per_element` units. Tuned
 /// so a block of trivially cheap elements (~ns each) still outweighs the
 /// cost of a queue push + wake-up (~µs).
 constexpr double kTargetGrainCost = 16384.0;
-}  // namespace
+/// Upper bound on blocks per participating thread. More blocks than
+/// threads lets fast threads pick up slack from slow ones.
+constexpr int64_t kMaxBlocksPerThread = 4;
+
+/// Deterministic block partition of a `range`-element iteration space for
+/// `threads` participants under `grain`: `num_blocks` blocks of
+/// `block_size` elements each (the last block may be short). Always
+/// `1 <= num_blocks <= max(range, 1)`, and `num_blocks == 1` whenever the
+/// range is empty, `threads <= 1`, or the whole range is cheaper than one
+/// grain.
+struct BlockPlan {
+  int64_t block_size = 0;
+  int64_t num_blocks = 0;
+};
 
 BlockPlan PlanBlocks(int64_t range, int threads, const GrainOptions& grain) {
   if (range <= 0) return {0, 0};
   const double cost = std::max(grain.cost_per_element, 1e-9);
   int64_t grain_size = static_cast<int64_t>(kTargetGrainCost / cost);
-  grain_size = std::max<int64_t>({grain_size, grain.min_grain, 1});
+  grain_size = std::max<int64_t>(grain_size, 1);
   const int64_t participants = std::max(threads, 1);
   int64_t blocks = (range + grain_size - 1) / grain_size;
-  blocks = std::min(blocks,
-                    participants * std::max<int64_t>(grain.max_blocks_per_thread, 1));
+  blocks = std::min(blocks, participants * kMaxBlocksPerThread);
   blocks = std::max<int64_t>(std::min(blocks, range), 1);
   const int64_t block_size = (range + blocks - 1) / blocks;
   // Re-derive the count so no trailing block is empty.
@@ -62,7 +69,7 @@ BlockPlan PlanBlocks(int64_t range, int threads, const GrainOptions& grain) {
   return {block_size, blocks};
 }
 
-}  // namespace internal
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   const int n = std::max(num_threads, 0);
@@ -146,7 +153,7 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int num_threads,
   if (MetricsEnabled()) GlobalPoolMetrics().regions.Increment();
   const int threads = num_threads == 0 ? std::max(1, this->num_threads())
                                        : std::max(num_threads, 1);
-  const internal::BlockPlan plan = internal::PlanBlocks(range, threads, grain);
+  const BlockPlan plan = PlanBlocks(range, threads, grain);
   if (threads <= 1 || plan.num_blocks <= 1) {
     body(begin, end);
     tasks_run_.fetch_add(1, std::memory_order_relaxed);

@@ -27,28 +27,7 @@ struct GrainOptions {
   /// Estimated relative cost of one element (>= 0; values < 1e-9 are
   /// treated as 1e-9). Default assumes a trivially cheap body.
   double cost_per_element = 1.0;
-  /// Lower bound on elements per block, applied after the cost heuristic.
-  int64_t min_grain = 1;
-  /// Upper bound on blocks per participating thread. More blocks than
-  /// threads lets fast threads pick up slack from slow ones; 1 reproduces
-  /// static up-to-`num_threads` chunking.
-  int64_t max_blocks_per_thread = 4;
 };
-
-namespace internal {
-/// Deterministic block partition of a `range`-element iteration space for
-/// `threads` participants under `grain`: `num_blocks` blocks of
-/// `block_size` elements each (the last block may be short). Centralizes
-/// the clamping previously repeated in every caller: always
-/// `1 <= num_blocks <= max(range, 1)`, and `num_blocks == 1` whenever the
-/// range is empty, `threads <= 1`, or the whole range is cheaper than one
-/// grain.
-struct BlockPlan {
-  int64_t block_size = 0;
-  int64_t num_blocks = 0;
-};
-BlockPlan PlanBlocks(int64_t range, int threads, const GrainOptions& grain);
-}  // namespace internal
 
 /// \brief A persistent pool of worker threads with a blocking task queue.
 ///

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 
 #include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "matrix/cost_model.h"
-#include "matrix/serialize.h"
 #include "store/store.h"
 
 namespace hetesim {
@@ -371,11 +368,17 @@ void PathMatrixCache::Clear() {
   // and writing them after the fact would resurrect state the caller asked
   // to drop.
   pending_demotions_.clear();
+  clock_ = 0;
   hits_ = 0;
   misses_ = 0;
   evictions_ = 0;
   failed_computes_ = 0;
   rejected_inserts_ = 0;
+  prefix_probes_ = 0;
+  prefix_probe_hits_ = 0;
+  suffix_probes_ = 0;
+  suffix_probe_hits_ = 0;
+  partial_bytes_saved_ = 0;
   store_hits_ = 0;
   store_misses_ = 0;
   store_demotions_ = 0;
@@ -385,115 +388,6 @@ void PathMatrixCache::Clear() {
   }
   accounted_bytes_ = 0;
   peak_accounted_bytes_ = 0;
-}
-
-Status PathMatrixCache::SaveToDirectory(const std::string& directory) const {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(directory, ec);
-  if (ec) {
-    return Status::IOError("cannot create cache directory '" + directory +
-                           "': " + ec.message());
-  }
-  MutexLock lock(mutex_);
-  std::ofstream manifest(fs::path(directory) / "manifest.txt");
-  if (!manifest.is_open()) {
-    return Status::IOError("cannot write cache manifest in '" + directory + "'");
-  }
-  int sequence = 0;
-  for (const auto& [key, slot] : entries_) {
-    // Keys contain no newlines (relation names reject none, but be safe).
-    if (key.find('\n') != std::string::npos) {
-      return Status::InvalidArgument("cache key contains a newline");
-    }
-    // Waits for any in-flight computation of this key: publishing needs no
-    // cache lock, so holding mutex_ here cannot deadlock the computer. A
-    // computation that failed (and whose slot is about to be removed by its
-    // claimant) is simply not persisted.
-    Result<std::shared_ptr<const SparseMatrix>> entry = slot->future.get();
-    if (!entry.ok()) continue;
-    const std::string file_name = StrFormat("entry_%04d.hsm", sequence++);
-    manifest << file_name << "\t" << key << "\n";
-    HETESIM_RETURN_NOT_OK(WriteSparseMatrixToFile(
-        **entry, (fs::path(directory) / file_name).string()));
-  }
-  if (!manifest.good()) {
-    return Status::IOError("cache manifest write failed");
-  }
-  return Status::OK();
-}
-
-Status PathMatrixCache::LoadFromDirectory(const std::string& directory) {
-  namespace fs = std::filesystem;
-  std::ifstream manifest(fs::path(directory) / "manifest.txt");
-  if (!manifest.is_open()) {
-    return Status::IOError("cannot read cache manifest in '" + directory + "'");
-  }
-  std::vector<std::pair<std::string, std::shared_ptr<Slot>>> loaded;
-  std::string line;
-  int line_number = 0;
-  while (std::getline(manifest, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    const size_t tab = line.find('\t');
-    if (tab == std::string::npos) {
-      return Status::InvalidArgument(
-          StrFormat("manifest line %d: missing tab separator", line_number));
-    }
-    const std::string file_name = line.substr(0, tab);
-    const std::string key = line.substr(tab + 1);
-    Result<SparseMatrix> matrix =
-        ReadSparseMatrixFromFile((fs::path(directory) / file_name).string());
-    if (!matrix.ok()) return matrix.status();
-    loaded.emplace_back(key, ReadySlot(std::make_shared<const SparseMatrix>(
-                                 *std::move(matrix))));
-  }
-  {
-    MutexLock lock(mutex_);
-    for (auto& [key, slot] : entries_) {
-      slot->reservation.reset();
-    }
-    entries_.clear();
-    compute_counts_.clear();
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
-    failed_computes_ = 0;
-    rejected_inserts_ = 0;
-    store_hits_ = 0;
-    store_misses_ = 0;
-    store_demotions_ = 0;
-    if (MetricsEnabled()) {
-      GlobalCacheMetrics().accounted_bytes.Add(
-          -static_cast<int64_t>(accounted_bytes_));
-    }
-    accounted_bytes_ = 0;
-    peak_accounted_bytes_ = 0;
-    clock_ = 0;
-    for (auto& [key, slot] : loaded) {
-      if (entries_.count(key) != 0) continue;
-      if (!AdmitLocked(*slot)) continue;  // budget full even after eviction
-      entries_.emplace(key, std::move(slot));
-    }
-  }
-  FlushPendingDemotions();  // admissions above may have evicted
-  return Status::OK();
-}
-
-std::shared_ptr<PathMatrixCache::Slot> PathMatrixCache::ReadySlot(
-    std::shared_ptr<const SparseMatrix> matrix) {
-  auto slot = std::make_shared<Slot>();
-  std::promise<Result<std::shared_ptr<const SparseMatrix>>> promise;
-  slot->future = promise.get_future().share();
-  slot->ready = true;
-  slot->bytes = matrix->ApproxBytes();
-  // Disk loads have no measured compute cost; a zero cost makes them the
-  // cheapest entries to evict, which is the safe default (they can be
-  // re-read offline).
-  slot->compute_seconds = 0.0;
-  promise.set_value(
-      Result<std::shared_ptr<const SparseMatrix>>(std::move(matrix)));
-  return slot;
 }
 
 Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetOrCompute(
@@ -608,9 +502,8 @@ Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetOrCompute(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     if (!computed.ok()) {
-      // Publish the error FIRST (waiters — including SaveToDirectory, which
-      // waits while holding mutex_ — must never block on a thread that needs
-      // the lock), then unlink the slot so the next caller recomputes.
+      // Publish the error FIRST so waiters stop blocking on it, then unlink
+      // the slot so the next caller recomputes.
       promise.set_value(computed.status());
       if (MetricsEnabled()) GlobalCacheMetrics().failed_computes.Increment();
       {
@@ -642,8 +535,8 @@ Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetOrCompute(
           entries_.erase(it);
         }
       }
-      // else: Clear()/Load() raced us and already dropped the slot; the
-      // matrix is still delivered to us and any waiters, just not retained.
+      // else: Clear() raced us and already dropped the slot; the matrix is
+      // still delivered to us and any waiters, just not retained.
     }
     FlushPendingDemotions();
     return matrix;

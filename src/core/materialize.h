@@ -209,30 +209,18 @@ class PathMatrixCache {
   Stats stats() const EXCLUDES(mutex_);
 
   /// How many times the value for `key` has been computed since the last
-  /// `Clear()`/`LoadFromDirectory()`. Exactly 1 after a miss-storm on a
-  /// resident key (the at-most-once-per-residency guarantee); higher only
-  /// when the entry was evicted or a failed computation was redone. A miss
+  /// `Clear()`. Exactly 1 after a miss-storm on a resident key (the
+  /// at-most-once-per-residency guarantee); higher only when the entry was
+  /// evicted or a failed computation was redone. A miss
   /// served by promoting the key from the attached store does NOT count —
   /// reading back is not a computation — so with a store underneath, a
   /// demote/promote cycle leaves the count at 1. Keys come from
   /// `LeftKey`/`RightKey`/`ReachKey`.
   size_t ComputeCount(const std::string& key) const EXCLUDES(mutex_);
 
-  /// Drops all entries and resets counters (releasing any budget bytes).
+  /// Drops all entries and resets every counter in `Stats` (releasing any
+  /// budget bytes).
   void Clear() EXCLUDES(mutex_);
-
-  /// Persists every cached matrix under `directory` (created if missing):
-  /// one `entry_NNNN.hsm` file per matrix plus a `manifest.txt` mapping
-  /// files back to path keys. This is the paper's offline materialization:
-  /// compute the reachable-probability products for the frequently-used
-  /// relevance paths once, then serve queries from the reloaded cache.
-  [[nodiscard]] Status SaveToDirectory(const std::string& directory) const EXCLUDES(mutex_);
-
-  /// Loads a previously saved cache, replacing the current contents.
-  /// Counters are reset; loaded entries count as neither hits nor misses
-  /// until queried. With a budget attached, entries are admitted in
-  /// manifest order until the budget is full; the rest are skipped.
-  [[nodiscard]] Status LoadFromDirectory(const std::string& directory) EXCLUDES(mutex_);
 
  private:
   /// One cache entry. The future becomes ready exactly when the claiming
@@ -247,9 +235,6 @@ class PathMatrixCache {
     double priority = 0;       ///< GreedyDual-Size eviction priority
     MemoryReservation reservation;  ///< budget charge (empty if unbudgeted)
   };
-
-  /// Wraps an already-materialized matrix in a ready slot (disk loads).
-  static std::shared_ptr<Slot> ReadySlot(std::shared_ptr<const SparseMatrix> matrix);
 
   [[nodiscard]] Result<std::shared_ptr<const SparseMatrix>> GetOrCompute(
       const std::string& key, const QueryContext& ctx,

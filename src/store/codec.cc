@@ -8,8 +8,8 @@ namespace hetesim {
 namespace {
 
 constexpr char kMagic[4] = {'H', 'P', 'S', '1'};
-// Same bound as matrix/serialize.cc: refuse absurd shapes from corrupt
-// headers; 2^31 keeps rows * cols inside int64.
+// Refuse absurd shapes from corrupt headers; 2^31 keeps rows * cols
+// inside int64.
 constexpr int64_t kMaxReasonableDimension = int64_t{1} << 31;
 // Signed 32-bit fixed-point scale for the quantized codec.
 constexpr double kQuantScale = 2147483647.0;  // 2^31 - 1
@@ -163,13 +163,15 @@ Result<SparseMatrix> DecodeStoreEntry(std::string_view bytes) {
       nnz > rows * cols) {
     return Status::InvalidArgument("corrupt store entry header");
   }
-  // The payload holds >= 1 byte per entry (row length + column + value all
-  // varint-or-wider); an nnz beyond the remaining bytes is corruption and
-  // must be rejected BEFORE the reserve calls below can attempt a huge
-  // allocation.
-  if (nnz > static_cast<uint64_t>(end - pos)) {
+  // The payload holds >= 1 byte per row (its varint length) and per entry
+  // (column + value, varint-or-wider); a rows or nnz beyond the remaining
+  // bytes is corruption and must be rejected BEFORE the reserve calls below
+  // can attempt a huge allocation.
+  const uint64_t remaining = static_cast<uint64_t>(end - pos);
+  if (rows > remaining || nnz > remaining) {
     return Status::InvalidArgument(
-        "store entry header claims more entries than the payload holds");
+        "store entry header claims more rows or entries than the payload "
+        "holds");
   }
 
   std::vector<Index> row_ptr;
@@ -235,7 +237,12 @@ Result<SparseMatrix> DecodeStoreEntry(std::string_view bytes) {
       if (!ReadRaw(&pos, end, &q)) {
         return Status::InvalidArgument("truncated store entry values");
       }
-      values.push_back(static_cast<double>(q) * scale / kQuantScale);
+      // A corrupt scale near the double range overflows q * scale.
+      const double v = static_cast<double>(q) * scale / kQuantScale;
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("non-finite store entry value");
+      }
+      values.push_back(v);
     }
   }
   if (pos != end) {

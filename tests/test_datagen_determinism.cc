@@ -27,8 +27,8 @@ std::string SerializeGraph(const HinGraph& graph) {
 }
 
 std::string SerializeSparse(const SparseMatrix& matrix) {
-  // Canonical text rendering of the CSR contents (serialize.h only offers
-  // file round-trips; this stays in-memory and is enough for a digest).
+  // Canonical text rendering of the CSR contents: in-memory and enough
+  // for a digest.
   std::ostringstream out;
   out << matrix.rows() << "x" << matrix.cols() << "\n";
   for (Index r = 0; r < matrix.rows(); ++r) {

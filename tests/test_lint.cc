@@ -1,10 +1,11 @@
-// In-process tests for the hetesim_lint checker (tools/lint). Two layers:
+// In-process tests for the per-file lint rules (tools/lint/linter.h). Two
+// layers:
 //
 //  1. Fixture tests: each rule has a positive/negative fixture under
 //     tests/lint_fixtures/; we assert the *exact* file:line:rule-id set so a
 //     rule that stops firing (or fires on the wrong line) fails loudly.
 //  2. The dogfood test: linting the real src/ tree must produce zero
-//     findings — the same gate CI enforces with `hetesim_lint src/`.
+//     findings — the same gate CI enforces through `hetesim_analyze`.
 
 #include "linter.h"
 

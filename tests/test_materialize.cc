@@ -68,9 +68,34 @@ TEST_F(MaterializeTest, CachedValuesMatchDirectComputation) {
 
 TEST_F(MaterializeTest, SharedPointerSurvivesClear) {
   std::shared_ptr<const SparseMatrix> kept = cache_.GetLeft(graph_, Path("APC"));
+  // Move every counter Clear() resets off zero: a hit, a prefix and a
+  // suffix probe that both find the cached A-P and A-P-C products
+  // (A-P-C-P-A is symmetric), and a recorded partial reuse.
+  cache_.GetLeft(graph_, Path("APCPA"));
+  cache_.GetLeft(graph_, Path("APCPA"));
+  EXPECT_FALSE(cache_.ProbePartials(Path("APCPA"), /*left_side=*/true, 2).empty());
+  EXPECT_FALSE(cache_.ProbePartials(Path("APCPA"), /*left_side=*/false, 2).empty());
+  cache_.RecordPartialReuse(/*left_side=*/true, 1234);
+  EXPECT_EQ(cache_.stats().partial_bytes_saved, 1234u);
+
   cache_.Clear();
-  EXPECT_EQ(cache_.stats().entries, 0u);
-  EXPECT_EQ(cache_.stats().hits, 0u);
+  const PathMatrixCache::Stats stats = cache_.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.failed_computes, 0u);
+  EXPECT_EQ(stats.rejected_inserts, 0u);
+  EXPECT_EQ(stats.accounted_bytes, 0u);
+  EXPECT_EQ(stats.peak_accounted_bytes, 0u);
+  EXPECT_EQ(stats.prefix_probes, 0u);
+  EXPECT_EQ(stats.prefix_probe_hits, 0u);
+  EXPECT_EQ(stats.suffix_probes, 0u);
+  EXPECT_EQ(stats.suffix_probe_hits, 0u);
+  EXPECT_EQ(stats.partial_bytes_saved, 0u);
+  EXPECT_EQ(stats.store_hits, 0u);
+  EXPECT_EQ(stats.store_misses, 0u);
+  EXPECT_EQ(stats.store_demotions, 0u);
   EXPECT_EQ(kept->rows(), 3);  // still valid: ownership is shared
 }
 

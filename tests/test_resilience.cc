@@ -22,7 +22,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,7 +34,6 @@
 #include "core/materialize.h"
 #include "core/topk.h"
 #include "matrix/ops.h"
-#include "matrix/serialize.h"
 #include "test_util.h"
 
 namespace hetesim {
@@ -578,23 +576,6 @@ TEST_F(FaultInjectionTest, CacheInsertFaultServesUncached) {
   PathMatrixCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.rejected_inserts, 2u);  // admission failed, service didn't
-}
-
-TEST_F(FaultInjectionTest, SerializeAllocFaultIsResourceExhausted) {
-  SparseMatrix original = testing::RandomBipartiteAdjacency(12, 12, 0.3, 17);
-  std::ostringstream out;
-  ASSERT_TRUE(WriteSparseMatrix(original, out).ok());
-  FaultInjector::Global().Arm("serialize.alloc", 1.0);
-  {
-    std::istringstream in(out.str());
-    Status status = ReadSparseMatrix(in).status();
-    EXPECT_TRUE(status.IsResourceExhausted()) << status.ToString();
-  }
-  FaultInjector::Global().Reset();
-  std::istringstream in(out.str());
-  Result<SparseMatrix> reloaded = ReadSparseMatrix(in);
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_TRUE(reloaded->ApproxEquals(original, 0.0));
 }
 
 TEST_F(FaultInjectionTest, SeededSweepIsCrashFreeAndRecovers) {

@@ -42,8 +42,8 @@
 ///   fault-untested  every registry entry must be referenced by at least
 ///                   one test under tests/.
 ///
-/// Per-file `hetesim_lint` rules also run over src/ files, so one
-/// `hetesim_analyze` invocation is a superset of `hetesim_lint src/`.
+/// Per-file `hetesim_lint` rules (linter.h) also run over src/ files, so
+/// one `hetesim_analyze` invocation is the whole lint gate.
 ///
 /// Point suppressions reuse the same-line `// hetesim-lint: allow(rule-id)`
 /// marker; pre-existing findings can be carried in a baseline file of
