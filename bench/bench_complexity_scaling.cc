@@ -13,6 +13,7 @@
 #include "baselines/simrank.h"
 #include "core/hetesim.h"
 #include "hin/metapath.h"
+#include "matrix/chain_plan.h"
 #include "matrix/ops.h"
 #include "datagen/random_hin.h"
 
@@ -28,7 +29,7 @@ void BM_HeteSimFullMatrix(benchmark::State& state) {
   HeteSimEngine engine(g);
   MetaPath abcba = MetaPath::Parse(g.schema(), "ABCBA").value();
   for (auto _ : state) {
-    DenseMatrix scores = engine.Compute(abcba);
+    DenseMatrix scores = engine.Compute(abcba).value();
     benchmark::DoNotOptimize(scores.data().data());
   }
   state.SetComplexityN(n);
@@ -63,7 +64,7 @@ void BM_HeteSimPathLength(benchmark::State& state) {
   }
   MetaPath path = MetaPath::FromSteps(g.schema(), std::move(steps)).value();
   for (auto _ : state) {
-    DenseMatrix scores = engine.Compute(path);
+    DenseMatrix scores = engine.Compute(path).value();
     benchmark::DoNotOptimize(scores.data().data());
   }
 }
@@ -77,20 +78,36 @@ void BM_ChainSparse(benchmark::State& state) {
   MetaPath path = MetaPath::Parse(g.schema(), "ABCBA").value();
   std::vector<SparseMatrix> chain = TransitionChain(g, path);
   for (auto _ : state) {
-    SparseMatrix product = MultiplyChain(chain);
+    SparseMatrix product = MultiplyChain(chain).value();
     benchmark::DoNotOptimize(product.NumNonZeros());
   }
 }
 BENCHMARK(BM_ChainSparse)->Arg(1)->Arg(5)->Arg(20);
+
+/// Left-to-right plan that switches to the dense representation at the
+/// first product and stays dense: the dense arm of the ablation.
+ChainPlan AllDenseLeftToRight(int num_inputs) {
+  ChainPlan plan;
+  plan.num_inputs = num_inputs;
+  for (int t = 0; t + 1 < num_inputs; ++t) {
+    ChainPlanStep step;
+    step.left = t == 0 ? 0 : num_inputs + t - 1;
+    step.right = t + 1;
+    step.dense_output = true;
+    plan.steps.push_back(step);
+  }
+  return plan;
+}
 
 void BM_ChainDense(benchmark::State& state) {
   const double density = static_cast<double>(state.range(0)) / 100.0;
   HinGraph g = RandomTripartite(300, 300, 300, density, 11);
   MetaPath path = MetaPath::Parse(g.schema(), "ABCBA").value();
   std::vector<SparseMatrix> chain = TransitionChain(g, path);
+  const ChainPlan plan = AllDenseLeftToRight(static_cast<int>(chain.size()));
   for (auto _ : state) {
-    DenseMatrix product = MultiplyChainDense(chain);
-    benchmark::DoNotOptimize(product.data().data());
+    SparseMatrix product = ExecuteChainPlan(chain, plan).value();
+    benchmark::DoNotOptimize(product.NumNonZeros());
   }
 }
 BENCHMARK(BM_ChainDense)->Arg(1)->Arg(5)->Arg(20);

@@ -62,11 +62,11 @@ void PrintFig5Tables() {
                                                                   : "BROKEN");
 
   HeteSimEngine raw(g, {.normalized = false});
-  PrintMatrix(g, raw.Compute(ab),
+  PrintMatrix(g, raw.Compute(ab).value(),
               "\nFig 5(c): HeteSim values before normalization "
               "(paper: a2 -> (0, 0.17, 0.33, 0.17))");
   HeteSimEngine normalized(g);
-  PrintMatrix(g, normalized.Compute(ab),
+  PrintMatrix(g, normalized.Compute(ab).value(),
               "\nFig 5(d): HeteSim values after normalization "
               "(a2 most related to b3, its exclusive neighbor)");
 }
@@ -86,7 +86,7 @@ void BM_Fig5FullMatrix(benchmark::State& state) {
   MetaPath ab = MetaPath::Parse(g.schema(), "AB").value();
   HeteSimEngine engine(g);
   for (auto _ : state) {
-    DenseMatrix scores = engine.Compute(ab);
+    DenseMatrix scores = engine.Compute(ab).value();
     benchmark::DoNotOptimize(scores.data().data());
   }
 }

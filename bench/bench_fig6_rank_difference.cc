@@ -25,7 +25,7 @@ void PrintFig6() {
   MetaPath cvpa = MetaPath::Parse(acm.graph.schema(), "CVPA").value();
   MetaPath apvc = cvpa.Reverse();
   DenseMatrix counts_t = acm.PaperCounts().Transpose();  // conference x author
-  DenseMatrix hetesim_scores = engine.Compute(cvpa);
+  DenseMatrix hetesim_scores = engine.Compute(cvpa).value();
   DenseMatrix pcrw_ca = PcrwMatrix(acm.graph, cvpa);
   DenseMatrix pcrw_ac_t = PcrwMatrix(acm.graph, apvc).Transpose();
   const int top_n = 200;
@@ -61,7 +61,7 @@ void BM_Fig6FullPipeline(benchmark::State& state) {
   HeteSimEngine engine(acm.graph);
   MetaPath cvpa = MetaPath::Parse(acm.graph.schema(), "CVPA").value();
   for (auto _ : state) {
-    DenseMatrix scores = engine.Compute(cvpa);
+    DenseMatrix scores = engine.Compute(cvpa).value();
     benchmark::DoNotOptimize(scores.data().data());
   }
 }

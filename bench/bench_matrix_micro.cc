@@ -9,6 +9,7 @@
 
 #include "datagen/random_hin.h"
 #include "matrix/ops.h"
+#include "matrix/spgemm.h"
 
 namespace {
 
@@ -63,7 +64,7 @@ void BM_SparseTimesDense(benchmark::State& state) {
   SparseMatrix a = Square(1000, 0.01, 6);
   DenseMatrix b = Square(1000, 0.2, 7).ToDense();
   for (auto _ : state) {
-    DenseMatrix c = a.MultiplyDense(b);
+    DenseMatrix c = MultiplySparseDenseParallel(a, b).value();
     benchmark::DoNotOptimize(c.data().data());
   }
 }

@@ -19,7 +19,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "common/context.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "core/hetesim.h"
@@ -39,7 +38,7 @@ void BM_ComputeApcpaMetricsOn(benchmark::State& state) {
   const MetaPath path = Apcpa();
   SetMetricsEnabled(true);
   for (auto _ : state) {
-    auto scores = engine.Compute(path, QueryContext::Background()).value();
+    auto scores = engine.Compute(path).value();
     benchmark::DoNotOptimize(scores.rows());
   }
 }
@@ -51,7 +50,7 @@ void BM_ComputeApcpaMetricsOff(benchmark::State& state) {
   const MetaPath path = Apcpa();
   SetMetricsEnabled(false);
   for (auto _ : state) {
-    auto scores = engine.Compute(path, QueryContext::Background()).value();
+    auto scores = engine.Compute(path).value();
     benchmark::DoNotOptimize(scores.rows());
   }
   SetMetricsEnabled(true);
@@ -67,7 +66,7 @@ double MedianComputeSeconds(const HeteSimEngine& engine, const MetaPath& path,
   times.reserve(static_cast<size_t>(reps));
   for (int r = 0; r < reps; ++r) {
     Stopwatch stopwatch;
-    auto scores = engine.Compute(path, QueryContext::Background()).value();
+    auto scores = engine.Compute(path).value();
     benchmark::DoNotOptimize(scores.rows());
     times.push_back(stopwatch.ElapsedSeconds());
   }
@@ -82,7 +81,7 @@ int main(int argc, char** argv) {
   const MetaPath path = Apcpa();
   HeteSimEngine engine(dblp.graph);
   // One warm-up compute so neither arm pays first-touch costs.
-  (void)engine.Compute(path, QueryContext::Background()).value();
+  engine.Compute(path).value();
 
   constexpr int kReps = 15;
   SetMetricsEnabled(false);

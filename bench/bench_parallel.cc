@@ -26,6 +26,7 @@
 #include "datagen/dblp_generator.h"
 #include "datagen/random_hin.h"
 #include "hin/metapath.h"
+#include "matrix/spgemm.h"
 
 namespace {
 
@@ -55,7 +56,7 @@ void BM_ComputeThreads(benchmark::State& state) {
   options.num_threads = threads;
   HeteSimEngine engine(g, options);
   for (auto _ : state) {
-    DenseMatrix scores = engine.Compute(path);
+    DenseMatrix scores = engine.Compute(path).value();
     benchmark::DoNotOptimize(scores.data().data());
   }
 }
@@ -66,7 +67,7 @@ void BM_SpGemmThreads(benchmark::State& state) {
   SparseMatrix a = RandomBipartiteAdjacency(3000, 3000, 0.004, 32);
   SparseMatrix b = RandomBipartiteAdjacency(3000, 3000, 0.004, 33);
   for (auto _ : state) {
-    SparseMatrix product = a.MultiplyParallel(b, threads);
+    SparseMatrix product = MultiplySparseAdaptive(a, b, threads).value();
     benchmark::DoNotOptimize(product.NumNonZeros());
   }
 }
@@ -84,7 +85,7 @@ void BM_ComputeDblpPooled(benchmark::State& state) {
   options.num_threads = threads;
   HeteSimEngine engine(g, options);
   for (auto _ : state) {
-    DenseMatrix scores = engine.Compute(path);
+    DenseMatrix scores = engine.Compute(path).value();
     benchmark::DoNotOptimize(scores.data().data());
   }
 }
@@ -130,7 +131,7 @@ void BM_CancellationLatency(benchmark::State& state) {
       // between-products window is caught by the next region's entry check.
       for (;;) {
         started.store(true, std::memory_order_release);
-        Result<SparseMatrix> product = a.MultiplyParallel(b, threads, ctx);
+        Result<SparseMatrix> product = MultiplySparseAdaptive(a, b, threads, ctx);
         if (!product.ok()) return;
         benchmark::DoNotOptimize(product->NumNonZeros());
       }

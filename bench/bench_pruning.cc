@@ -40,7 +40,7 @@ void PrintPruningStats() {
               "pruned-cand", "frontier-cand", "fraction", "bound-exits");
   for (const char* spec : {"A-P-V-C", "A-P-A", "A-P-T", "A-P-V-C-V-P-A"}) {
     MetaPath path = MetaPath::Parse(acm.graph.schema(), spec).value();
-    TopKSearcher searcher(acm.graph, path);
+    TopKSearcher searcher = TopKSearcher::Prepare(acm.graph, path).value();
     TopKSearcher frontier = PrepareFrontier(acm.graph, path).value();
     // Average candidate count over 50 sources.
     double candidates = 0.0;
@@ -91,7 +91,7 @@ void PrintReuseStats() {
 void BM_TopKPruned(benchmark::State& state) {
   const AcmDataset& acm = bench::Acm();
   MetaPath path = MetaPath::Parse(acm.graph.schema(), "APT").value();
-  TopKSearcher searcher(acm.graph, path);
+  TopKSearcher searcher = TopKSearcher::Prepare(acm.graph, path).value();
   Index source = 0;
   for (auto _ : state) {
     TopKResult result = searcher.Query(source, 10).value();
@@ -104,7 +104,7 @@ BENCHMARK(BM_TopKPruned);
 void BM_TopKExhaustive(benchmark::State& state) {
   const AcmDataset& acm = bench::Acm();
   MetaPath path = MetaPath::Parse(acm.graph.schema(), "APT").value();
-  TopKSearcher searcher(acm.graph, path);
+  TopKSearcher searcher = TopKSearcher::Prepare(acm.graph, path).value();
   Index source = 0;
   for (auto _ : state) {
     TopKResult result = searcher.QueryExhaustive(source, 10).value();
@@ -130,7 +130,7 @@ BENCHMARK(BM_TopKFrontier);
 void BM_TopKPrunedLongPath(benchmark::State& state) {
   const AcmDataset& acm = bench::Acm();
   MetaPath path = MetaPath::Parse(acm.graph.schema(), "APVCVPA").value();
-  TopKSearcher searcher(acm.graph, path);
+  TopKSearcher searcher = TopKSearcher::Prepare(acm.graph, path).value();
   Index source = 0;
   for (auto _ : state) {
     TopKResult result = searcher.Query(source, 10).value();
@@ -143,7 +143,7 @@ BENCHMARK(BM_TopKPrunedLongPath);
 void BM_TopKExhaustiveLongPath(benchmark::State& state) {
   const AcmDataset& acm = bench::Acm();
   MetaPath path = MetaPath::Parse(acm.graph.schema(), "APVCVPA").value();
-  TopKSearcher searcher(acm.graph, path);
+  TopKSearcher searcher = TopKSearcher::Prepare(acm.graph, path).value();
   Index source = 0;
   for (auto _ : state) {
     TopKResult result = searcher.QueryExhaustive(source, 10).value();

@@ -100,7 +100,7 @@ void PrintTable6() {
   for (const Task& task : tasks) {
     MetaPath path = MetaPath::Parse(schema, task.path).value();
     std::vector<Index> ids = Sample(dblp.graph.NumNodes(task.type), task.max_sample);
-    DenseMatrix hetesim_affinity = engine.Compute(path);
+    DenseMatrix hetesim_affinity = engine.Compute(path).value();
     DenseMatrix pathsim_affinity = PathSimMatrix(dblp.graph, path).value();
     double hetesim_nmi = ClusteringNmi(hetesim_affinity, ids, *task.labels, runs);
     double pathsim_nmi = ClusteringNmi(pathsim_affinity, ids, *task.labels, runs);
@@ -118,7 +118,7 @@ void BM_AuthorAffinityMatrix(benchmark::State& state) {
   HeteSimEngine engine(dblp.graph);
   MetaPath apcpa = MetaPath::Parse(dblp.graph.schema(), "APCPA").value();
   for (auto _ : state) {
-    DenseMatrix affinity = engine.Compute(apcpa);
+    DenseMatrix affinity = engine.Compute(apcpa).value();
     benchmark::DoNotOptimize(affinity.data().data());
   }
 }
@@ -128,7 +128,7 @@ void BM_NcutOnSampledAuthors(benchmark::State& state) {
   const DblpDataset& dblp = bench::Dblp();
   HeteSimEngine engine(dblp.graph);
   MetaPath apcpa = MetaPath::Parse(dblp.graph.schema(), "APCPA").value();
-  DenseMatrix affinity = engine.Compute(apcpa);
+  DenseMatrix affinity = engine.Compute(apcpa).value();
   std::vector<Index> ids = Sample(dblp.graph.NumNodes(dblp.author), 150);
   DenseMatrix sub = Submatrix(affinity, ids);
   for (auto _ : state) {

@@ -51,7 +51,7 @@ int main() {
   auto print_affinities = [&](const char* heading) {
     const HinGraph& g = network.snapshot();
     HeteSimEngine engine(g);
-    DenseMatrix hetesim = engine.Compute(cpb);
+    DenseMatrix hetesim = engine.Compute(cpb).value();
     DenseMatrix pcrw = PcrwMatrix(g, cpb);
     std::printf("%s\n%-8s", heading, "");
     for (Index b = 0; b < g.NumNodes(brand); ++b) {

@@ -24,7 +24,7 @@ int main() {
   MetaPath cpapc = MetaPath::Parse(graph.schema(), "C-P-A-P-C").value();
   HeteSimEngine engine(graph);
 
-  DenseMatrix hetesim_affinity = engine.Compute(cpapc);
+  DenseMatrix hetesim_affinity = engine.Compute(cpapc).value();
   DenseMatrix pathsim_affinity = PathSimMatrix(graph, cpapc).value();
 
   const int k = dblp.num_areas;

@@ -52,7 +52,7 @@ int main() {
   // 3. Parse a relevance path by type codes and evaluate HeteSim.
   MetaPath apc = MetaPath::Parse(graph.schema(), "A-P-C").value();
   HeteSimEngine engine(graph);
-  DenseMatrix relevance = engine.Compute(apc);
+  DenseMatrix relevance = engine.Compute(apc).value();
 
   std::printf("HeteSim along %s (authors x conferences):\n",
               apc.ToString().c_str());
@@ -76,7 +76,7 @@ int main() {
   // 5. Same-typed relevance over the symmetric path A-P-C-P-A, and a top-k
   // query: who is most related to Tom through shared conferences?
   MetaPath apcpa = MetaPath::Parse(graph.schema(), "A-P-C-P-A").value();
-  TopKSearcher searcher(graph, apcpa);
+  TopKSearcher searcher = TopKSearcher::Prepare(graph, apcpa).value();
   TopKResult top = searcher.Query(tom, 3).value();
   std::printf("\nTop authors related to Tom along %s:\n", apcpa.ToString().c_str());
   for (const Scored& item : top.items) {

@@ -20,7 +20,7 @@ Status ValidateSymmetric(const MetaPath& path) {
 /// For a symmetric path the count matrix is M H H'-shaped with H the first
 /// half, so only the half product is needed; diagonal entries are row-norm
 /// squares of H.
-SparseMatrix HalfCountMatrix(const HinGraph& graph, const MetaPath& path) {
+Result<SparseMatrix> HalfCountMatrix(const HinGraph& graph, const MetaPath& path) {
   std::vector<SparseMatrix> chain;
   const int half = path.length() / 2;
   chain.reserve(static_cast<size_t>(half));
@@ -34,7 +34,7 @@ SparseMatrix HalfCountMatrix(const HinGraph& graph, const MetaPath& path) {
 
 Result<DenseMatrix> PathSimMatrix(const HinGraph& graph, const MetaPath& path) {
   HETESIM_RETURN_NOT_OK(ValidateSymmetric(path));
-  const SparseMatrix half = HalfCountMatrix(graph, path);
+  HETESIM_ASSIGN_OR_RETURN(const SparseMatrix half, HalfCountMatrix(graph, path));
   DenseMatrix counts = half.Multiply(half.Transpose()).ToDense();
   DenseMatrix out(counts.rows(), counts.cols());
   for (Index a = 0; a < counts.rows(); ++a) {
@@ -52,7 +52,7 @@ Result<std::vector<double>> PathSimSingleSource(const HinGraph& graph,
   if (source < 0 || source >= graph.NumNodes(path.SourceType())) {
     return Status::OutOfRange("source id out of range");
   }
-  const SparseMatrix half = HalfCountMatrix(graph, path);
+  HETESIM_ASSIGN_OR_RETURN(const SparseMatrix half, HalfCountMatrix(graph, path));
   std::vector<double> numerators =
       half.MultiplyVector(half.RowDense(source));  // counts(source, :)
   const double self_source = Dot(half.RowDense(source), half.RowDense(source));
@@ -72,7 +72,7 @@ Result<double> PathSimPair(const HinGraph& graph, const MetaPath& path, Index a,
   if (a < 0 || a >= n || b < 0 || b >= n) {
     return Status::OutOfRange("object id out of range");
   }
-  const SparseMatrix half = HalfCountMatrix(graph, path);
+  HETESIM_ASSIGN_OR_RETURN(const SparseMatrix half, HalfCountMatrix(graph, path));
   const double count_ab = half.RowDot(a, half, b);
   const double na = half.RowNorm(a);
   const double nb = half.RowNorm(b);

@@ -5,7 +5,7 @@
 namespace hetesim {
 
 DenseMatrix PcrwMatrix(const HinGraph& graph, const MetaPath& path) {
-  return ReachProbability(graph, path).ToDense();
+  return ReachProbability(graph, path).value().ToDense();
 }
 
 Result<std::vector<double>> PcrwSingleSource(const HinGraph& graph,

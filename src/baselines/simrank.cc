@@ -1,7 +1,7 @@
 #include "baselines/simrank.h"
 
 #include "common/check.h"
-#include "matrix/ops.h"
+#include "matrix/spgemm.h"
 
 namespace hetesim {
 
@@ -12,7 +12,8 @@ namespace {
 /// (Q(i, a) = 1/|I(a)| for each in-neighbor i of a).
 DenseMatrix SimRankIterate(const SparseMatrix& q, const SparseMatrix& q_transpose,
                            const DenseMatrix& s, double decay) {
-  DenseMatrix next = MultiplyDenseSparse(q_transpose.MultiplyDense(s), q);
+  const DenseMatrix q_transpose_s = MultiplySparseDenseParallel(q_transpose, s).value();
+  DenseMatrix next = MultiplyDenseSparseParallel(q_transpose_s, q).value();
   for (Index i = 0; i < next.rows(); ++i) {
     for (Index j = 0; j < next.cols(); ++j) next(i, j) *= decay;
     next(i, i) = 1.0;

@@ -108,6 +108,15 @@ class MemoryReservation {
   MemoryReservation(const MemoryReservation&) = delete;
   MemoryReservation& operator=(const MemoryReservation&) = delete;
 
+  /// Adds `other`'s bytes to this reservation and empties `other`, so a
+  /// buffer that grows in steps can be charged in steps and released once.
+  /// Both must be charged to the same budget.
+  void Absorb(MemoryReservation other) {
+    if (other.budget_ == nullptr) return;
+    if (budget_ == nullptr) budget_ = other.budget_;
+    bytes_ += std::exchange(other.bytes_, 0);
+  }
+
   /// Releases the bytes now instead of at destruction.
   void reset() {
     if (budget_ != nullptr && bytes_ > 0) budget_->Release(bytes_);

@@ -35,10 +35,10 @@ struct GrainOptions {
 /// variable when idle, so dispatching a parallel region costs a queue push
 /// and a wake-up instead of `pthread_create` + join per call. One
 /// lazily-initialized process-wide pool (`Global()`) is shared by every
-/// parallel region in the library — `SparseMatrix::MultiplyParallel`, the
-/// engine's normalization sweeps, `ComputePairs`, and the benches — so
-/// concurrent queries time-share one set of OS threads instead of
-/// oversubscribing the machine with per-call spawns.
+/// parallel region in the library — the SpGEMM kernels in
+/// `matrix/spgemm.h`, the engine's normalization sweeps, `ComputePairs`,
+/// and the benches — so concurrent queries time-share one set of OS
+/// threads instead of oversubscribing the machine with per-call spawns.
 ///
 /// Thread-safety: every public member is safe to call from any thread,
 /// including from inside pool tasks (`ParallelFor` is nested-safe: the

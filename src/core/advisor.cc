@@ -56,7 +56,8 @@ Result<MaterializationPlan> AdviseMaterialization(
       candidate.frequency += entry.frequency;
       if (candidate.bytes == 0) {  // first sighting: measure cost and size
         candidate.flops = ChainProductFlops(*half.chain);
-        candidate.bytes = MatrixBytes(MultiplyChain(*half.chain));
+        HETESIM_ASSIGN_OR_RETURN(SparseMatrix product, MultiplyChain(*half.chain));
+        candidate.bytes = MatrixBytes(product);
       }
     }
   }
@@ -103,12 +104,12 @@ Status ApplyMaterializationPlan(const HinGraph& graph,
   for (const WorkloadEntry& entry : workload) {
     const std::string left_key = PathMatrixCache::LeftKey(entry.path);
     if (chosen.count(left_key) != 0) {
-      cache->GetLeft(graph, entry.path);
+      HETESIM_RETURN_NOT_OK(cache->GetLeft(graph, entry.path).status());
       touched.insert(left_key);
     }
     const std::string right_key = PathMatrixCache::RightKey(entry.path);
     if (chosen.count(right_key) != 0) {
-      cache->GetRight(graph, entry.path);
+      HETESIM_RETURN_NOT_OK(cache->GetRight(graph, entry.path).status());
       touched.insert(right_key);
     }
   }

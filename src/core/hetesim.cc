@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/check.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
@@ -22,9 +21,10 @@ namespace hetesim {
 namespace {
 
 /// End-to-end query instruments (DESIGN.md §12). One `queries` increment
-/// and one latency observation per ctx-aware entry point; terminal statuses
-/// split into cancelled / deadline-exceeded / other-failed so dashboards
-/// separate caller-initiated stops from real errors.
+/// and one latency observation per `Compute` or `ComputePairs` call;
+/// terminal statuses split into cancelled / deadline-exceeded /
+/// other-failed so dashboards separate caller-initiated stops from real
+/// errors.
 struct EngineMetrics {
   Counter& queries;
   Counter& cancelled;
@@ -94,45 +94,25 @@ HeteSimEngine::HeteSimEngine(const HinGraph& graph, HeteSimOptions options,
                              std::shared_ptr<PathMatrixCache> cache)
     : graph_(graph), options_(options), cache_(std::move(cache)) {}
 
-void HeteSimEngine::GetReachMatrices(const MetaPath& path, SparseMatrix* left,
-                                     SparseMatrix* right) const {
+Status HeteSimEngine::GetReachMatrices(
+    const MetaPath& path, const QueryContext& ctx,
+    std::shared_ptr<const SparseMatrix>* left,
+    std::shared_ptr<const SparseMatrix>* right) const {
   if (cache_ != nullptr) {
-    *left = *cache_->GetLeft(graph_, path);
-    *right = *cache_->GetRight(graph_, path);
-    return;
-  }
-  PathDecomposition decomposition = DecomposePath(graph_, path);
-  *left = LeftReachMatrix(decomposition);
-  *right = RightReachMatrix(decomposition);
-}
-
-Status HeteSimEngine::GetReachMatrices(const MetaPath& path, const QueryContext& ctx,
-                                       SparseMatrix* left, SparseMatrix* right) const {
-  if (cache_ != nullptr) {
-    HETESIM_ASSIGN_OR_RETURN(
-        std::shared_ptr<const SparseMatrix> cached_left,
-        cache_->GetLeft(graph_, path, ctx, options_.num_threads));
-    HETESIM_ASSIGN_OR_RETURN(
-        std::shared_ptr<const SparseMatrix> cached_right,
-        cache_->GetRight(graph_, path, ctx, options_.num_threads));
-    *left = *cached_left;
-    *right = *cached_right;
+    HETESIM_ASSIGN_OR_RETURN(*left,
+                             cache_->GetLeft(graph_, path, ctx, options_.num_threads));
+    HETESIM_ASSIGN_OR_RETURN(*right,
+                             cache_->GetRight(graph_, path, ctx, options_.num_threads));
     return Status::OK();
   }
   PathDecomposition decomposition = DecomposePath(graph_, path);
-  HETESIM_ASSIGN_OR_RETURN(
-      *left, LeftReachMatrixWithContext(decomposition, options_.num_threads, ctx));
-  HETESIM_ASSIGN_OR_RETURN(
-      *right, RightReachMatrixWithContext(decomposition, options_.num_threads, ctx));
+  HETESIM_ASSIGN_OR_RETURN(SparseMatrix computed_left,
+                           LeftReachMatrix(decomposition, options_.num_threads, ctx));
+  HETESIM_ASSIGN_OR_RETURN(SparseMatrix computed_right,
+                           RightReachMatrix(decomposition, options_.num_threads, ctx));
+  *left = std::make_shared<const SparseMatrix>(std::move(computed_left));
+  *right = std::make_shared<const SparseMatrix>(std::move(computed_right));
   return Status::OK();
-}
-
-DenseMatrix HeteSimEngine::Compute(const MetaPath& path) const {
-  HETESIM_CHECK(&path.schema() == &graph_.schema())
-      << "meta-path was parsed against a different schema object";
-  // The background context never expires, is never cancelled, and carries
-  // no budget, so the ctx-aware path cannot fail here.
-  return Compute(path, QueryContext::Background()).value();
 }
 
 Result<DenseMatrix> HeteSimEngine::Compute(const MetaPath& path,
@@ -153,12 +133,14 @@ Result<DenseMatrix> HeteSimEngine::ComputeTraced(const MetaPath& path,
     return Status::InvalidArgument(
         "meta-path was parsed against a different schema object");
   }
-  SparseMatrix left;
-  SparseMatrix right;
+  std::shared_ptr<const SparseMatrix> left_half;
+  std::shared_ptr<const SparseMatrix> right_half;
   {
     TraceSpan reach_span(ctx.trace(), "engine.reach_matrices");
-    HETESIM_RETURN_NOT_OK(GetReachMatrices(path, ctx, &left, &right));
+    HETESIM_RETURN_NOT_OK(GetReachMatrices(path, ctx, &left_half, &right_half));
   }
+  const SparseMatrix& left = *left_half;
+  const SparseMatrix& right = *right_half;
   // Equation 6: HeteSim(A1, A(l+1) | P) = PM_PL * PM_(PR^-1)'. Relevance
   // matrices of connected networks are dense, so when the cost model
   // predicts densification the product is accumulated directly into the
@@ -236,8 +218,8 @@ Result<DenseMatrix> HeteSimEngine::ComputeTraced(const MetaPath& path,
   return scores;
 }
 
-Result<std::vector<double>> HeteSimEngine::ComputeSingleSource(const MetaPath& path,
-                                                               Index source) const {
+Result<std::vector<double>> HeteSimEngine::ComputeSingleSource(
+    const MetaPath& path, Index source, const QueryContext& ctx) const {
   if (&path.schema() != &graph_.schema()) {
     return Status::InvalidArgument(
         "meta-path was parsed against a different schema object");
@@ -249,23 +231,27 @@ Result<std::vector<double>> HeteSimEngine::ComputeSingleSource(const MetaPath& p
         static_cast<long long>(source), static_cast<long long>(num_sources),
         graph_.schema().TypeName(path.SourceType()).c_str()));
   }
-  PathDecomposition decomposition;
-  SparseMatrix right;
+  std::shared_ptr<const SparseMatrix> right;
   std::vector<double> u;
   if (cache_ != nullptr) {
-    std::shared_ptr<const SparseMatrix> left = cache_->GetLeft(graph_, path);
+    HETESIM_ASSIGN_OR_RETURN(std::shared_ptr<const SparseMatrix> left,
+                             cache_->GetLeft(graph_, path, ctx, options_.num_threads));
     u = left->RowDense(source);
-    right = *cache_->GetRight(graph_, path);
+    HETESIM_ASSIGN_OR_RETURN(right,
+                             cache_->GetRight(graph_, path, ctx, options_.num_threads));
   } else {
-    decomposition = DecomposePath(graph_, path);
+    PathDecomposition decomposition = DecomposePath(graph_, path);
     u.assign(static_cast<size_t>(num_sources), 0.0);
     u[static_cast<size_t>(source)] = 1.0;
     u = VectorThroughChainTruncated(std::move(u), decomposition.left_transitions,
                                     options_.truncation);
-    right = RightReachMatrix(decomposition);
+    HETESIM_ASSIGN_OR_RETURN(
+        SparseMatrix computed,
+        RightReachMatrix(decomposition, options_.num_threads, ctx));
+    right = std::make_shared<const SparseMatrix>(std::move(computed));
   }
   // scores[t] = u . PM_R(t,:), then cosine-normalize per Definition 10.
-  std::vector<double> scores = right.MultiplyVector(u);
+  std::vector<double> scores = right->MultiplyVector(u);
   if (options_.normalized) {
     const double nu = Norm2(u);
     if (nu == 0.0) {
@@ -273,8 +259,8 @@ Result<std::vector<double>> HeteSimEngine::ComputeSingleSource(const MetaPath& p
       // everything (the paper's O(s|R1) = empty convention).
       return std::vector<double>(scores.size(), 0.0);
     }
-    for (Index t = 0; t < right.rows(); ++t) {
-      const double nt = right.RowNorm(t);
+    for (Index t = 0; t < right->rows(); ++t) {
+      const double nt = right->RowNorm(t);
       if (nt != 0.0) scores[static_cast<size_t>(t)] /= nu * nt;
     }
   }
@@ -282,7 +268,7 @@ Result<std::vector<double>> HeteSimEngine::ComputeSingleSource(const MetaPath& p
 }
 
 Result<double> HeteSimEngine::ComputePair(const MetaPath& path, Index source,
-                                          Index target) const {
+                                          Index target, const QueryContext& ctx) const {
   if (&path.schema() != &graph_.schema()) {
     return Status::InvalidArgument(
         "meta-path was parsed against a different schema object");
@@ -295,9 +281,12 @@ Result<double> HeteSimEngine::ComputePair(const MetaPath& path, Index source,
   if (target < 0 || target >= num_targets) {
     return Status::OutOfRange("target id out of range");
   }
+  HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
   if (cache_ != nullptr) {
-    std::shared_ptr<const SparseMatrix> left = cache_->GetLeft(graph_, path);
-    std::shared_ptr<const SparseMatrix> right = cache_->GetRight(graph_, path);
+    HETESIM_ASSIGN_OR_RETURN(std::shared_ptr<const SparseMatrix> left,
+                             cache_->GetLeft(graph_, path, ctx, options_.num_threads));
+    HETESIM_ASSIGN_OR_RETURN(std::shared_ptr<const SparseMatrix> right,
+                             cache_->GetRight(graph_, path, ctx, options_.num_threads));
     return options_.normalized ? left->RowCosine(source, *right, target)
                                : left->RowDot(source, *right, target);
   }
@@ -313,11 +302,6 @@ Result<double> HeteSimEngine::ComputePair(const MetaPath& path, Index source,
   v = VectorThroughChainTruncated(std::move(v), decomposition.right_transitions,
                                   options_.truncation);
   return options_.normalized ? CosineSimilarity(u, v) : Dot(u, v);
-}
-
-Result<std::vector<double>> HeteSimEngine::ComputePairs(
-    const MetaPath& path, const std::vector<std::pair<Index, Index>>& pairs) const {
-  return ComputePairs(path, pairs, QueryContext::Background());
 }
 
 Result<std::vector<double>> HeteSimEngine::ComputePairs(

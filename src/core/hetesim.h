@@ -58,8 +58,9 @@ struct HeteSimOptions {
   double truncation = 0.0;
 
   /// Threads used by the full-matrix `Compute` (the SpGEMM of the two
-  /// reachable matrices and the normalization sweep are row-parallel) and
-  /// by the cached `ComputePairs` scoring loop. Parallel regions run on
+  /// reachable matrices and the normalization sweep are row-parallel), by
+  /// every half product a query computes, and by the cached `ComputePairs`
+  /// scoring loop. Parallel regions run on
   /// the shared, lazily-created process-wide thread pool — no threads are
   /// spawned per call. 1 (the default) runs fully sequentially on the
   /// calling thread; 0 means "use all hardware threads via the pool".
@@ -114,39 +115,38 @@ class HeteSimEngine {
                          std::shared_ptr<PathMatrixCache> cache = nullptr);
 
   /// Full relevance matrix between all sources and all targets of `path`:
-  /// entry (a, b) is HeteSim(a, b | P). Shape |A1| x |A(l+1)|.
-  DenseMatrix Compute(const MetaPath& path) const;
-
-  /// Deadline/cancellation/budget-aware `Compute`: the reachable-matrix
-  /// products and the normalization sweep poll `ctx` at chunk granularity,
-  /// so an expired or cancelled query stops within one chunk's worth of
-  /// work. Fails with `DeadlineExceeded` / `Cancelled` /
-  /// `ResourceExhausted`; with `QueryContext::Background()` this is exactly
-  /// the plain `Compute`.
-  [[nodiscard]] Result<DenseMatrix> Compute(const MetaPath& path, const QueryContext& ctx) const;
+  /// entry (a, b) is HeteSim(a, b | P). Shape |A1| x |A(l+1)|. The
+  /// reachable-matrix products and the normalization sweep poll `ctx` at
+  /// chunk granularity, so an expired or cancelled query stops within one
+  /// chunk's worth of work. Fails with `InvalidArgument` for a path parsed
+  /// against another schema, or `DeadlineExceeded` / `Cancelled` /
+  /// `ResourceExhausted`.
+  [[nodiscard]] Result<DenseMatrix> Compute(
+      const MetaPath& path,
+      const QueryContext& ctx = QueryContext::Background()) const;
 
   /// Relevance of `source` to every target object: one row of `Compute`.
-  /// Errors when `source` is out of range for the path's source type.
-  [[nodiscard]] Result<std::vector<double>> ComputeSingleSource(const MetaPath& path,
-                                                  Index source) const;
+  /// Errors when `source` is out of range for the path's source type. A
+  /// cache miss or the uncached right-half product runs under `ctx`.
+  [[nodiscard]] Result<std::vector<double>> ComputeSingleSource(
+      const MetaPath& path, Index source,
+      const QueryContext& ctx = QueryContext::Background()) const;
 
-  /// Relevance of the single pair (`source`, `target`).
-  [[nodiscard]] Result<double> ComputePair(const MetaPath& path, Index source, Index target) const;
+  /// Relevance of the single pair (`source`, `target`); a cache miss runs
+  /// under `ctx`.
+  [[nodiscard]] Result<double> ComputePair(
+      const MetaPath& path, Index source, Index target,
+      const QueryContext& ctx = QueryContext::Background()) const;
 
   /// Relevance of many pairs along one path, sharing one path
   /// decomposition and reusing the propagated distribution of every
   /// repeated source/target — the right call shape for scoring candidate
   /// lists (e.g. recommendation rerankers). Returns scores aligned with
-  /// `pairs`. Errors if any id is out of range (nothing partial is
-  /// returned).
-  [[nodiscard]] Result<std::vector<double>> ComputePairs(
-      const MetaPath& path, const std::vector<std::pair<Index, Index>>& pairs) const;
-
-  /// Context-aware `ComputePairs`: materialization and the scoring loop
-  /// poll `ctx`; nothing partial is returned on expiry.
+  /// `pairs`. Errors if any id is out of range. Materialization and the
+  /// scoring loop poll `ctx`; nothing partial is returned on expiry.
   [[nodiscard]] Result<std::vector<double>> ComputePairs(
       const MetaPath& path, const std::vector<std::pair<Index, Index>>& pairs,
-      const QueryContext& ctx) const;
+      const QueryContext& ctx = QueryContext::Background()) const;
 
   /// Sum of unnormalized HeteSim over the paths `(R R^-1)^k`, k = 1..depth,
   /// for two objects of the relation's source type. By Property 5 this
@@ -161,23 +161,23 @@ class HeteSimEngine {
   const HeteSimOptions& options() const { return options_; }
 
  private:
-  /// `Compute(path, ctx)` body, separated so the public entry point can
-  /// bracket it with the query span, the latency observation, and the
-  /// terminal-status counters (DESIGN.md §12) while the body keeps using
-  /// the early-return Status macros.
+  /// `Compute` body, separated so the public entry point can bracket it
+  /// with the query span, the latency observation, and the terminal-status
+  /// counters (DESIGN.md §12) while the body keeps using the early-return
+  /// Status macros.
   [[nodiscard]] Result<DenseMatrix> ComputeTraced(const MetaPath& path,
                                                   const QueryContext& ctx,
                                                   TraceSpan& span) const;
-  /// Same split for `ComputePairs(path, pairs, ctx)`.
+  /// Same split for `ComputePairs`.
   [[nodiscard]] Result<std::vector<double>> ComputePairsTraced(
       const MetaPath& path, const std::vector<std::pair<Index, Index>>& pairs,
       const QueryContext& ctx, TraceSpan& span) const;
-  /// Left/right reachable matrices for `path`, via the cache when present.
-  void GetReachMatrices(const MetaPath& path, SparseMatrix* left,
-                        SparseMatrix* right) const;
-  /// Context-aware variant; cache misses compute under `ctx`.
-  [[nodiscard]] Status GetReachMatrices(const MetaPath& path, const QueryContext& ctx,
-                          SparseMatrix* left, SparseMatrix* right) const;
+  /// Left/right reachable matrices for `path` under `ctx`, via the cache
+  /// when present. Cached halves are shared, not copied.
+  [[nodiscard]] Status GetReachMatrices(
+      const MetaPath& path, const QueryContext& ctx,
+      std::shared_ptr<const SparseMatrix>* left,
+      std::shared_ptr<const SparseMatrix>* right) const;
 
   const HinGraph& graph_;
   HeteSimOptions options_;

@@ -7,6 +7,7 @@
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "matrix/cost_model.h"
+#include "matrix/spgemm.h"
 #include "store/store.h"
 
 namespace hetesim {
@@ -112,31 +113,13 @@ std::string PathMatrixCache::RightKey(const MetaPath& path) {
          path.schema().StepToString(path.StepAt(l / 2));
 }
 
-std::shared_ptr<const SparseMatrix> PathMatrixCache::GetLeft(const HinGraph& graph,
-                                                             const MetaPath& path) {
-  // With the background context the computation cannot be cancelled or
-  // budget-starved, so the Result is always OK (fault injection targets the
-  // ctx-aware entry points through their own contexts).
-  return GetLeft(graph, path, QueryContext::Background()).value();
-}
-
-std::shared_ptr<const SparseMatrix> PathMatrixCache::GetRight(const HinGraph& graph,
-                                                              const MetaPath& path) {
-  return GetRight(graph, path, QueryContext::Background()).value();
-}
-
-std::shared_ptr<const SparseMatrix> PathMatrixCache::GetReach(const HinGraph& graph,
-                                                              const MetaPath& path) {
-  return GetReach(graph, path, QueryContext::Background()).value();
-}
-
 Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetLeft(
     const HinGraph& graph, const MetaPath& path, const QueryContext& ctx,
     int num_threads) {
   return GetOrCompute(LeftKey(path), ctx,
                       [&graph, &path, &ctx, num_threads]() -> Result<SparseMatrix> {
-                        return LeftReachMatrixWithContext(DecomposePath(graph, path),
-                                                          num_threads, ctx);
+                        return LeftReachMatrix(DecomposePath(graph, path),
+                                               num_threads, ctx);
                       });
 }
 
@@ -145,8 +128,8 @@ Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetRight(
     int num_threads) {
   return GetOrCompute(RightKey(path), ctx,
                       [&graph, &path, &ctx, num_threads]() -> Result<SparseMatrix> {
-                        return RightReachMatrixWithContext(DecomposePath(graph, path),
-                                                           num_threads, ctx);
+                        return RightReachMatrix(DecomposePath(graph, path),
+                                                num_threads, ctx);
                       });
 }
 
@@ -198,13 +181,13 @@ Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetRightWithReuse(
           }
         }
         if (best.matrix == nullptr) {
-          return RightReachMatrixWithContext(decomposition, num_threads, ctx);
+          return RightReachMatrix(decomposition, num_threads, ctx);
         }
         SparseMatrix folded = *best.matrix;
         for (size_t s = static_cast<size_t>(best.steps_covered);
              s < chain.size(); ++s) {
           HETESIM_ASSIGN_OR_RETURN(
-              folded, folded.MultiplyParallel(chain[s], num_threads, ctx));
+              folded, MultiplySparseAdaptive(folded, chain[s], num_threads, ctx));
         }
         RecordPartialReuse(/*left_side=*/false, best.matrix->ApproxBytes());
         return folded;
@@ -216,8 +199,7 @@ Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetReach(
     int num_threads) {
   return GetOrCompute(ReachKey(path), ctx,
                       [&graph, &path, &ctx, num_threads]() -> Result<SparseMatrix> {
-                        return ReachProbabilityWithContext(graph, path, num_threads,
-                                                           ctx);
+                        return ReachProbability(graph, path, num_threads, ctx);
                       });
 }
 

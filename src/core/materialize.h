@@ -96,36 +96,25 @@ class PathMatrixCache {
   static std::string ReachKey(const MetaPath& path);
 
   /// Left reachable matrix `PM_PL` of the decomposition of `path`
-  /// (|source type| x |middle|), computed on first use.
-  std::shared_ptr<const SparseMatrix> GetLeft(const HinGraph& graph,
-                                              const MetaPath& path);
+  /// (|source type| x |middle|), computed on first use. A computation polls
+  /// `ctx` at chunk granularity and waiters wait no longer than `ctx`'s
+  /// deadline. `num_threads` parallelizes a cache-miss computation (library
+  /// convention: 1 sequential, 0 = all hardware threads).
+  [[nodiscard]] Result<std::shared_ptr<const SparseMatrix>> GetLeft(
+      const HinGraph& graph, const MetaPath& path,
+      const QueryContext& ctx = QueryContext::Background(), int num_threads = 1);
 
   /// Right reachable matrix `PM_(PR^-1)` of the decomposition of `path`
-  /// (|target type| x |middle|), computed on first use.
-  std::shared_ptr<const SparseMatrix> GetRight(const HinGraph& graph,
-                                               const MetaPath& path);
+  /// (|target type| x |middle|), computed on first use like `GetLeft`.
+  [[nodiscard]] Result<std::shared_ptr<const SparseMatrix>> GetRight(
+      const HinGraph& graph, const MetaPath& path,
+      const QueryContext& ctx = QueryContext::Background(), int num_threads = 1);
 
   /// Full reachable probability matrix `PM_P` (Definition 9), used by PCRW
-  /// and the Fig-7 style distribution queries.
-  std::shared_ptr<const SparseMatrix> GetReach(const HinGraph& graph,
-                                               const MetaPath& path);
-
-  /// Context-aware variants: the computation polls `ctx` at chunk
-  /// granularity and waiters wait no longer than `ctx`'s deadline.
-  /// `num_threads` parallelizes a cache-miss computation (library
-  /// convention: 1 sequential, 0 = all hardware threads).
-  [[nodiscard]] Result<std::shared_ptr<const SparseMatrix>> GetLeft(const HinGraph& graph,
-                                                      const MetaPath& path,
-                                                      const QueryContext& ctx,
-                                                      int num_threads = 1);
-  [[nodiscard]] Result<std::shared_ptr<const SparseMatrix>> GetRight(const HinGraph& graph,
-                                                       const MetaPath& path,
-                                                       const QueryContext& ctx,
-                                                       int num_threads = 1);
-  [[nodiscard]] Result<std::shared_ptr<const SparseMatrix>> GetReach(const HinGraph& graph,
-                                                       const MetaPath& path,
-                                                       const QueryContext& ctx,
-                                                       int num_threads = 1);
+  /// and the Fig-7 style distribution queries; computed like `GetLeft`.
+  [[nodiscard]] Result<std::shared_ptr<const SparseMatrix>> GetReach(
+      const HinGraph& graph, const MetaPath& path,
+      const QueryContext& ctx = QueryContext::Background(), int num_threads = 1);
 
   /// An already-materialized partial product usable as the head of one
   /// half's transition chain: `matrix` equals the product of that half's
@@ -159,8 +148,8 @@ class PathMatrixCache {
   /// only the uncovered tail hops. The result is cached under
   /// `RightKey(path)` either way, so later callers take the plain hit path.
   [[nodiscard]] Result<std::shared_ptr<const SparseMatrix>> GetRightWithReuse(
-      const HinGraph& graph, const MetaPath& path, const QueryContext& ctx,
-      int num_threads = 1);
+      const HinGraph& graph, const MetaPath& path,
+      const QueryContext& ctx = QueryContext::Background(), int num_threads = 1);
 
   /// Attaches the byte budget charged by every subsequent admission
   /// (nullptr = unlimited, the default). Existing entries are *not*

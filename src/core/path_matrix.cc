@@ -48,15 +48,9 @@ std::vector<SparseMatrix> TransitionChain(const HinGraph& graph, const MetaPath&
   return chain;
 }
 
-SparseMatrix ReachProbability(const HinGraph& graph, const MetaPath& path) {
-  return MultiplyChain(TransitionChain(graph, path));
-}
-
-Result<SparseMatrix> ReachProbabilityWithContext(const HinGraph& graph,
-                                                 const MetaPath& path,
-                                                 int num_threads,
-                                                 const QueryContext& ctx) {
-  return MultiplyChainWithContext(TransitionChain(graph, path), num_threads, ctx);
+Result<SparseMatrix> ReachProbability(const HinGraph& graph, const MetaPath& path,
+                                      int num_threads, const QueryContext& ctx) {
+  return MultiplyChain(TransitionChain(graph, path), num_threads, ctx);
 }
 
 std::vector<double> ReachDistribution(const HinGraph& graph, const MetaPath& path,
@@ -146,26 +140,22 @@ PathDecomposition DecomposePath(const HinGraph& graph, const MetaPath& path) {
   return result;
 }
 
+Result<SparseMatrix> LeftReachMatrix(const PathDecomposition& decomposition,
+                                     int num_threads, const QueryContext& ctx) {
+  return MultiplyChain(decomposition.left_transitions, num_threads, ctx);
+}
+
+Result<SparseMatrix> RightReachMatrix(const PathDecomposition& decomposition,
+                                      int num_threads, const QueryContext& ctx) {
+  return MultiplyChain(decomposition.right_transitions, num_threads, ctx);
+}
+
 SparseMatrix LeftReachMatrix(const PathDecomposition& decomposition) {
-  HETESIM_CHECK(!decomposition.left_transitions.empty());
-  return MultiplyChain(decomposition.left_transitions);
+  return LeftReachMatrix(decomposition, 1).value();
 }
 
 SparseMatrix RightReachMatrix(const PathDecomposition& decomposition) {
-  HETESIM_CHECK(!decomposition.right_transitions.empty());
-  return MultiplyChain(decomposition.right_transitions);
-}
-
-Result<SparseMatrix> LeftReachMatrixWithContext(const PathDecomposition& decomposition,
-                                                int num_threads,
-                                                const QueryContext& ctx) {
-  return MultiplyChainWithContext(decomposition.left_transitions, num_threads, ctx);
-}
-
-Result<SparseMatrix> RightReachMatrixWithContext(const PathDecomposition& decomposition,
-                                                 int num_threads,
-                                                 const QueryContext& ctx) {
-  return MultiplyChainWithContext(decomposition.right_transitions, num_threads, ctx);
+  return RightReachMatrix(decomposition, 1).value();
 }
 
 }  // namespace hetesim

@@ -29,16 +29,12 @@ std::vector<SparseMatrix> TransitionChain(const HinGraph& graph, const MetaPath&
 /// Reachable probability matrix `PM_P = U_1 U_2 ... U_l` (Definition 9).
 /// `PM(i, j)` is the probability that a random walker starting at object `i`
 /// of the source type reaches object `j` of the target type walking along
-/// `path`. This is also exactly the PCRW proximity matrix.
-SparseMatrix ReachProbability(const HinGraph& graph, const MetaPath& path);
-
-/// Deadline/cancellation/budget-aware `ReachProbability`: the chain product
-/// runs through the context-checked SpGEMM. `num_threads` follows the
-/// library convention (1 sequential, 0 = all hardware threads).
-[[nodiscard]] Result<SparseMatrix> ReachProbabilityWithContext(const HinGraph& graph,
-                                                 const MetaPath& path,
-                                                 int num_threads,
-                                                 const QueryContext& ctx);
+/// `path`. This is also exactly the PCRW proximity matrix. The chain
+/// product runs under `ctx` (see `MultiplyChain`); `num_threads` follows
+/// the library convention (1 sequential, 0 = all hardware threads).
+[[nodiscard]] Result<SparseMatrix> ReachProbability(
+    const HinGraph& graph, const MetaPath& path, int num_threads = 1,
+    const QueryContext& ctx = QueryContext::Background());
 
 /// Single-source row of `ReachProbability`: the distribution over the target
 /// type reached from `source`. O(edges touched), no matrix products.
@@ -84,18 +80,21 @@ struct PathDecomposition {
 /// Builds the decomposition of `path` over `graph`.
 PathDecomposition DecomposePath(const HinGraph& graph, const MetaPath& path);
 
-/// Product of the left chain: `PM_PL`, |A1| x |M|.
-SparseMatrix LeftReachMatrix(const PathDecomposition& decomposition);
+/// Product of the left chain: `PM_PL`, |A1| x |M|, computed under `ctx`
+/// at `num_threads` (see `MultiplyChain`).
+[[nodiscard]] Result<SparseMatrix> LeftReachMatrix(
+    const PathDecomposition& decomposition, int num_threads,
+    const QueryContext& ctx = QueryContext::Background());
 /// Product of the right chain: `PM_(PR^-1)`, |A(l+1)| x |M|.
-SparseMatrix RightReachMatrix(const PathDecomposition& decomposition);
+[[nodiscard]] Result<SparseMatrix> RightReachMatrix(
+    const PathDecomposition& decomposition, int num_threads,
+    const QueryContext& ctx = QueryContext::Background());
 
-/// Context-aware half products, polled at SpGEMM chunk granularity.
-[[nodiscard]] Result<SparseMatrix> LeftReachMatrixWithContext(const PathDecomposition& decomposition,
-                                                int num_threads,
-                                                const QueryContext& ctx);
-[[nodiscard]] Result<SparseMatrix> RightReachMatrixWithContext(const PathDecomposition& decomposition,
-                                                 int num_threads,
-                                                 const QueryContext& ctx);
+/// Sequential, context-free forms of the two half products, for oracles
+/// that compare against them. They abort if the product fails, which only
+/// an armed `spgemm.alloc` fault point can make happen.
+SparseMatrix LeftReachMatrix(const PathDecomposition& decomposition);
+SparseMatrix RightReachMatrix(const PathDecomposition& decomposition);
 
 }  // namespace hetesim
 

@@ -65,7 +65,8 @@ Result<std::vector<ScoredPair>> TopKPairs(const HinGraph& graph,
     return Status::InvalidArgument("k must be non-negative");
   }
   const bool same_type = path.SourceType() == path.TargetType();
-  TopKSearcher searcher(graph, path, options);
+  HETESIM_ASSIGN_OR_RETURN(TopKSearcher searcher,
+                           TopKSearcher::Prepare(graph, path, options));
   auto by_score_desc = [](const ScoredPair& a, const ScoredPair& b) {
     if (a.score != b.score) return a.score > b.score;
     if (a.source != b.source) return a.source < b.source;
@@ -90,17 +91,6 @@ Result<std::vector<ScoredPair>> TopKPairs(const HinGraph& graph,
   std::sort(best.begin(), best.end(), by_score_desc);
   if (best.size() > static_cast<size_t>(k)) best.resize(static_cast<size_t>(k));
   return best;
-}
-
-TopKSearcher::TopKSearcher(const HinGraph& graph, const MetaPath& path,
-                           HeteSimOptions options)
-    : graph_(graph), options_(options),
-      num_sources_(graph.NumNodes(path.SourceType())) {
-  PathDecomposition decomposition = DecomposePath(graph, path);
-  left_transitions_ = std::move(decomposition.left_transitions);
-  right_ = std::make_shared<const SparseMatrix>(
-      MultiplyChain(decomposition.right_transitions));
-  FinishPreparation();
 }
 
 void TopKSearcher::FinishPreparation() {
@@ -137,8 +127,7 @@ Result<TopKSearcher> TopKSearcher::Prepare(const HinGraph& graph,
   } else {
     HETESIM_ASSIGN_OR_RETURN(
         SparseMatrix right,
-        MultiplyChainWithContext(decomposition.right_transitions,
-                                 options.num_threads, ctx));
+        MultiplyChain(decomposition.right_transitions, options.num_threads, ctx));
     searcher.right_ = std::make_shared<const SparseMatrix>(std::move(right));
   }
   searcher.FinishPreparation();
@@ -153,10 +142,6 @@ Result<std::vector<double>> TopKSearcher::SourceDistribution(Index source) const
   std::vector<double> u(static_cast<size_t>(num_sources_), 0.0);
   u[static_cast<size_t>(source)] = 1.0;
   return VectorThroughChain(std::move(u), left_transitions_);
-}
-
-Result<TopKResult> TopKSearcher::Query(Index source, int k) const {
-  return Query(source, k, QueryContext::Background());
 }
 
 Result<TopKResult> TopKSearcher::Query(Index source, int k,

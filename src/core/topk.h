@@ -94,37 +94,38 @@ struct ScoredPair {
 /// Preparation materializes the path decomposition, the right reachable
 /// matrix, its transpose (an inverted index from middle objects to targets)
 /// and per-target norms, so each query costs one sparse vector propagation
-/// plus work proportional to the candidate set.
+/// plus work proportional to the candidate set. `Prepare` is the only way
+/// to build one.
 class TopKSearcher {
  public:
-  /// Prepares the searcher; O(path matrix products) once.
-  TopKSearcher(const HinGraph& graph, const MetaPath& path,
-               HeteSimOptions options = {});
+  TopKSearcher(TopKSearcher&&) = default;
+  TopKSearcher(const TopKSearcher&) = delete;
 
-  /// Context-aware preparation: the right-chain product runs under `ctx`
-  /// (deadline / cancellation / budget), so even the one-time
-  /// materialization of a huge path respects `--deadline-ms`. A non-null
-  /// `cache` makes preparation ad-hoc-path aware: the right half is fetched
-  /// through `PathMatrixCache::GetRightWithReuse` (folding the cheapest
-  /// cached partial products instead of recomputing from scratch) and,
-  /// under `RelevanceAlgo::kFrontier`, the left chain is planned against
-  /// cached prefix partials too. The cache must outlive the searcher.
-  [[nodiscard]] static Result<TopKSearcher> Prepare(const HinGraph& graph, const MetaPath& path,
-                                      HeteSimOptions options,
-                                      const QueryContext& ctx,
-                                      PathMatrixCache* cache = nullptr);
+  /// Prepares the searcher; O(path matrix products) once. The right-chain
+  /// product runs under `ctx` (deadline / cancellation / budget), so even
+  /// the one-time materialization of a huge path respects `--deadline-ms`.
+  /// A non-null `cache` makes preparation ad-hoc-path aware: the right half
+  /// is fetched through `PathMatrixCache::GetRightWithReuse` (folding the
+  /// cheapest cached partial products instead of recomputing from scratch)
+  /// and, under `RelevanceAlgo::kFrontier`, the left chain is planned
+  /// against cached prefix partials too. The cache must outlive the
+  /// searcher.
+  [[nodiscard]] static Result<TopKSearcher> Prepare(
+      const HinGraph& graph, const MetaPath& path, HeteSimOptions options = {},
+      const QueryContext& ctx = QueryContext::Background(),
+      PathMatrixCache* cache = nullptr);
 
   /// Single-source query via the strategy selected by
   /// `HeteSimOptions::algo`: exhaustive reference, pruned accumulation
   /// (exact — objects outside the candidate set provably score 0), or the
   /// frontier executor with bound-based early exit (`core/frontier.h`).
-  [[nodiscard]] Result<TopKResult> Query(Index source, int k) const;
-
-  /// Deadline-aware `Query`: the context is polled at the (adaptive) poll
-  /// stride; on expiry the scores accumulated so far are ranked and
-  /// returned with `truncated = true` instead of an error, so callers get
-  /// a best-effort partial answer within one poll stride of the deadline.
-  [[nodiscard]] Result<TopKResult> Query(Index source, int k, const QueryContext& ctx) const;
+  /// The context is polled at the (adaptive) poll stride; on expiry the
+  /// scores accumulated so far are ranked and returned with
+  /// `truncated = true` instead of an error, so callers get a best-effort
+  /// partial answer within one poll stride of the deadline.
+  [[nodiscard]] Result<TopKResult> Query(
+      Index source, int k,
+      const QueryContext& ctx = QueryContext::Background()) const;
 
   /// Exhaustive reference query scoring every target.
   [[nodiscard]] Result<TopKResult> QueryExhaustive(Index source, int k) const;
@@ -143,9 +144,9 @@ class TopKSearcher {
   /// Propagates the indicator of `source` through the left chain.
   [[nodiscard]] Result<std::vector<double>> SourceDistribution(Index source) const;
 
-  /// `Query(source, k, ctx)` body, separated so the public entry point can
-  /// bracket it with the query span, the latency observation, and the
-  /// truncation counter (DESIGN.md §12).
+  /// `Query` body, separated so the public entry point can bracket it with
+  /// the query span, the latency observation, and the truncation counter
+  /// (DESIGN.md §12).
   [[nodiscard]] Result<TopKResult> QueryTraced(Index source, int k,
                                                const QueryContext& ctx) const;
 

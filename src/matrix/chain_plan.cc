@@ -200,19 +200,13 @@ ChainPlan PlanChain(const std::vector<SparseMatrix>& chain,
   return PlanChain(inputs, options);
 }
 
-namespace {
-
-/// Shared execution loop. `ctx == nullptr` runs the fault-free kernels;
-/// with a context every step goes through the polled, budget-charged,
-/// fault-injected variants and the loop re-checks liveness between steps.
-Result<SparseMatrix> ExecutePlan(const std::vector<SparseMatrix>& chain,
-                                 const ChainPlan& plan, int num_threads,
-                                 const QueryContext* ctx,
-                                 const SpGemmOptions& options) {
+Result<SparseMatrix> ExecuteChainPlan(const std::vector<SparseMatrix>& chain,
+                                      const ChainPlan& plan, int num_threads,
+                                      const QueryContext& ctx,
+                                      const SpGemmOptions& options) {
   // Plan/chain mismatch and malformed plans are caller errors on a
   // Status-returning path, so they come back as InvalidArgument rather
-  // than aborting (hand-built plans reach here through the public
-  // ExecuteChainPlan overloads).
+  // than aborting (callers may hand-build plans).
   if (static_cast<int>(chain.size()) != plan.num_inputs ||
       plan.steps.size() + 1 != chain.size()) {
     return Status::InvalidArgument(
@@ -250,10 +244,9 @@ Result<SparseMatrix> ExecutePlan(const std::vector<SparseMatrix>& chain,
     }
   };
 
-  Trace* const trace = ctx != nullptr ? ctx->trace() : nullptr;
   for (size_t t = 0; t < plan.steps.size(); ++t) {
     const ChainPlanStep& step = plan.steps[t];
-    if (ctx != nullptr) HETESIM_RETURN_NOT_OK(ctx->CheckAlive());
+    HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
     const Operand l = operand(step.left);
     const Operand r = operand(step.right);
     Intermediate& out = inter[t];
@@ -261,7 +254,7 @@ Result<SparseMatrix> ExecutePlan(const std::vector<SparseMatrix>& chain,
     // already dense; the representation follows the operands in that case.
     const bool dense_output =
         step.dense_output || l.dense != nullptr || r.dense != nullptr;
-    TraceSpan span(trace, "chain.step");
+    TraceSpan span(ctx.trace(), "chain.step");
     if (span.active()) {
       span.Annotate("step", std::to_string(t));
       span.Annotate("kernel", dense_output ? "dense" : "spgemm");
@@ -269,48 +262,28 @@ Result<SparseMatrix> ExecutePlan(const std::vector<SparseMatrix>& chain,
                     std::to_string(static_cast<int64_t>(step.estimate.nnz)));
     }
     if (!dense_output) {
-      if (ctx != nullptr) {
-        HETESIM_ASSIGN_OR_RETURN(
-            out.sparse,
-            MultiplySparseAdaptive(*l.sparse, *r.sparse, num_threads, *ctx, options));
-      } else {
-        out.sparse = MultiplySparseAdaptive(*l.sparse, *r.sparse, num_threads, options);
-      }
+      HETESIM_ASSIGN_OR_RETURN(
+          out.sparse,
+          MultiplySparseAdaptive(*l.sparse, *r.sparse, num_threads, ctx, options));
       out.is_dense = false;
     } else {
       out.is_dense = true;
       if (l.sparse != nullptr && r.sparse != nullptr) {
-        if (ctx != nullptr) {
-          HETESIM_ASSIGN_OR_RETURN(
-              out.dense, MultiplySparseSparseDense(*l.sparse, *r.sparse,
-                                                   num_threads, *ctx));
-        } else {
-          out.dense = MultiplySparseSparseDense(*l.sparse, *r.sparse, num_threads);
-        }
+        HETESIM_ASSIGN_OR_RETURN(
+            out.dense,
+            MultiplySparseSparseDense(*l.sparse, *r.sparse, num_threads, ctx));
       } else if (l.dense != nullptr && r.sparse != nullptr) {
-        if (ctx != nullptr) {
-          HETESIM_ASSIGN_OR_RETURN(
-              out.dense, MultiplyDenseSparseParallel(*l.dense, *r.sparse,
-                                                     num_threads, *ctx));
-        } else {
-          out.dense = MultiplyDenseSparseParallel(*l.dense, *r.sparse, num_threads);
-        }
+        HETESIM_ASSIGN_OR_RETURN(
+            out.dense,
+            MultiplyDenseSparseParallel(*l.dense, *r.sparse, num_threads, ctx));
       } else if (l.sparse != nullptr && r.dense != nullptr) {
-        if (ctx != nullptr) {
-          HETESIM_ASSIGN_OR_RETURN(
-              out.dense, MultiplySparseDenseParallel(*l.sparse, *r.dense,
-                                                     num_threads, *ctx));
-        } else {
-          out.dense = MultiplySparseDenseParallel(*l.sparse, *r.dense, num_threads);
-        }
+        HETESIM_ASSIGN_OR_RETURN(
+            out.dense,
+            MultiplySparseDenseParallel(*l.sparse, *r.dense, num_threads, ctx));
       } else {
-        if (ctx != nullptr) {
-          HETESIM_ASSIGN_OR_RETURN(
-              out.dense, MultiplyDenseDenseParallel(*l.dense, *r.dense,
-                                                    num_threads, *ctx));
-        } else {
-          out.dense = MultiplyDenseDenseParallel(*l.dense, *r.dense, num_threads);
-        }
+        HETESIM_ASSIGN_OR_RETURN(
+            out.dense,
+            MultiplyDenseDenseParallel(*l.dense, *r.dense, num_threads, ctx));
       }
     }
     if (MetricsEnabled()) {
@@ -341,23 +314,8 @@ Result<SparseMatrix> ExecutePlan(const std::vector<SparseMatrix>& chain,
 
   Intermediate& root = inter.back();
   if (!root.is_dense) return std::move(root.sparse);
-  if (ctx != nullptr) HETESIM_RETURN_NOT_OK(ctx->CheckAlive());
+  HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
   return SparseMatrix::FromDense(root.dense, 0.0);
-}
-
-}  // namespace
-
-SparseMatrix ExecuteChainPlan(const std::vector<SparseMatrix>& chain,
-                              const ChainPlan& plan, int num_threads,
-                              const SpGemmOptions& options) {
-  return *ExecutePlan(chain, plan, num_threads, nullptr, options);
-}
-
-Result<SparseMatrix> ExecuteChainPlan(const std::vector<SparseMatrix>& chain,
-                                      const ChainPlan& plan, int num_threads,
-                                      const QueryContext& ctx,
-                                      const SpGemmOptions& options) {
-  return ExecutePlan(chain, plan, num_threads, &ctx, options);
 }
 
 }  // namespace hetesim

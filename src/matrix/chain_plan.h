@@ -92,21 +92,16 @@ ChainPlan PlanChain(const std::vector<SparseMatrix>& chain,
 /// sparse kernel or the dense-representation kernels per `dense_output`,
 /// and converting a dense final product back to CSR (exact zeros dropped,
 /// as in every CSR product). Bitwise deterministic for a fixed plan at any
-/// `num_threads` (1 = sequential, 0 = all hardware threads).
-SparseMatrix ExecuteChainPlan(const std::vector<SparseMatrix>& chain,
-                              const ChainPlan& plan, int num_threads = 1,
-                              const SpGemmOptions& options = {});
-
-/// Context-aware execution: the context is checked between steps and
-/// polled per chunk inside every kernel, chunk outputs and dense
-/// intermediates are charged against the memory budget, and the
-/// `spgemm.alloc` fault point is honored — the planned counterpart of
-/// `SparseMatrix::MultiplyParallel(other, threads, ctx)`. Fails with
-/// `Cancelled`, `DeadlineExceeded`, or `ResourceExhausted`.
-[[nodiscard]] Result<SparseMatrix> ExecuteChainPlan(const std::vector<SparseMatrix>& chain,
-                                      const ChainPlan& plan, int num_threads,
-                                      const QueryContext& ctx,
-                                      const SpGemmOptions& options = {});
+/// `num_threads` (1 = sequential, 0 = all hardware threads). The context
+/// is checked between steps and polled per chunk inside every kernel,
+/// chunk outputs and dense intermediates are charged against its memory
+/// budget, and the `spgemm.alloc` fault point is honored. Fails with
+/// `InvalidArgument` for a plan that does not fit the chain, or
+/// `Cancelled`, `DeadlineExceeded` or `ResourceExhausted`.
+[[nodiscard]] Result<SparseMatrix> ExecuteChainPlan(
+    const std::vector<SparseMatrix>& chain, const ChainPlan& plan,
+    int num_threads = 1, const QueryContext& ctx = QueryContext::Background(),
+    const SpGemmOptions& options = {});
 
 }  // namespace hetesim
 

@@ -46,43 +46,8 @@ double CosineSimilarity(const std::vector<double>& a, const std::vector<double>&
   return Dot(a, b) / (na * nb);
 }
 
-DenseMatrix MultiplyDenseSparse(const DenseMatrix& a, const SparseMatrix& b) {
-  HETESIM_CHECK_EQ(a.cols(), b.rows());
-  DenseMatrix out(a.rows(), b.cols());
-  for (Index r = 0; r < a.rows(); ++r) {
-    const double* in_row = a.RowData(r);
-    double* out_row = out.RowData(r);
-    for (Index k = 0; k < a.cols(); ++k) {
-      const double v = in_row[k];
-      if (v == 0.0) continue;
-      auto indices = b.RowIndices(k);
-      auto values = b.RowValues(k);
-      for (size_t t = 0; t < indices.size(); ++t) {
-        out_row[indices[t]] += v * values[t];
-      }
-    }
-  }
-  return out;
-}
-
-SparseMatrix MultiplyChain(const std::vector<SparseMatrix>& chain) {
-  HETESIM_CHECK(!chain.empty()) << "empty matrix chain";
-  return ExecuteChainPlan(chain, PlanChain(chain));
-}
-
-SparseMatrix MultiplyChainLeftToRight(const std::vector<SparseMatrix>& chain,
-                                      int num_threads) {
-  HETESIM_CHECK(!chain.empty()) << "empty matrix chain";
-  SparseMatrix product = chain[0];
-  for (size_t i = 1; i < chain.size(); ++i) {
-    product = product.MultiplyParallel(chain[i], num_threads);
-  }
-  return product;
-}
-
-Result<SparseMatrix> MultiplyChainWithContext(const std::vector<SparseMatrix>& chain,
-                                              int num_threads,
-                                              const QueryContext& ctx) {
+Result<SparseMatrix> MultiplyChain(const std::vector<SparseMatrix>& chain,
+                                   int num_threads, const QueryContext& ctx) {
   if (chain.empty()) {
     return Status::InvalidArgument("empty matrix chain");
   }
@@ -93,12 +58,11 @@ Result<SparseMatrix> MultiplyChainWithContext(const std::vector<SparseMatrix>& c
   return product;
 }
 
-DenseMatrix MultiplyChainDense(const std::vector<SparseMatrix>& chain) {
-  HETESIM_CHECK(!chain.empty());
-  if (chain.size() == 1) return chain[0].ToDense();
-  DenseMatrix product = chain[0].MultiplyDense(chain[1].ToDense());
-  for (size_t i = 2; i < chain.size(); ++i) {
-    product = MultiplyDenseSparse(product, chain[i]);
+SparseMatrix MultiplyChainLeftToRight(const std::vector<SparseMatrix>& chain) {
+  HETESIM_CHECK(!chain.empty()) << "empty matrix chain";
+  SparseMatrix product = chain[0];
+  for (size_t i = 1; i < chain.size(); ++i) {
+    product = product.Multiply(chain[i]);
   }
   return product;
 }

@@ -5,7 +5,6 @@
 
 #include "common/context.h"
 #include "common/result.h"
-#include "matrix/dense.h"
 #include "matrix/sparse.h"
 
 namespace hetesim {
@@ -30,45 +29,27 @@ void NormalizeL2(std::vector<double>& a);
 /// combination step (Definition 10 of the paper).
 double CosineSimilarity(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Dense-times-sparse product `a * b`, streaming the sparse rows of `b`.
-DenseMatrix MultiplyDenseSparse(const DenseMatrix& a, const SparseMatrix& b);
-
 /// Multiplies a chain of sparse matrices:
 /// `chain[0] * chain[1] * ... * chain.back()`. Adjacent dimensions must
-/// agree; an empty chain is invalid (aborts via `HETESIM_CHECK`; the
-/// context variant returns `InvalidArgument` instead). The association
-/// order and per-product representation (CSR vs dense) are chosen by the
-/// cost-model planner (`matrix/chain_plan.h`); the plan is a pure function
-/// of the chain's shapes and fills, so repeated calls on the same chain
-/// are bitwise reproducible. Association order changes floating-point
-/// rounding, so results agree with the left-to-right product to ~1e-12,
-/// not bitwise — use `MultiplyChainLeftToRight` where the seed order
-/// itself is wanted.
-SparseMatrix MultiplyChain(const std::vector<SparseMatrix>& chain);
+/// agree; an empty chain is `InvalidArgument`. The association order and
+/// per-product representation (CSR vs dense) are chosen by the cost-model
+/// planner (`matrix/chain_plan.h`) and run through `ExecuteChainPlan`
+/// under `ctx`, so a long relevance-path product can be abandoned
+/// mid-plan. The plan is a pure function of the chain's shapes and fills,
+/// so repeated calls on the same chain are bitwise reproducible at any
+/// `num_threads` (1 sequential, 0 = all hardware threads). Association
+/// order changes floating-point rounding, so results agree with the
+/// left-to-right product to ~1e-12, not bitwise — use
+/// `MultiplyChainLeftToRight` where the seed order itself is wanted.
+[[nodiscard]] Result<SparseMatrix> MultiplyChain(
+    const std::vector<SparseMatrix>& chain, int num_threads = 1,
+    const QueryContext& ctx = QueryContext::Background());
 
-/// The seed evaluation order: strictly left-to-right with the fixed CSR
-/// Gustavson kernel. Kept as the planner's correctness reference and the
-/// benchmark baseline. `num_threads` follows the library convention
-/// (1 sequential, 0 = all hardware threads).
-SparseMatrix MultiplyChainLeftToRight(const std::vector<SparseMatrix>& chain,
-                                      int num_threads = 1);
-
-/// Deadline/cancellation/budget-aware `MultiplyChain`: rejects an empty
-/// chain with `InvalidArgument`, then runs the same planned execution
-/// through the context-checked kernels (polled at chunk granularity, chunk
-/// outputs and dense intermediates charged against the memory budget), so
-/// a long relevance-path product can be abandoned mid-plan. `num_threads`
-/// follows the library convention (1 sequential, 0 = all hardware
-/// threads). For a given chain this returns results bitwise identical to
-/// `MultiplyChain` at any thread count (same plan, same kernels).
-[[nodiscard]] Result<SparseMatrix> MultiplyChainWithContext(const std::vector<SparseMatrix>& chain,
-                                              int num_threads,
-                                              const QueryContext& ctx);
-
-/// Multiplies a chain of sparse matrices into a dense result, densifying
-/// after the first product. Faster than `MultiplyChain` once intermediate
-/// products become dense (long paths on well-connected networks).
-DenseMatrix MultiplyChainDense(const std::vector<SparseMatrix>& chain);
+/// The seed evaluation order: strictly left-to-right, sequential, with the
+/// seed Gustavson kernel (`SparseMatrix::Multiply`). Kept only as the
+/// planner's correctness oracle and the benchmark baseline; aborts on an
+/// empty chain.
+SparseMatrix MultiplyChainLeftToRight(const std::vector<SparseMatrix>& chain);
 
 /// Row vector times a chain of sparse matrices:
 /// `x^T * chain[0] * ... * chain.back()`. This is the single-source

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
-
-#include "common/fault_injection.h"
-#include "common/parallel.h"
 
 namespace hetesim {
 
@@ -162,31 +158,20 @@ SparseMatrix SparseMatrix::Transpose() const {
   return out;
 }
 
-namespace {
-
-/// Rows per context check when a budget/deadline-aware product runs
-/// sequentially: small enough that one stripe of even a dense-ish product
-/// completes in well under a millisecond at DBLP scale, so cancellation
-/// latency stays bounded without a parallel region.
-constexpr Index kSequentialStripeRows = 64;
-
-/// One Gustavson pass over the row range `[row_begin, row_end)` of `a * b`,
-/// appending results to chunk-local arrays. `row_sizes[i]` receives the
-/// number of stored entries of output row `row_begin + i`.
-void GustavsonRange(const SparseMatrix& a, const SparseMatrix& b, Index row_begin,
-                    Index row_end, std::vector<Index>* row_sizes,
-                    std::vector<Index>* col_idx, std::vector<double>* values) {
-  std::vector<double> accumulator(static_cast<size_t>(b.cols()), 0.0);
+SparseMatrix SparseMatrix::Multiply(const SparseMatrix& other) const {
+  HETESIM_CHECK_EQ(cols_, other.rows_);
+  SparseMatrix out(rows_, other.cols_);
+  std::vector<double> accumulator(static_cast<size_t>(other.cols_), 0.0);
   std::vector<Index> touched;
-  for (Index i = row_begin; i < row_end; ++i) {
+  for (Index i = 0; i < rows_; ++i) {
     touched.clear();
-    auto a_indices = a.RowIndices(i);
-    auto a_values = a.RowValues(i);
+    auto a_indices = RowIndices(i);
+    auto a_values = RowValues(i);
     for (size_t ka = 0; ka < a_indices.size(); ++ka) {
       const Index k = a_indices[ka];
       const double a_ik = a_values[ka];
-      auto b_indices = b.RowIndices(k);
-      auto b_values = b.RowValues(k);
+      auto b_indices = other.RowIndices(k);
+      auto b_values = other.RowValues(k);
       for (size_t kb = 0; kb < b_indices.size(); ++kb) {
         const Index j = b_indices[kb];
         if (accumulator[static_cast<size_t>(j)] == 0.0) touched.push_back(j);
@@ -199,196 +184,13 @@ void GustavsonRange(const SparseMatrix& a, const SparseMatrix& b, Index row_begi
       const double v = accumulator[static_cast<size_t>(j)];
       accumulator[static_cast<size_t>(j)] = 0.0;
       if (v != 0.0) {
-        col_idx->push_back(j);
-        values->push_back(v);
+        out.col_idx_.push_back(j);
+        out.values_.push_back(v);
         ++row_nnz;
       }
     }
-    row_sizes->push_back(row_nnz);
-  }
-}
-
-}  // namespace
-
-SparseMatrix SparseMatrix::Multiply(const SparseMatrix& other) const {
-  HETESIM_CHECK_EQ(cols_, other.rows_);
-  SparseMatrix out(rows_, other.cols_);
-  std::vector<Index> row_sizes;
-  row_sizes.reserve(static_cast<size_t>(rows_));
-  GustavsonRange(*this, other, 0, rows_, &row_sizes, &out.col_idx_, &out.values_);
-  for (size_t r = 0; r < static_cast<size_t>(rows_); ++r) {
-    out.row_ptr_[r + 1] = out.row_ptr_[r] + row_sizes[r];
-  }
-  return out;
-}
-
-SparseMatrix SparseMatrix::MultiplyParallel(const SparseMatrix& other,
-                                            int num_threads) const {
-  HETESIM_CHECK_EQ(cols_, other.rows_);
-  const int threads = ResolveNumThreads(num_threads);
-  if (threads <= 1 || rows_ < 2) return Multiply(other);
-  // A few chunks per thread: the per-chunk output buffers are stitched by
-  // deterministic chunk id (so the result is bitwise identical regardless
-  // of execution order), and the extra chunks let the pool balance rows of
-  // uneven density.
-  const Index chunks =
-      std::min<Index>(static_cast<Index>(threads) * 4, std::max<Index>(rows_, 1));
-  struct ChunkResult {
-    std::vector<Index> row_sizes;
-    std::vector<Index> col_idx;
-    std::vector<double> values;
-  };
-  std::vector<ChunkResult> results(static_cast<size_t>(chunks));
-  const Index chunk_size = (rows_ + chunks - 1) / chunks;
-  GrainOptions grain;
-  grain.cost_per_element = 1e9;  // each chunk id is its own block
-  ParallelFor(0, chunks, threads, [&](int64_t chunk_begin, int64_t chunk_end) {
-    for (int64_t c = chunk_begin; c < chunk_end; ++c) {
-      const Index row_begin = static_cast<Index>(c) * chunk_size;
-      const Index row_end = std::min(rows_, row_begin + chunk_size);
-      if (row_begin >= row_end) continue;
-      ChunkResult& result = results[static_cast<size_t>(c)];
-      GustavsonRange(*this, other, row_begin, row_end, &result.row_sizes,
-                     &result.col_idx, &result.values);
-    }
-  }, grain);
-  // Stitch the chunk outputs back into one CSR matrix.
-  SparseMatrix out(rows_, other.cols_);
-  size_t total_nnz = 0;
-  for (const ChunkResult& result : results) total_nnz += result.values.size();
-  out.col_idx_.reserve(total_nnz);
-  out.values_.reserve(total_nnz);
-  size_t row = 0;
-  for (const ChunkResult& result : results) {
-    for (Index size : result.row_sizes) {
-      out.row_ptr_[row + 1] = out.row_ptr_[row] + size;
-      ++row;
-    }
-    out.col_idx_.insert(out.col_idx_.end(), result.col_idx.begin(),
-                        result.col_idx.end());
-    out.values_.insert(out.values_.end(), result.values.begin(),
-                       result.values.end());
-  }
-  HETESIM_CHECK_EQ(row, static_cast<size_t>(rows_));
-  return out;
-}
-
-Result<SparseMatrix> SparseMatrix::MultiplyParallel(const SparseMatrix& other,
-                                                    int num_threads,
-                                                    const QueryContext& ctx) const {
-  // Caller error on a Status-returning path: report, don't abort (the plain
-  // Multiply/MultiplyParallel overloads keep the CHECK).
-  if (cols_ != other.rows_) {
-    return Status::InvalidArgument(
-        "inner dimension mismatch: cols()=" + std::to_string(cols_) +
-        " vs rows()=" + std::to_string(other.rows_));
-  }
-  HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
-  const int threads = ResolveNumThreads(num_threads);
-
-  struct ChunkResult {
-    std::vector<Index> row_sizes;
-    std::vector<Index> col_idx;
-    std::vector<double> values;
-    MemoryReservation reservation;
-  };
-  // Sequential case: same Gustavson pass, striped so the context is still
-  // polled at bounded intervals (a stripe is the sequential "chunk").
-  const bool sequential = threads <= 1 || rows_ < 2;
-  const Index chunks =
-      sequential ? std::max<Index>((rows_ + kSequentialStripeRows - 1) /
-                                       kSequentialStripeRows, 1)
-                 : std::min<Index>(static_cast<Index>(threads) * 4,
-                                   std::max<Index>(rows_, 1));
-  const Index chunk_size = (rows_ + chunks - 1) / chunks;
-  std::vector<ChunkResult> results(static_cast<size_t>(chunks));
-  SharedStatus region_status;
-
-  auto run_chunk = [&](Index c) {
-    // A failed/cancelled region turns every remaining chunk into a no-op:
-    // the pool task still runs (and the region joins normally — nothing is
-    // leaked), it just does no work. Promptness is therefore bounded by
-    // the one chunk already in flight.
-    if (!region_status.ok()) return;
-    Status alive = ctx.CheckAlive();
-    if (!alive.ok()) {
-      region_status.Update(std::move(alive));
-      return;
-    }
-    if (HETESIM_FAULT_POINT("spgemm.alloc")) {
-      region_status.Update(Status::ResourceExhausted("injected: spgemm.alloc"));
-      return;
-    }
-    const Index row_begin = c * chunk_size;
-    const Index row_end = std::min(rows_, row_begin + chunk_size);
-    if (row_begin >= row_end) return;
-    ChunkResult& result = results[static_cast<size_t>(c)];
-    GustavsonRange(*this, other, row_begin, row_end, &result.row_sizes,
-                   &result.col_idx, &result.values);
-    // Charge this chunk's output against the query budget; on exhaustion
-    // the chunk's buffers are dropped immediately and the region winds
-    // down (budgeted peak usage, not post-hoc accounting).
-    Result<MemoryReservation> reservation = ctx.Reserve(
-        result.col_idx.capacity() * sizeof(Index) +
-        result.values.capacity() * sizeof(double) +
-        result.row_sizes.capacity() * sizeof(Index));
-    if (!reservation.ok()) {
-      result = ChunkResult();
-      region_status.Update(reservation.status());
-      return;
-    }
-    result.reservation = *std::move(reservation);
-  };
-
-  if (sequential || chunks < 2) {
-    for (Index c = 0; c < chunks; ++c) run_chunk(c);
-  } else {
-    GrainOptions grain;
-    grain.cost_per_element = 1e9;  // each chunk id is its own block
-    ParallelFor(0, chunks, threads, [&](int64_t chunk_begin, int64_t chunk_end) {
-      for (int64_t c = chunk_begin; c < chunk_end; ++c) {
-        run_chunk(static_cast<Index>(c));
-      }
-    }, grain);
-  }
-  HETESIM_RETURN_NOT_OK(region_status.status());
-
-  SparseMatrix out(rows_, other.cols_);
-  size_t total_nnz = 0;
-  for (const ChunkResult& result : results) total_nnz += result.values.size();
-  out.col_idx_.reserve(total_nnz);
-  out.values_.reserve(total_nnz);
-  size_t row = 0;
-  // Stitch copy of already-computed chunks; the parallel region above
-  // polled per chunk and the output memory is already reserved.
-  for (ChunkResult& result : results) {  // hetesim-lint: allow(cancel-poll)
-    for (Index size : result.row_sizes) {
-      out.row_ptr_[row + 1] = out.row_ptr_[row] + size;
-      ++row;
-    }
-    out.col_idx_.insert(out.col_idx_.end(), result.col_idx.begin(),
-                        result.col_idx.end());
-    out.values_.insert(out.values_.end(), result.values.begin(),
-                       result.values.end());
-  }
-  // Internal stitch invariant (not a caller error): debug-only check on
-  // this Status-returning path.
-  HETESIM_DCHECK(row == static_cast<size_t>(rows_));
-  return out;
-}
-
-DenseMatrix SparseMatrix::MultiplyDense(const DenseMatrix& other) const {
-  HETESIM_CHECK_EQ(cols_, other.rows());
-  DenseMatrix out(rows_, other.cols());
-  for (Index i = 0; i < rows_; ++i) {
-    double* out_row = out.RowData(i);
-    auto indices = RowIndices(i);
-    auto values = RowValues(i);
-    for (size_t k = 0; k < indices.size(); ++k) {
-      const double a_ik = values[k];
-      const double* b_row = other.RowData(indices[k]);
-      for (Index j = 0; j < other.cols(); ++j) out_row[j] += a_ik * b_row[j];
-    }
+    out.row_ptr_[static_cast<size_t>(i) + 1] =
+        out.row_ptr_[static_cast<size_t>(i)] + row_nnz;
   }
   return out;
 }

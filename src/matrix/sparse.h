@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "common/context.h"
 #include "matrix/dense.h"
 
 namespace hetesim {
@@ -74,26 +73,10 @@ class SparseMatrix {
   /// Transposed copy (CSR of the transpose, i.e. CSC view materialized).
   SparseMatrix Transpose() const;
 
-  /// Sparse-sparse product `this * other` (classic Gustavson SpGEMM).
+  /// Sparse-sparse product `this * other` (classic Gustavson SpGEMM):
+  /// the seed kernel, kept sequential and context-free as the correctness
+  /// oracle every production product in `matrix/spgemm.h` matches bitwise.
   SparseMatrix Multiply(const SparseMatrix& other) const;
-  /// `Multiply` with the rows of the output computed in parallel on the
-  /// global thread pool (each chunk runs an independent Gustavson pass
-  /// with its own accumulator; chunks are stitched afterwards). Bitwise
-  /// identical to `Multiply` at any thread count; `num_threads == 1` falls
-  /// back to it, `num_threads == 0` uses all hardware threads.
-  SparseMatrix MultiplyParallel(const SparseMatrix& other, int num_threads) const;
-  /// Deadline/cancellation/budget-aware `MultiplyParallel`: the context is
-  /// checked once per row chunk (sequentially: once per row stripe), so a
-  /// cancelled product stops within one chunk's worth of work and the
-  /// region drains cleanly — abandoned chunks become no-ops rather than
-  /// leaked pool tasks. Chunk outputs are charged against the context's
-  /// memory budget (transient working-set accounting, released on return).
-  /// Fails with `Cancelled`, `DeadlineExceeded`, or `ResourceExhausted`;
-  /// with `QueryContext::Background()` it is exactly `MultiplyParallel`.
-  [[nodiscard]] Result<SparseMatrix> MultiplyParallel(const SparseMatrix& other, int num_threads,
-                                        const QueryContext& ctx) const;
-  /// Sparse-dense product `this * other`.
-  DenseMatrix MultiplyDense(const DenseMatrix& other) const;
   /// Matrix-vector product `this * x`.
   std::vector<double> MultiplyVector(const std::vector<double>& x) const;
   /// Vector-matrix product `x^T * this`, returned as a vector of size cols().

@@ -38,8 +38,10 @@ SpGemmMetrics& GlobalSpGemmMetrics() {
   return metrics;
 }
 
-/// Rows per context check when a budget/deadline-aware product runs
-/// sequentially (same stripe width as `SparseMatrix::MultiplyParallel`).
+/// Rows per context check when a product runs sequentially: small enough
+/// that one stripe of even a dense-ish product completes in well under a
+/// millisecond at DBLP scale, so cancellation latency stays bounded without
+/// a parallel region.
 constexpr Index kSequentialStripeRows = 64;
 
 /// Rows whose Gustavson fill bound is at most this use the sorted-merge
@@ -52,10 +54,10 @@ constexpr Index kSortedMergeMaxFill = 32;
 /// bench_chain_order: at fill ~cols/9 the scratch already beats the hash).
 constexpr Index kHashWidthDivisor = 16;
 
-/// Recoverable precondition for the context-aware kernels: a dimension
-/// mismatch reaching a Status-returning entry point is the caller's error
-/// and must come back as InvalidArgument, not a process abort (the plain
-/// variants keep HETESIM_CHECK — DESIGN.md §11, lint rule
+/// Recoverable precondition for every kernel here: a dimension mismatch
+/// reaching a Status-returning entry point is the caller's error and must
+/// come back as InvalidArgument, not a process abort (only the seed oracle
+/// `SparseMatrix::Multiply` keeps HETESIM_CHECK — DESIGN.md §11, lint rule
 /// no-check-in-status-fn).
 Status CheckInnerDims(Index a_cols, Index b_rows) {
   if (a_cols == b_rows) return Status::OK();
@@ -64,13 +66,32 @@ Status CheckInnerDims(Index a_cols, Index b_rows) {
                                  " vs b.rows()=" + std::to_string(b_rows));
 }
 
-/// One output entry of a chunk-local row product, pre-stitch.
+/// One chunk's slice of the output rows, pre-stitch, with the budget
+/// charge for its buffers.
 struct ChunkResult {
   std::vector<Index> row_sizes;
   std::vector<Index> col_idx;
   std::vector<double> values;
   MemoryReservation reservation;
 };
+
+/// Charges whatever `result`'s buffers grew since their last charge
+/// against the context's budget, behind the `spgemm.alloc` fault point
+/// (budgeted peak usage, not post-hoc accounting). Without a budget the
+/// reservation stays empty.
+Status ChargeGrowth(const QueryContext& ctx, ChunkResult& result) {
+  if (HETESIM_FAULT_POINT("spgemm.alloc")) {
+    return Status::ResourceExhausted("injected: spgemm.alloc");
+  }
+  const size_t bytes = result.col_idx.capacity() * sizeof(Index) +
+                       result.values.capacity() * sizeof(double) +
+                       result.row_sizes.capacity() * sizeof(Index);
+  if (bytes <= result.reservation.bytes()) return Status::OK();
+  HETESIM_ASSIGN_OR_RETURN(MemoryReservation grown,
+                           ctx.Reserve(bytes - result.reservation.bytes()));
+  result.reservation.Absorb(std::move(grown));
+  return Status::OK();
+}
 
 /// \brief Per-chunk scratch shared by the three row accumulators.
 ///
@@ -336,26 +357,20 @@ SparseMatrix StitchChunks(Index rows, Index cols,
 
 /// Shared chunked driver for the dense-output kernels. `fill` writes the
 /// disjoint row range `[row_begin, row_end)` of `out` — row-disjoint
-/// writes, so results are bitwise identical at any thread count. With a
-/// context, the whole output is reserved up front (it is allocated up
-/// front) and the context is polled once per chunk; without one the same
-/// loop runs fault-free, like `SparseMatrix::Multiply` next to its context
-/// variant.
+/// writes, so results are bitwise identical at any thread count. The whole
+/// output is reserved up front (it is allocated up front) and the context
+/// is polled once per chunk.
 template <typename FillRange>
 Result<DenseMatrix> DenseOutDriver(Index rows, Index cols, int num_threads,
-                                   const QueryContext* ctx, const FillRange& fill) {
-  if (ctx != nullptr) {
-    HETESIM_RETURN_NOT_OK(ctx->CheckAlive());
+                                   const QueryContext& ctx, const FillRange& fill) {
+  HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
+  if (HETESIM_FAULT_POINT("spgemm.alloc")) {
+    return Status::ResourceExhausted("injected: spgemm.alloc");
   }
-  MemoryReservation reservation;
-  if (ctx != nullptr) {
-    if (HETESIM_FAULT_POINT("spgemm.alloc")) {
-      return Status::ResourceExhausted("injected: spgemm.alloc");
-    }
-    HETESIM_ASSIGN_OR_RETURN(
-        reservation, ctx->Reserve(static_cast<size_t>(rows) *
-                                  static_cast<size_t>(cols) * sizeof(double)));
-  }
+  HETESIM_ASSIGN_OR_RETURN(
+      MemoryReservation reservation,
+      ctx.Reserve(static_cast<size_t>(rows) * static_cast<size_t>(cols) *
+                  sizeof(double)));
   DenseMatrix out(rows, cols);
   const int threads = ResolveNumThreads(num_threads);
   const bool sequential = threads <= 1 || rows < 2;
@@ -367,13 +382,11 @@ Result<DenseMatrix> DenseOutDriver(Index rows, Index cols, int num_threads,
   const Index chunk_size = (rows + chunks - 1) / chunks;
   SharedStatus region_status;
   auto run_chunk = [&](Index c) {
-    if (ctx != nullptr) {
-      if (!region_status.ok()) return;
-      Status alive = ctx->CheckAlive();
-      if (!alive.ok()) {
-        region_status.Update(std::move(alive));
-        return;
-      }
+    if (!region_status.ok()) return;
+    Status alive = ctx.CheckAlive();
+    if (!alive.ok()) {
+      region_status.Update(std::move(alive));
+      return;
     }
     const Index row_begin = c * chunk_size;
     const Index row_end = std::min(rows, row_begin + chunk_size);
@@ -472,37 +485,6 @@ RowKernel ChooseRowKernel(Index fill_upper_bound, Index out_cols) {
   return RowKernel::kDenseScratch;
 }
 
-SparseMatrix MultiplySparseAdaptive(const SparseMatrix& a, const SparseMatrix& b,
-                                    int num_threads, const SpGemmOptions& options) {
-  HETESIM_CHECK_EQ(a.cols(), b.rows());
-  const int threads = ResolveNumThreads(num_threads);
-  if (threads <= 1 || a.rows() < 2) {
-    std::vector<ChunkResult> results(1);
-    AdaptiveRowKernels kernels(b.cols(), options);
-    kernels.Run(a, b, 0, a.rows(), &results[0].row_sizes, &results[0].col_idx,
-                &results[0].values);
-    return StitchChunks(a.rows(), b.cols(), std::move(results));
-  }
-  const Index chunks = std::min<Index>(static_cast<Index>(threads) * 4,
-                                       std::max<Index>(a.rows(), 1));
-  const Index chunk_size = (a.rows() + chunks - 1) / chunks;
-  std::vector<ChunkResult> results(static_cast<size_t>(chunks));
-  GrainOptions grain;
-  grain.cost_per_element = 1e9;  // each chunk id is its own block
-  ParallelFor(0, chunks, threads, [&](int64_t chunk_begin, int64_t chunk_end) {
-    AdaptiveRowKernels kernels(b.cols(), options);
-    for (int64_t c = chunk_begin; c < chunk_end; ++c) {
-      const Index row_begin = static_cast<Index>(c) * chunk_size;
-      const Index row_end = std::min(a.rows(), row_begin + chunk_size);
-      if (row_begin >= row_end) continue;
-      ChunkResult& result = results[static_cast<size_t>(c)];
-      kernels.Run(a, b, row_begin, row_end, &result.row_sizes, &result.col_idx,
-                  &result.values);
-    }
-  }, grain);
-  return StitchChunks(a.rows(), b.cols(), std::move(results));
-}
-
 Result<SparseMatrix> MultiplySparseAdaptive(const SparseMatrix& a,
                                             const SparseMatrix& b, int num_threads,
                                             const QueryContext& ctx,
@@ -510,133 +492,94 @@ Result<SparseMatrix> MultiplySparseAdaptive(const SparseMatrix& a,
   HETESIM_RETURN_NOT_OK(CheckInnerDims(a.cols(), b.rows()));
   HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
   const int threads = ResolveNumThreads(num_threads);
-  const bool sequential = threads <= 1 || a.rows() < 2;
-  const Index chunks =
-      sequential ? std::max<Index>(
-                       (a.rows() + kSequentialStripeRows - 1) / kSequentialStripeRows, 1)
-                 : std::min<Index>(static_cast<Index>(threads) * 4,
-                                   std::max<Index>(a.rows(), 1));
+  if (threads <= 1 || a.rows() < 2) {
+    // Sequential: every stripe appends to one output buffer, which the
+    // result adopts without a stitch copy. Each stripe still polls the
+    // context and charges the buffer growth behind the fault point.
+    std::vector<ChunkResult> results(1);
+    ChunkResult& result = results.front();
+    AdaptiveRowKernels kernels(b.cols(), options);
+    for (Index row_begin = 0; row_begin < a.rows();
+         row_begin += kSequentialStripeRows) {
+      HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
+      const Index row_end = std::min(a.rows(), row_begin + kSequentialStripeRows);
+      kernels.Run(a, b, row_begin, row_end, &result.row_sizes, &result.col_idx,
+                  &result.values);
+      HETESIM_RETURN_NOT_OK(ChargeGrowth(ctx, result));
+    }
+    return StitchChunks(a.rows(), b.cols(), std::move(results));
+  }
+  const Index chunks = std::min<Index>(static_cast<Index>(threads) * 4,
+                                       std::max<Index>(a.rows(), 1));
   const Index chunk_size = (a.rows() + chunks - 1) / chunks;
   std::vector<ChunkResult> results(static_cast<size_t>(chunks));
   SharedStatus region_status;
-
-  auto run_chunk = [&](AdaptiveRowKernels& kernels, Index c) {
-    if (!region_status.ok()) return;
-    Status alive = ctx.CheckAlive();
-    if (!alive.ok()) {
-      region_status.Update(std::move(alive));
-      return;
-    }
-    if (HETESIM_FAULT_POINT("spgemm.alloc")) {
-      region_status.Update(Status::ResourceExhausted("injected: spgemm.alloc"));
-      return;
-    }
-    const Index row_begin = c * chunk_size;
-    const Index row_end = std::min(a.rows(), row_begin + chunk_size);
-    if (row_begin >= row_end) return;
-    ChunkResult& result = results[static_cast<size_t>(c)];
-    kernels.Run(a, b, row_begin, row_end, &result.row_sizes, &result.col_idx,
-                &result.values);
-    Result<MemoryReservation> reservation = ctx.Reserve(
-        result.col_idx.capacity() * sizeof(Index) +
-        result.values.capacity() * sizeof(double) +
-        result.row_sizes.capacity() * sizeof(Index));
-    if (!reservation.ok()) {
-      result = ChunkResult();
-      region_status.Update(reservation.status());
-      return;
-    }
-    result.reservation = *std::move(reservation);
-  };
-
-  if (sequential || chunks < 2) {
+  GrainOptions grain;
+  grain.cost_per_element = 1e9;  // each chunk id is its own block
+  ParallelFor(0, chunks, threads, [&](int64_t chunk_begin, int64_t chunk_end) {
     AdaptiveRowKernels kernels(b.cols(), options);
-    for (Index c = 0; c < chunks; ++c) run_chunk(kernels, c);
-  } else {
-    GrainOptions grain;
-    grain.cost_per_element = 1e9;  // each chunk id is its own block
-    ParallelFor(0, chunks, threads, [&](int64_t chunk_begin, int64_t chunk_end) {
-      AdaptiveRowKernels kernels(b.cols(), options);
-      for (int64_t c = chunk_begin; c < chunk_end; ++c) {
-        run_chunk(kernels, static_cast<Index>(c));
+    for (int64_t c = chunk_begin; c < chunk_end; ++c) {
+      // A failed or cancelled region turns every remaining chunk into a
+      // no-op: the pool task still runs and the region joins normally, so
+      // promptness is bounded by the one chunk already in flight.
+      if (!region_status.ok()) return;
+      if (Status alive = ctx.CheckAlive(); !alive.ok()) {
+        region_status.Update(std::move(alive));
+        return;
       }
-    }, grain);
-  }
+      const Index row_begin = static_cast<Index>(c) * chunk_size;
+      const Index row_end = std::min(a.rows(), row_begin + chunk_size);
+      if (row_begin >= row_end) continue;
+      ChunkResult& result = results[static_cast<size_t>(c)];
+      kernels.Run(a, b, row_begin, row_end, &result.row_sizes, &result.col_idx,
+                  &result.values);
+      if (Status charged = ChargeGrowth(ctx, result); !charged.ok()) {
+        // Drop the uncharged buffers now rather than at region exit.
+        result = ChunkResult();
+        region_status.Update(std::move(charged));
+        return;
+      }
+    }
+  }, grain);
   HETESIM_RETURN_NOT_OK(region_status.status());
   return StitchChunks(a.rows(), b.cols(), std::move(results));
-}
-
-DenseMatrix MultiplySparseSparseDense(const SparseMatrix& a, const SparseMatrix& b,
-                                      int num_threads) {
-  HETESIM_CHECK_EQ(a.cols(), b.rows());
-  return *DenseOutDriver(a.rows(), b.cols(), num_threads, nullptr,
-                         [&](DenseMatrix& out, Index row_begin, Index row_end) {
-                           FillSparseSparse(a, b, out, row_begin, row_end);
-                         });
 }
 
 Result<DenseMatrix> MultiplySparseSparseDense(const SparseMatrix& a,
                                               const SparseMatrix& b, int num_threads,
                                               const QueryContext& ctx) {
   HETESIM_RETURN_NOT_OK(CheckInnerDims(a.cols(), b.rows()));
-  return DenseOutDriver(a.rows(), b.cols(), num_threads, &ctx,
+  return DenseOutDriver(a.rows(), b.cols(), num_threads, ctx,
                         [&](DenseMatrix& out, Index row_begin, Index row_end) {
                           FillSparseSparse(a, b, out, row_begin, row_end);
                         });
-}
-
-DenseMatrix MultiplyDenseSparseParallel(const DenseMatrix& a, const SparseMatrix& b,
-                                        int num_threads) {
-  HETESIM_CHECK_EQ(a.cols(), b.rows());
-  return *DenseOutDriver(a.rows(), b.cols(), num_threads, nullptr,
-                         [&](DenseMatrix& out, Index row_begin, Index row_end) {
-                           FillDenseSparse(a, b, out, row_begin, row_end);
-                         });
 }
 
 Result<DenseMatrix> MultiplyDenseSparseParallel(const DenseMatrix& a,
                                                 const SparseMatrix& b, int num_threads,
                                                 const QueryContext& ctx) {
   HETESIM_RETURN_NOT_OK(CheckInnerDims(a.cols(), b.rows()));
-  return DenseOutDriver(a.rows(), b.cols(), num_threads, &ctx,
+  return DenseOutDriver(a.rows(), b.cols(), num_threads, ctx,
                         [&](DenseMatrix& out, Index row_begin, Index row_end) {
                           FillDenseSparse(a, b, out, row_begin, row_end);
                         });
-}
-
-DenseMatrix MultiplySparseDenseParallel(const SparseMatrix& a, const DenseMatrix& b,
-                                        int num_threads) {
-  HETESIM_CHECK_EQ(a.cols(), b.rows());
-  return *DenseOutDriver(a.rows(), b.cols(), num_threads, nullptr,
-                         [&](DenseMatrix& out, Index row_begin, Index row_end) {
-                           FillSparseDense(a, b, out, row_begin, row_end);
-                         });
 }
 
 Result<DenseMatrix> MultiplySparseDenseParallel(const SparseMatrix& a,
                                                 const DenseMatrix& b, int num_threads,
                                                 const QueryContext& ctx) {
   HETESIM_RETURN_NOT_OK(CheckInnerDims(a.cols(), b.rows()));
-  return DenseOutDriver(a.rows(), b.cols(), num_threads, &ctx,
+  return DenseOutDriver(a.rows(), b.cols(), num_threads, ctx,
                         [&](DenseMatrix& out, Index row_begin, Index row_end) {
                           FillSparseDense(a, b, out, row_begin, row_end);
                         });
-}
-
-DenseMatrix MultiplyDenseDenseParallel(const DenseMatrix& a, const DenseMatrix& b,
-                                       int num_threads) {
-  HETESIM_CHECK_EQ(a.cols(), b.rows());
-  return *DenseOutDriver(a.rows(), b.cols(), num_threads, nullptr,
-                         [&](DenseMatrix& out, Index row_begin, Index row_end) {
-                           FillDenseDense(a, b, out, row_begin, row_end);
-                         });
 }
 
 Result<DenseMatrix> MultiplyDenseDenseParallel(const DenseMatrix& a,
                                                const DenseMatrix& b, int num_threads,
                                                const QueryContext& ctx) {
   HETESIM_RETURN_NOT_OK(CheckInnerDims(a.cols(), b.rows()));
-  return DenseOutDriver(a.rows(), b.cols(), num_threads, &ctx,
+  return DenseOutDriver(a.rows(), b.cols(), num_threads, ctx,
                         [&](DenseMatrix& out, Index row_begin, Index row_end) {
                           FillDenseDense(a, b, out, row_begin, row_end);
                         });

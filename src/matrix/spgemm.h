@@ -24,11 +24,11 @@ namespace hetesim {
 /// Every kernel accumulates each output column in the same visit order as
 /// the seed kernel (ascending `a`-row position, then ascending `b`-row
 /// position), so all accumulators — and the seed kernel — agree *bitwise*,
-/// not just to rounding. Parallel variants chunk output rows and stitch by
-/// row id, so results are bitwise identical at any thread count. Context
-/// variants poll `ctx` per chunk, charge chunk outputs against the memory
-/// budget and honor the `spgemm.alloc` fault point, exactly like
-/// `SparseMatrix::MultiplyParallel(other, threads, ctx)`.
+/// not just to rounding. Parallel runs chunk output rows and stitch by row
+/// id, so results are bitwise identical at any thread count. Every kernel
+/// takes a `QueryContext` (default `QueryContext::Background()`): it polls
+/// `ctx` per chunk, charges chunk outputs against the memory budget and
+/// honors the `spgemm.alloc` fault point.
 
 /// Per-row accumulator strategies.
 enum class RowKernel {
@@ -58,57 +58,39 @@ struct SpGemmOptions {
 
 /// Adaptive sparse-sparse product `a * b`, bitwise identical to
 /// `a.Multiply(b)` at any thread count (1 sequential, 0 = all hardware
-/// threads).
-SparseMatrix MultiplySparseAdaptive(const SparseMatrix& a, const SparseMatrix& b,
-                                    int num_threads = 1,
-                                    const SpGemmOptions& options = {});
-
-/// Context-aware adaptive product: polled per chunk, budget-charged,
-/// `spgemm.alloc` fault point honored.
-[[nodiscard]] Result<SparseMatrix> MultiplySparseAdaptive(const SparseMatrix& a,
-                                            const SparseMatrix& b, int num_threads,
-                                            const QueryContext& ctx,
-                                            const SpGemmOptions& options = {});
+/// threads). `ctx` is polled once per chunk (per 64-row stripe when
+/// sequential), every chunk's output is charged against its memory budget,
+/// and the `spgemm.alloc` fault point is honored. Fails with
+/// `InvalidArgument` on an inner-dimension mismatch, or `Cancelled`,
+/// `DeadlineExceeded` or `ResourceExhausted`.
+[[nodiscard]] Result<SparseMatrix> MultiplySparseAdaptive(
+    const SparseMatrix& a, const SparseMatrix& b, int num_threads = 1,
+    const QueryContext& ctx = QueryContext::Background(),
+    const SpGemmOptions& options = {});
 
 /// Gustavson product `a * b` accumulated directly into a dense matrix —
 /// the representation switch for products predicted (or known) to densify:
 /// no touched lists, no per-row sorts, no CSR materialization. The dense
 /// output (rows*cols doubles) is reserved against the budget up front.
-DenseMatrix MultiplySparseSparseDense(const SparseMatrix& a,
-                                      const SparseMatrix& b,
-                                      int num_threads = 1);
-[[nodiscard]] Result<DenseMatrix> MultiplySparseSparseDense(const SparseMatrix& a,
-                                              const SparseMatrix& b,
-                                              int num_threads,
-                                              const QueryContext& ctx);
+[[nodiscard]] Result<DenseMatrix> MultiplySparseSparseDense(
+    const SparseMatrix& a, const SparseMatrix& b, int num_threads = 1,
+    const QueryContext& ctx = QueryContext::Background());
 
 /// Dense-representation continuation kernels for the rest of a chain once
 /// an intermediate has switched: `dense * sparse` streams the sparse rows
 /// of `b`, `sparse * dense` streams the dense rows of `b`, and
 /// `dense * dense` is the classic i-k-j product. All are row-parallel with
-/// the same chunk-granular context polling; the non-context overloads are
-/// fault-free, like `SparseMatrix::Multiply` next to its context variant.
-DenseMatrix MultiplyDenseSparseParallel(const DenseMatrix& a,
-                                        const SparseMatrix& b,
-                                        int num_threads = 1);
-[[nodiscard]] Result<DenseMatrix> MultiplyDenseSparseParallel(const DenseMatrix& a,
-                                                const SparseMatrix& b,
-                                                int num_threads,
-                                                const QueryContext& ctx);
-DenseMatrix MultiplySparseDenseParallel(const SparseMatrix& a,
-                                        const DenseMatrix& b,
-                                        int num_threads = 1);
-[[nodiscard]] Result<DenseMatrix> MultiplySparseDenseParallel(const SparseMatrix& a,
-                                                const DenseMatrix& b,
-                                                int num_threads,
-                                                const QueryContext& ctx);
-DenseMatrix MultiplyDenseDenseParallel(const DenseMatrix& a,
-                                       const DenseMatrix& b,
-                                       int num_threads = 1);
-[[nodiscard]] Result<DenseMatrix> MultiplyDenseDenseParallel(const DenseMatrix& a,
-                                               const DenseMatrix& b,
-                                               int num_threads,
-                                               const QueryContext& ctx);
+/// the same chunk-granular context polling, budget charge and fault point
+/// as `MultiplySparseSparseDense`.
+[[nodiscard]] Result<DenseMatrix> MultiplyDenseSparseParallel(
+    const DenseMatrix& a, const SparseMatrix& b, int num_threads = 1,
+    const QueryContext& ctx = QueryContext::Background());
+[[nodiscard]] Result<DenseMatrix> MultiplySparseDenseParallel(
+    const SparseMatrix& a, const DenseMatrix& b, int num_threads = 1,
+    const QueryContext& ctx = QueryContext::Background());
+[[nodiscard]] Result<DenseMatrix> MultiplyDenseDenseParallel(
+    const DenseMatrix& a, const DenseMatrix& b, int num_threads = 1,
+    const QueryContext& ctx = QueryContext::Background());
 
 }  // namespace hetesim
 

@@ -372,11 +372,8 @@ QueryResponse QueryService::Run(const QueryRequest& request, PathState& state,
       break;
     }
     case QueryKind::kSingleSource: {
-      // No context overload exists for the lazy row computation; the
-      // deadline verdict is post-hoc (same contract as the workload
-      // runner). Cancellation is honored at the boundaries.
       Result<std::vector<double>> scores =
-          engine.ComputeSingleSource(state.path, request.source);
+          engine.ComputeSingleSource(state.path, request.source, ctx);
       if (!scores.ok()) return FailureResponse(request, scores.status());
       if (Status alive = ctx.CheckAlive(); !alive.ok()) {
         return FailureResponse(request, alive);

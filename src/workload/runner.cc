@@ -253,11 +253,8 @@ QueryObservation WorkloadRunner::ExecuteQuery(
       break;
     }
     case QueryType::kSingleSource: {
-      // ComputeSingleSource has no context overload; the deadline verdict
-      // for this class is post-hoc (latency vs. deadline), never a
-      // mid-query stop.
       Result<std::vector<double>> row =
-          engine_->ComputeSingleSource(runtime.path, spec.source);
+          engine_->ComputeSingleSource(runtime.path, spec.source, ctx);
       observation.outcome = OutcomeFromStatus(row.status());
       break;
     }

@@ -101,7 +101,7 @@ TEST_F(AdvisorTest, ApplyPlanPrimesTheCache) {
   const size_t misses_before = cache->stats().misses;
   HeteSimEngine engine(graph_, {}, cache);
   for (const WorkloadEntry& entry : workload) {
-    (void)engine.Compute(entry.path);
+    engine.Compute(entry.path).value();
   }
   EXPECT_EQ(cache->stats().misses, misses_before);
 }

@@ -62,25 +62,38 @@ TEST(AdaptiveSpGemm, EveryForcedKernelIsBitwiseIdenticalToSeed) {
         SCOPED_TRACE(::testing::Message()
                      << "seed=" << seed << " kernel=" << static_cast<int>(kernel)
                      << " threads=" << threads);
-        ExpectBitwiseEqual(MultiplySparseAdaptive(a, b, threads, options), reference);
+        ExpectBitwiseEqual(
+            MultiplySparseAdaptive(a, b, threads, QueryContext::Background(), options)
+                .value(),
+            reference);
       }
     }
     // Default per-row adaptivity agrees too.
     for (int threads : {1, 4, 0}) {
-      ExpectBitwiseEqual(MultiplySparseAdaptive(a, b, threads), reference);
+      ExpectBitwiseEqual(MultiplySparseAdaptive(a, b, threads).value(), reference);
     }
   }
 }
 
-TEST(AdaptiveSpGemm, ContextVariantMatchesPlainBitwise) {
-  SparseMatrix a = RandomStochastic(70, 40, 0.2, 7);
+TEST(AdaptiveSpGemm, LiveBudgetedContextMatchesBackgroundBitwise) {
+  SparseMatrix a = RandomStochastic(170, 40, 0.2, 7);
   SparseMatrix b = RandomStochastic(40, 90, 0.15, 8);
   const SparseMatrix reference = a.Multiply(b);
+  MemoryBudget budget(64 << 20);
+  const QueryContext ctx =
+      QueryContext::Background().WithDeadlineAfterMs(60'000).WithBudget(&budget);
   for (int threads : {1, 4, 0}) {
-    Result<SparseMatrix> product =
-        MultiplySparseAdaptive(a, b, threads, QueryContext::Background());
+    SCOPED_TRACE(threads);
+    Result<SparseMatrix> product = MultiplySparseAdaptive(a, b, threads, ctx);
     ASSERT_TRUE(product.ok()) << product.status().ToString();
     ExpectBitwiseEqual(*product, reference);
+    ExpectBitwiseEqual(MultiplySparseAdaptive(a, b, threads).value(), reference);
+    // The whole output was charged while it was built (the sequential run
+    // appends three 64-row stripes to one buffer), and released on return.
+    EXPECT_GE(budget.peak_bytes(),
+              static_cast<size_t>(reference.NumNonZeros()) *
+                  (sizeof(Index) + sizeof(double)));
+    EXPECT_EQ(budget.used_bytes(), 0u);
   }
 }
 
@@ -89,15 +102,19 @@ TEST(DenseKernels, MatchSeedCounterpartsBitwise) {
   SparseMatrix b = RandomStochastic(60, 45, 0.25, 12);
   const DenseMatrix a_dense = a.ToDense();
   const DenseMatrix b_dense = b.ToDense();
+  // The seed kernel visits each output column's contributions in the same
+  // order as every dense fill, so the densified seed product is the
+  // bitwise reference for all but the dense-dense kernel.
   const DenseMatrix reference = a.Multiply(b).ToDense();
   for (int threads : {1, 4, 0}) {
     SCOPED_TRACE(threads);
-    EXPECT_EQ(MultiplySparseSparseDense(a, b, threads).data(), reference.data());
-    EXPECT_EQ(MultiplyDenseSparseParallel(a_dense, b, threads).data(),
-              MultiplyDenseSparse(a_dense, b).data());
-    EXPECT_EQ(MultiplySparseDenseParallel(a, b_dense, threads).data(),
-              a.MultiplyDense(b_dense).data());
-    EXPECT_EQ(MultiplyDenseDenseParallel(a_dense, b_dense, threads).data(),
+    EXPECT_EQ(MultiplySparseSparseDense(a, b, threads).value().data(),
+              reference.data());
+    EXPECT_EQ(MultiplyDenseSparseParallel(a_dense, b, threads).value().data(),
+              reference.data());
+    EXPECT_EQ(MultiplySparseDenseParallel(a, b_dense, threads).value().data(),
+              reference.data());
+    EXPECT_EQ(MultiplyDenseDenseParallel(a_dense, b_dense, threads).value().data(),
               a_dense.Multiply(b_dense).data());
   }
 }
@@ -113,7 +130,7 @@ TEST(PlanChain, SingleMatrixIsALeafPlan) {
   EXPECT_TRUE(plan.steps.empty());
   EXPECT_EQ(plan.predicted_cost, 0.0);
   EXPECT_EQ(plan.Parenthesization(), "0");
-  ExpectBitwiseEqual(ExecuteChainPlan({a}, plan), a);
+  ExpectBitwiseEqual(ExecuteChainPlan({a}, plan).value(), a);
 }
 
 TEST(PlanChain, PicksKnownOptimalOrder) {
@@ -161,7 +178,7 @@ TEST(PlanChain, DensifyingIntermediateSwitchesRepresentation) {
   EXPECT_TRUE(any_dense) << plan.Parenthesization();
   // Dense execution still agrees with the seed product.
   const SparseMatrix reference = MultiplyChainLeftToRight({a, b, c});
-  EXPECT_TRUE(ExecuteChainPlan({a, b, c}, plan).ApproxEquals(reference, 1e-9));
+  EXPECT_TRUE(ExecuteChainPlan({a, b, c}, plan).value().ApproxEquals(reference, 1e-9));
 }
 
 TEST(PlanChain, EmptyChainDies) {
@@ -237,12 +254,39 @@ TEST(ExecuteChainPlan, EveryParenthesizationAndRepresentationMixAgrees) {
           SCOPED_TRACE(::testing::Message()
                        << "seed=" << seed << " tree=" << tree_id
                        << " mask=" << dense_mask << " threads=" << threads);
-          SparseMatrix product = ExecuteChainPlan(chain, plan, threads);
+          SparseMatrix product = ExecuteChainPlan(chain, plan, threads).value();
           EXPECT_LE(product.ToDense().MaxAbsDiff(reference), 1e-9);
         }
       }
     }
   }
+}
+
+/// Left-to-right plan that densifies at the first product and stays dense.
+ChainPlan AllDenseLeftToRight(int num_inputs) {
+  ChainPlan plan;
+  plan.num_inputs = num_inputs;
+  for (int t = 0; t + 1 < num_inputs; ++t) {
+    ChainPlanStep step;
+    step.left = t == 0 ? 0 : num_inputs + t - 1;
+    step.right = t + 1;
+    step.dense_output = true;
+    plan.steps.push_back(step);
+  }
+  return plan;
+}
+
+TEST(ExecuteChainPlan, AllDensePlanMatchesSparseChain) {
+  SparseMatrix a = testing::RandomBipartiteAdjacency(4, 6, 0.4, 26);
+  SparseMatrix b = testing::RandomBipartiteAdjacency(6, 5, 0.4, 27);
+  SparseMatrix c = testing::RandomBipartiteAdjacency(5, 3, 0.4, 28);
+  EXPECT_TRUE(ExecuteChainPlan({a, b, c}, AllDenseLeftToRight(3))
+                  .value()
+                  .ApproxEquals(MultiplyChain({a, b, c}).value(), 1e-12));
+  EXPECT_TRUE(ExecuteChainPlan({a}, AllDenseLeftToRight(1)).value().ApproxEquals(a));
+  EXPECT_TRUE(ExecuteChainPlan({a, b}, AllDenseLeftToRight(2))
+                  .value()
+                  .ApproxEquals(MultiplyChain({a, b}).value(), 1e-12));
 }
 
 TEST(ExecuteChainPlan, FixedPlanIsBitwiseDeterministicAcrossThreadCounts) {
@@ -253,23 +297,24 @@ TEST(ExecuteChainPlan, FixedPlanIsBitwiseDeterministicAcrossThreadCounts) {
   chain.push_back(RandomStochastic(40, 55, 0.15, 64));
   chain.push_back(RandomStochastic(55, 30, 0.2, 65));
   const ChainPlan plan = PlanChain(chain);
-  const SparseMatrix baseline = ExecuteChainPlan(chain, plan, 1);
+  const SparseMatrix baseline = ExecuteChainPlan(chain, plan, 1).value();
+  MemoryBudget budget(64 << 20);
+  const QueryContext budgeted =
+      QueryContext::Background().WithDeadlineAfterMs(60'000).WithBudget(&budget);
   for (int threads : {2, 4, 8, 0}) {
     SCOPED_TRACE(threads);
-    ExpectBitwiseEqual(ExecuteChainPlan(chain, plan, threads), baseline);
-    // The context-checked execution runs the same plan and kernels.
+    ExpectBitwiseEqual(ExecuteChainPlan(chain, plan, threads).value(), baseline);
+    // A live deadline and a budget change nothing but the accounting.
     Result<SparseMatrix> with_ctx =
-        ExecuteChainPlan(chain, plan, threads, QueryContext::Background());
+        ExecuteChainPlan(chain, plan, threads, budgeted);
     ASSERT_TRUE(with_ctx.ok()) << with_ctx.status().ToString();
     ExpectBitwiseEqual(*with_ctx, baseline);
   }
-  // The public chain entry points ride the same plan: bitwise identical to
-  // each other at any thread count.
-  ExpectBitwiseEqual(MultiplyChain(chain), baseline);
-  Result<SparseMatrix> via_ops =
-      MultiplyChainWithContext(chain, 4, QueryContext::Background());
-  ASSERT_TRUE(via_ops.ok());
-  ExpectBitwiseEqual(*via_ops, baseline);
+  EXPECT_EQ(budget.used_bytes(), 0u);
+  // The public chain entry point rides the same plan: bitwise identical at
+  // any thread count.
+  ExpectBitwiseEqual(MultiplyChain(chain).value(), baseline);
+  ExpectBitwiseEqual(MultiplyChain(chain, 4).value(), baseline);
 }
 
 TEST(MultiplyChain, PlannedResultMatchesSeedOrderWithin1e9) {
@@ -279,7 +324,8 @@ TEST(MultiplyChain, PlannedResultMatchesSeedOrderWithin1e9) {
     chain.push_back(RandomStochastic(30, 80, 0.2, seed + 1));
     chain.push_back(RandomStochastic(80, 25, 0.15, seed + 2));
     chain.push_back(RandomStochastic(25, 60, 0.25, seed + 3));
-    EXPECT_TRUE(MultiplyChain(chain).ApproxEquals(MultiplyChainLeftToRight(chain),
+    EXPECT_TRUE(MultiplyChain(chain).value().ApproxEquals(
+        MultiplyChainLeftToRight(chain),
                                                   1e-9));
   }
 }
@@ -293,7 +339,7 @@ TEST(ExecuteChainPlanContext, PreCancelledContextFailsFast) {
                                      RandomStochastic(30, 30, 0.2, 82)};
   QueryContext ctx;
   ctx.Cancel();
-  Result<SparseMatrix> product = MultiplyChainWithContext(chain, 2, ctx);
+  Result<SparseMatrix> product = MultiplyChain(chain, 2, ctx);
   EXPECT_TRUE(product.status().IsCancelled()) << product.status().ToString();
 }
 
@@ -302,7 +348,7 @@ TEST(ExecuteChainPlanContext, ExpiredDeadlineSurfaces) {
                                      RandomStochastic(30, 30, 0.2, 84)};
   const QueryContext ctx =
       QueryContext::Background().WithDeadlineAfterMs(0);
-  Result<SparseMatrix> product = MultiplyChainWithContext(chain, 2, ctx);
+  Result<SparseMatrix> product = MultiplyChain(chain, 2, ctx);
   EXPECT_TRUE(product.status().IsDeadlineExceeded()) << product.status().ToString();
 }
 
@@ -312,7 +358,7 @@ TEST(ExecuteChainPlanContext, TinyBudgetIsResourceExhausted) {
                                      RandomStochastic(100, 100, 0.3, 87)};
   MemoryBudget budget(128);  // far below any chunk or dense intermediate
   const QueryContext ctx = QueryContext::Background().WithBudget(&budget);
-  Result<SparseMatrix> product = MultiplyChainWithContext(chain, 1, ctx);
+  Result<SparseMatrix> product = MultiplyChain(chain, 1, ctx);
   EXPECT_TRUE(product.status().IsResourceExhausted()) << product.status().ToString();
   EXPECT_EQ(budget.used_bytes(), 0u);  // all reservations released on unwind
 }
@@ -333,7 +379,7 @@ TEST(ExecuteChainPlanContext, ConcurrentCancelStopsPlanMidExecution) {
   steady_clock::time_point finished;
   std::thread worker([&] {
     for (;;) {
-      Result<SparseMatrix> product = MultiplyChainWithContext(chain, 4, ctx);
+      Result<SparseMatrix> product = MultiplyChain(chain, 4, ctx);
       started.store(true, std::memory_order_release);
       if (!product.ok()) {
         final_status = product.status();

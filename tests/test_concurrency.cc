@@ -76,9 +76,9 @@ TEST(CacheMissStorm, EachKeyComputedExactlyOnce) {
           const MetaPath& path =
               paths[(p + static_cast<size_t>(t)) % paths.size()];
           std::shared_ptr<const SparseMatrix> left =
-              cache->GetLeft(graph, path);
+              cache->GetLeft(graph, path).value();
           std::shared_ptr<const SparseMatrix> right =
-              cache->GetRight(graph, path);
+              cache->GetRight(graph, path).value();
           ASSERT_EQ(left->rows(), graph.NumNodes(path.SourceType()));
           ASSERT_EQ(right->rows(), graph.NumNodes(path.TargetType()));
           ASSERT_EQ(left->cols(), right->cols());
@@ -111,7 +111,9 @@ TEST(CacheMissStorm, ConcurrentResultsMatchSequentialEngine) {
   HeteSimEngine sequential(graph);
   std::vector<DenseMatrix> expected;
   expected.reserve(paths.size());
-  for (const MetaPath& path : paths) expected.push_back(sequential.Compute(path));
+  for (const MetaPath& path : paths) {
+    expected.push_back(sequential.Compute(path).value());
+  }
 
   // M engines across N threads, all sharing one cache, every engine using
   // the pool internally (num_threads = 2 and 0 mixed) — nested parallelism
@@ -130,7 +132,7 @@ TEST(CacheMissStorm, ConcurrentResultsMatchSequentialEngine) {
       gate.ArriveAndWait();
       for (size_t p = 0; p < paths.size(); ++p) {
         const size_t i = (p + static_cast<size_t>(t)) % paths.size();
-        DenseMatrix scores = engine.Compute(paths[i]);
+        DenseMatrix scores = engine.Compute(paths[i]).value();
         if (!scores.ApproxEquals(expected[i], 0.0)) {  // bitwise
           failures[static_cast<size_t>(t)] =
               "thread " + std::to_string(t) + " diverged on path " +
@@ -196,7 +198,7 @@ TEST(CacheMissStorm, ClearRacingInFlightComputationsIsSafe) {
             paths[static_cast<size_t>(round + t) % paths.size()];
         // Requesters must always receive a valid matrix, even when the
         // entry is dropped mid-computation by a concurrent Clear().
-        std::shared_ptr<const SparseMatrix> left = cache->GetLeft(graph, path);
+        std::shared_ptr<const SparseMatrix> left = cache->GetLeft(graph, path).value();
         ASSERT_NE(left, nullptr);
         ASSERT_EQ(left->rows(), graph.NumNodes(path.SourceType()));
       }
@@ -213,8 +215,8 @@ TEST(CacheMissStorm, ClearRacingInFlightComputationsIsSafe) {
   clearer.join();
   // After the dust settles the cache still works and still deduplicates.
   cache->Clear();
-  (void)cache->GetLeft(graph, paths[0]);
-  (void)cache->GetLeft(graph, paths[0]);
+  cache->GetLeft(graph, paths[0]).value();
+  cache->GetLeft(graph, paths[0]).value();
   EXPECT_EQ(cache->ComputeCount(PathMatrixCache::LeftKey(paths[0])), 1u);
   EXPECT_EQ(cache->stats().hits, 1u);
 }

@@ -96,7 +96,7 @@ TEST_P(FrontierPropertyTest, MatchesPrunedAndExhaustive) {
   const FrontierCase& c = GetParam();
   const HinGraph& graph = DatasetGraph(c.dataset);
   const MetaPath path = *MetaPath::Parse(graph.schema(), c.path);
-  TopKSearcher pruned(graph, path);
+  TopKSearcher pruned = TopKSearcher::Prepare(graph, path).value();
   TopKSearcher frontier =
       PrepareWithAlgo(graph, path, RelevanceAlgo::kFrontier);
   const Index num_sources = graph.NumNodes(path.SourceType());
@@ -128,7 +128,7 @@ TEST_P(FrontierPropertyTest, NeverExaminesMoreThanPruned) {
   const FrontierCase& c = GetParam();
   const HinGraph& graph = DatasetGraph(c.dataset);
   const MetaPath path = *MetaPath::Parse(graph.schema(), c.path);
-  TopKSearcher pruned(graph, path);
+  TopKSearcher pruned = TopKSearcher::Prepare(graph, path).value();
   TopKSearcher frontier =
       PrepareWithAlgo(graph, path, RelevanceAlgo::kFrontier);
   const Index num_sources = graph.NumNodes(path.SourceType());
@@ -154,7 +154,7 @@ TEST(Frontier, BoundExitKeepsExactnessAndHappens) {
   // exhausted — and when it does, the answer must still be exact.
   const HinGraph& graph = DatasetGraph("dblp");
   const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-C-P-A");
-  TopKSearcher pruned(graph, path);
+  TopKSearcher pruned = TopKSearcher::Prepare(graph, path).value();
   TopKSearcher frontier =
       PrepareWithAlgo(graph, path, RelevanceAlgo::kFrontier);
   int bound_exits = 0;
@@ -257,7 +257,7 @@ TEST(Frontier, AdHocReuseFoldsCachedPartials) {
   // partial of the longer symmetric path.
   PathMatrixCache cache;
   const MetaPath prefix = *MetaPath::Parse(graph.schema(), "A-P");
-  (void)cache.GetReach(graph, prefix);
+  cache.GetReach(graph, prefix).value();
   const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-C-P-A");
   TopKSearcher with_cache =
       PrepareWithAlgo(graph, path, RelevanceAlgo::kFrontier, &cache);

@@ -134,7 +134,7 @@ void CheckAgainstGolden(const HinGraph& graph, const std::string& dataset,
                         const std::string& path_spec,
                         const std::string& file) {
   const MetaPath path = *MetaPath::Parse(graph.schema(), path_spec);
-  TopKSearcher searcher(graph, path);
+  TopKSearcher searcher = TopKSearcher::Prepare(graph, path).value();
   if (std::getenv("HETESIM_REGEN_GOLDEN") != nullptr) {
     const std::vector<Index> sources =
         PickSources(searcher, graph.NumNodes(path.SourceType()));

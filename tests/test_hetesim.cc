@@ -45,7 +45,7 @@ TEST(HeteSimPaper, Fig5UnnormalizedValues) {
   HinGraph g = testing::BuildFig5Graph();
   HeteSimEngine raw(g, {.normalized = false});
   MetaPath ab = Parse(g, "AB");
-  DenseMatrix scores = raw.Compute(ab);
+  DenseMatrix scores = raw.Compute(ab).value();
   EXPECT_NEAR(scores(1, 0), 0.0, 1e-12);
   EXPECT_NEAR(scores(1, 1), 1.0 / 6.0, 1e-12);
   EXPECT_NEAR(scores(1, 2), 1.0 / 3.0, 1e-12);
@@ -73,7 +73,7 @@ TEST(HeteSimPaper, Fig5NormalizedMoreReasonable) {
   // neighbor), and every score lies in [0, 1].
   HinGraph g = testing::BuildFig5Graph();
   HeteSimEngine engine(g);
-  DenseMatrix scores = engine.Compute(Parse(g, "AB"));
+  DenseMatrix scores = engine.Compute(Parse(g, "AB")).value();
   EXPECT_GT(scores(1, 2), scores(1, 1));
   EXPECT_GT(scores(1, 2), scores(1, 3));
   EXPECT_EQ(scores(1, 0), 0.0);
@@ -98,7 +98,7 @@ TEST(HeteSimPaper, Equation5MatrixForm) {
   SparseMatrix v_pc = g.Adjacency(published).ColNormalized();
   DenseMatrix expected = u_ap.Multiply(v_pc).ToDense();
   HeteSimEngine raw(g, {.normalized = false});
-  DenseMatrix actual = raw.Compute(Parse(g, "APC"));
+  DenseMatrix actual = raw.Compute(Parse(g, "APC")).value();
   EXPECT_TRUE(actual.ApproxEquals(expected, 1e-12));
 }
 
@@ -114,7 +114,7 @@ TEST(HeteSimPaper, Equation5LongerChain) {
   DenseMatrix expected =
       u_ap.Multiply(u_pc).Multiply(v_cp).Multiply(v_pa).ToDense();
   HeteSimEngine raw(g, {.normalized = false});
-  DenseMatrix actual = raw.Compute(Parse(g, "APCPA"));
+  DenseMatrix actual = raw.Compute(Parse(g, "APCPA")).value();
   EXPECT_TRUE(actual.ApproxEquals(expected, 1e-12));
 }
 
@@ -126,8 +126,8 @@ TEST(HeteSimProperties, SymmetryOnFig4) {
   HeteSimEngine engine(g);
   MetaPath apc = Parse(g, "APC");
   MetaPath cpa = apc.Reverse();
-  DenseMatrix forward = engine.Compute(apc);
-  DenseMatrix backward = engine.Compute(cpa);
+  DenseMatrix forward = engine.Compute(apc).value();
+  DenseMatrix backward = engine.Compute(cpa).value();
   EXPECT_TRUE(forward.ApproxEquals(backward.Transpose(), 1e-12));
 }
 
@@ -137,8 +137,8 @@ TEST(HeteSimProperties, SymmetryOnRandomGraphsOddAndEvenPaths) {
     HeteSimEngine engine(g);
     for (const char* spec : {"AB", "ABC", "ABA", "ABCBA", "BCB"}) {
       MetaPath path = Parse(g, spec);
-      DenseMatrix forward = engine.Compute(path);
-      DenseMatrix backward = engine.Compute(path.Reverse());
+      DenseMatrix forward = engine.Compute(path).value();
+      DenseMatrix backward = engine.Compute(path.Reverse()).value();
       EXPECT_TRUE(forward.ApproxEquals(backward.Transpose(), 1e-10))
           << spec << " seed " << seed;
     }
@@ -152,7 +152,7 @@ TEST(HeteSimProperties, SelfMaximumOnSymmetricPaths) {
   HeteSimEngine engine(g);
   for (const char* spec : {"APA", "APCPA", "PCP"}) {
     MetaPath path = Parse(g, spec);
-    DenseMatrix scores = engine.Compute(path);
+    DenseMatrix scores = engine.Compute(path).value();
     for (Index i = 0; i < scores.rows(); ++i) {
       EXPECT_NEAR(scores(i, i), 1.0, 1e-12) << spec;
       for (Index j = 0; j < scores.cols(); ++j) {
@@ -167,7 +167,7 @@ TEST(HeteSimProperties, RangeZeroOneOnArbitraryPaths) {
   HinGraph g = testing::RandomTripartite(8, 10, 7, 0.25, 44);
   HeteSimEngine engine(g);
   for (const char* spec : {"AB", "ABC", "ABCBA", "CBA"}) {
-    DenseMatrix scores = engine.Compute(Parse(g, spec));
+    DenseMatrix scores = engine.Compute(Parse(g, spec)).value();
     for (Index i = 0; i < scores.rows(); ++i) {
       for (Index j = 0; j < scores.cols(); ++j) {
         EXPECT_GE(scores(i, j), -1e-15);
@@ -193,7 +193,7 @@ TEST(HeteSimProperties, NoOutNeighborsMeansZeroRelevance) {
   EXPECT_EQ(*engine.ComputePair(ab, 1, 0), 0.0);
   std::vector<double> row = *engine.ComputeSingleSource(ab, 1);
   for (double v : row) EXPECT_EQ(v, 0.0);
-  DenseMatrix scores = engine.Compute(ab);
+  DenseMatrix scores = engine.Compute(ab).value();
   EXPECT_EQ(scores(1, 0), 0.0);
   EXPECT_NEAR(scores(0, 0), 1.0, 1e-12);
 }
@@ -209,7 +209,7 @@ class HeteSimConsistencyTest : public ::testing::TestWithParam<const char*> {
 TEST_P(HeteSimConsistencyTest, PairMatchesMatrix) {
   HeteSimEngine engine(graph_);
   MetaPath path = Parse(graph_, GetParam());
-  DenseMatrix scores = engine.Compute(path);
+  DenseMatrix scores = engine.Compute(path).value();
   for (Index i = 0; i < scores.rows(); ++i) {
     for (Index j = 0; j < scores.cols(); ++j) {
       EXPECT_NEAR(*engine.ComputePair(path, i, j), scores(i, j), 1e-10);
@@ -220,7 +220,7 @@ TEST_P(HeteSimConsistencyTest, PairMatchesMatrix) {
 TEST_P(HeteSimConsistencyTest, SingleSourceMatchesMatrix) {
   HeteSimEngine engine(graph_);
   MetaPath path = Parse(graph_, GetParam());
-  DenseMatrix scores = engine.Compute(path);
+  DenseMatrix scores = engine.Compute(path).value();
   for (Index i = 0; i < scores.rows(); ++i) {
     std::vector<double> row = *engine.ComputeSingleSource(path, i);
     ASSERT_EQ(row.size(), static_cast<size_t>(scores.cols()));
@@ -235,7 +235,8 @@ TEST_P(HeteSimConsistencyTest, CachedEngineAgreesWithUncached) {
   HeteSimEngine cached(graph_, {}, cache);
   HeteSimEngine uncached(graph_);
   MetaPath path = Parse(graph_, GetParam());
-  EXPECT_TRUE(cached.Compute(path).ApproxEquals(uncached.Compute(path), 1e-12));
+  EXPECT_TRUE(
+      cached.Compute(path).value().ApproxEquals(uncached.Compute(path).value(), 1e-12));
   EXPECT_NEAR(*cached.ComputePair(path, 0, 0), *uncached.ComputePair(path, 0, 0),
               1e-12);
   std::vector<double> cached_row = *cached.ComputeSingleSource(path, 1);
@@ -251,7 +252,7 @@ TEST_P(HeteSimConsistencyTest, UnnormalizedEqualsLeftDotRight) {
   PathDecomposition d = DecomposePath(graph_, path);
   SparseMatrix left = LeftReachMatrix(d);
   SparseMatrix right = RightReachMatrix(d);
-  DenseMatrix scores = raw.Compute(path);
+  DenseMatrix scores = raw.Compute(path).value();
   for (Index i = 0; i < scores.rows(); ++i) {
     for (Index j = 0; j < scores.cols(); ++j) {
       EXPECT_NEAR(scores(i, j), left.RowDot(i, right, j), 1e-12);
@@ -306,8 +307,8 @@ TEST(HeteSimBatch, RejectsAnyBadIdAtomically) {
 
 TEST(HeteSimErrors, ForeignSchemaPathRejected) {
   // A meta-path parsed against one graph's schema cannot be evaluated
-  // against another graph (even a structural twin): fallible entry points
-  // return InvalidArgument, Compute aborts.
+  // against another graph (even a structural twin): every entry point
+  // returns InvalidArgument naming the schema mismatch.
   HinGraph g = testing::BuildFig4Graph();
   HinGraph twin = testing::BuildFig4Graph();
   HeteSimEngine engine(g);
@@ -315,7 +316,9 @@ TEST(HeteSimErrors, ForeignSchemaPathRejected) {
   EXPECT_TRUE(engine.ComputePair(foreign, 0, 0).status().IsInvalidArgument());
   EXPECT_TRUE(engine.ComputeSingleSource(foreign, 0).status().IsInvalidArgument());
   EXPECT_TRUE(engine.ComputePairs(foreign, {{0, 0}}).status().IsInvalidArgument());
-  EXPECT_DEATH({ (void)engine.Compute(foreign); }, "different schema");
+  const Status compute = engine.Compute(foreign).status();
+  EXPECT_TRUE(compute.IsInvalidArgument()) << compute.ToString();
+  EXPECT_NE(compute.message().find("different schema"), std::string::npos);
 }
 
 TEST(HeteSimErrors, OutOfRangeIds) {
@@ -349,7 +352,7 @@ TEST(HeteSimEdgeCases, EmptyTargetType) {
   HinGraph g = std::move(builder).Build();
   HeteSimEngine engine(g);
   MetaPath ab = Parse(g, "AB");
-  DenseMatrix scores = engine.Compute(ab);
+  DenseMatrix scores = engine.Compute(ab).value();
   EXPECT_EQ(scores.rows(), 1);
   EXPECT_EQ(scores.cols(), 0);
   EXPECT_TRUE(engine.ComputeSingleSource(ab, 0)->empty());
@@ -367,7 +370,7 @@ TEST(HeteSimEdgeCases, RelationWithNoEdges) {
   HinGraph g = std::move(builder).Build();
   HeteSimEngine engine(g);
   MetaPath ab = Parse(g, "AB");
-  DenseMatrix scores = engine.Compute(ab);
+  DenseMatrix scores = engine.Compute(ab).value();
   for (Index i = 0; i < scores.rows(); ++i) {
     for (Index j = 0; j < scores.cols(); ++j) EXPECT_EQ(scores(i, j), 0.0);
   }
@@ -392,7 +395,7 @@ TEST(HeteSimSemantics, PathDependentScores) {
 TEST(HeteSimSemantics, ExclusiveAuthorScoresHighest) {
   HinGraph g = testing::BuildFig4Graph();
   HeteSimEngine engine(g);
-  DenseMatrix scores = engine.Compute(Parse(g, "APC"));
+  DenseMatrix scores = engine.Compute(Parse(g, "APC")).value();
   // Bob publishes exclusively in SIGMOD whose papers p4, p5 include only
   // Bob+Mary: Bob-SIGMOD should be the highest author-conference score.
   double best = 0.0;

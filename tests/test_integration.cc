@@ -73,8 +73,8 @@ TEST(IntegrationAcm, SymmetryAcrossFullDataset) {
   HeteSimEngine engine(acm.graph);
   MetaPath apvc = *MetaPath::Parse(acm.graph.schema(), "APVC");
   MetaPath cvpa = apvc.Reverse();
-  DenseMatrix forward = engine.Compute(apvc);
-  DenseMatrix backward = engine.Compute(cvpa);
+  DenseMatrix forward = engine.Compute(apvc).value();
+  DenseMatrix backward = engine.Compute(cvpa).value();
   EXPECT_TRUE(forward.ApproxEquals(backward.Transpose(), 1e-9));
   DenseMatrix pcrw_forward = PcrwMatrix(acm.graph, apvc);
   DenseMatrix pcrw_backward = PcrwMatrix(acm.graph, cvpa);
@@ -105,7 +105,7 @@ TEST(IntegrationAcm, RankDifferenceBeatsOrMatchesPcrwOnAverage) {
   MetaPath cvpa = *MetaPath::Parse(acm.graph.schema(), "CVPA");
   MetaPath apvc = cvpa.Reverse();
   DenseMatrix counts = acm.PaperCounts();
-  DenseMatrix hetesim_scores = engine.Compute(cvpa);
+  DenseMatrix hetesim_scores = engine.Compute(cvpa).value();
   DenseMatrix pcrw_ca = PcrwMatrix(acm.graph, cvpa);
   DenseMatrix pcrw_ac = PcrwMatrix(acm.graph, apvc);
   double hetesim_total = 0.0;
@@ -155,7 +155,7 @@ TEST(IntegrationDblp, ConferenceClusteringRecoversAreas) {
   DblpDataset dblp = *GenerateDblp(SmallDblp());
   HeteSimEngine engine(dblp.graph);
   MetaPath cpapc = *MetaPath::Parse(dblp.graph.schema(), "CPAPC");
-  DenseMatrix affinity = engine.Compute(cpapc);
+  DenseMatrix affinity = engine.Compute(cpapc).value();
   std::vector<int> clusters = *SpectralClusterNormalizedCut(affinity, 4);
   double nmi = *NormalizedMutualInformation(clusters, dblp.conference_label);
   EXPECT_GT(nmi, 0.9);
@@ -185,7 +185,7 @@ TEST(IntegrationAcm, TopKSearcherAgreesWithEngineAtScale) {
   AcmDataset acm = *GenerateAcm(SmallAcm());
   MetaPath apvc = *MetaPath::Parse(acm.graph.schema(), "APVC");
   HeteSimEngine engine(acm.graph);
-  TopKSearcher searcher(acm.graph, apvc);
+  TopKSearcher searcher = TopKSearcher::Prepare(acm.graph, apvc).value();
   std::vector<double> reference = *engine.ComputeSingleSource(apvc, acm.star_author);
   TopKResult result = *searcher.Query(acm.star_author, 5);
   std::vector<Scored> expected = TopK(reference, 5);
@@ -210,7 +210,7 @@ TEST(IntegrationScale, PaperScaleAcmEndToEnd) {
   EXPECT_EQ(acm.graph.NumNodes(acm.author), 17000);
   HeteSimEngine engine(acm.graph);
   MetaPath apvc = *MetaPath::Parse(acm.graph.schema(), "APVC");
-  DenseMatrix scores = engine.Compute(apvc);
+  DenseMatrix scores = engine.Compute(apvc).value();
   EXPECT_EQ(scores.rows(), 17000);
   EXPECT_EQ(scores.cols(), 14);
   // Spot-check symmetry and range at scale.
@@ -223,7 +223,7 @@ TEST(IntegrationScale, PaperScaleAcmEndToEnd) {
     }
   }
   // Pruned search agrees with the matrix row.
-  TopKSearcher searcher(acm.graph, apvc);
+  TopKSearcher searcher = TopKSearcher::Prepare(acm.graph, apvc).value();
   TopKResult top = *searcher.Query(acm.star_author, 3);
   ASSERT_FALSE(top.items.empty());
   EXPECT_EQ(acm.graph.NodeName(acm.conference, top.items[0].id), "KDD");

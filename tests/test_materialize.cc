@@ -24,7 +24,7 @@ class MaterializeTest : public ::testing::Test {
 };
 
 TEST_F(MaterializeTest, FirstAccessIsMiss) {
-  cache_.GetLeft(graph_, Path("APC"));
+  cache_.GetLeft(graph_, Path("APC")).value();
   PathMatrixCache::Stats stats = cache_.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 0u);
@@ -32,8 +32,8 @@ TEST_F(MaterializeTest, FirstAccessIsMiss) {
 }
 
 TEST_F(MaterializeTest, SecondAccessIsHit) {
-  cache_.GetLeft(graph_, Path("APC"));
-  cache_.GetLeft(graph_, Path("APC"));
+  cache_.GetLeft(graph_, Path("APC")).value();
+  cache_.GetLeft(graph_, Path("APC")).value();
   PathMatrixCache::Stats stats = cache_.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
@@ -44,35 +44,38 @@ TEST_F(MaterializeTest, SamePathDifferentObjectsShareEntry) {
   // Two MetaPath instances describing the same steps hit the same entry.
   MetaPath first = Path("APC");
   MetaPath second = Path("A-P-C");
-  cache_.GetLeft(graph_, first);
-  cache_.GetLeft(graph_, second);
+  cache_.GetLeft(graph_, first).value();
+  cache_.GetLeft(graph_, second).value();
   EXPECT_EQ(cache_.stats().entries, 1u);
   EXPECT_EQ(cache_.stats().hits, 1u);
 }
 
 TEST_F(MaterializeTest, LeftRightReachAreDistinctEntries) {
-  cache_.GetLeft(graph_, Path("APC"));
-  cache_.GetRight(graph_, Path("APC"));
-  cache_.GetReach(graph_, Path("APC"));
+  cache_.GetLeft(graph_, Path("APC")).value();
+  cache_.GetRight(graph_, Path("APC")).value();
+  cache_.GetReach(graph_, Path("APC")).value();
   EXPECT_EQ(cache_.stats().entries, 3u);
 }
 
 TEST_F(MaterializeTest, CachedValuesMatchDirectComputation) {
   MetaPath apc = Path("APC");
   PathDecomposition d = DecomposePath(graph_, apc);
-  EXPECT_TRUE(cache_.GetLeft(graph_, apc)->ApproxEquals(LeftReachMatrix(d), 1e-12));
-  EXPECT_TRUE(cache_.GetRight(graph_, apc)->ApproxEquals(RightReachMatrix(d), 1e-12));
-  EXPECT_TRUE(cache_.GetReach(graph_, apc)
-                  ->ApproxEquals(ReachProbability(graph_, apc), 1e-12));
+  EXPECT_TRUE(
+      cache_.GetLeft(graph_, apc).value()->ApproxEquals(LeftReachMatrix(d), 1e-12));
+  EXPECT_TRUE(
+      cache_.GetRight(graph_, apc).value()->ApproxEquals(RightReachMatrix(d), 1e-12));
+  EXPECT_TRUE(cache_.GetReach(graph_, apc).value()
+                  ->ApproxEquals(ReachProbability(graph_, apc).value(), 1e-12));
 }
 
 TEST_F(MaterializeTest, SharedPointerSurvivesClear) {
-  std::shared_ptr<const SparseMatrix> kept = cache_.GetLeft(graph_, Path("APC"));
+  std::shared_ptr<const SparseMatrix> kept =
+      cache_.GetLeft(graph_, Path("APC")).value();
   // Move every counter Clear() resets off zero: a hit, a prefix and a
   // suffix probe that both find the cached A-P and A-P-C products
   // (A-P-C-P-A is symmetric), and a recorded partial reuse.
-  cache_.GetLeft(graph_, Path("APCPA"));
-  cache_.GetLeft(graph_, Path("APCPA"));
+  cache_.GetLeft(graph_, Path("APCPA")).value();
+  cache_.GetLeft(graph_, Path("APCPA")).value();
   EXPECT_FALSE(cache_.ProbePartials(Path("APCPA"), /*left_side=*/true, 2).empty());
   EXPECT_FALSE(cache_.ProbePartials(Path("APCPA"), /*left_side=*/false, 2).empty());
   cache_.RecordPartialReuse(/*left_side=*/true, 1234);
@@ -100,30 +103,31 @@ TEST_F(MaterializeTest, SharedPointerSurvivesClear) {
 }
 
 TEST_F(MaterializeTest, DistinctHalvesDistinctEntries) {
-  cache_.GetLeft(graph_, Path("APC"));   // PM over 'writes'
-  cache_.GetLeft(graph_, Path("CPA"));   // PM over '~published_in'
-  cache_.GetLeft(graph_, Path("AP"));    // odd: edge-object half
+  cache_.GetLeft(graph_, Path("APC")).value();   // PM over 'writes'
+  cache_.GetLeft(graph_, Path("CPA")).value();   // PM over '~published_in'
+  cache_.GetLeft(graph_, Path("AP")).value();    // odd: edge-object half
   EXPECT_EQ(cache_.stats().entries, 3u);
   EXPECT_EQ(cache_.stats().misses, 3u);
 }
 
 TEST_F(MaterializeTest, SameHalfAcrossPathsIsOneEntry) {
   // APC and APA share the left half 'writes' under canonical keys.
-  cache_.GetLeft(graph_, Path("APC"));
-  cache_.GetLeft(graph_, Path("APA"));
+  cache_.GetLeft(graph_, Path("APC")).value();
+  cache_.GetLeft(graph_, Path("APA")).value();
   EXPECT_EQ(cache_.stats().entries, 1u);
   EXPECT_EQ(cache_.stats().hits, 1u);
   // Their values must of course agree.
-  EXPECT_TRUE(cache_.GetLeft(graph_, Path("APC"))
-                  ->ApproxEquals(*cache_.GetLeft(graph_, Path("APA")), 0.0));
+  EXPECT_TRUE(cache_.GetLeft(graph_, Path("APC")).value()
+                  ->ApproxEquals(*cache_.GetLeft(graph_, Path("APA")).value(), 0.0));
 }
 
 TEST_F(MaterializeTest, ReversePathSharesTheEntry) {
   // L of C-P-A equals R of A-P-C mathematically; the canonical half keys
   // recognize this and serve both from one entry.
-  std::shared_ptr<const SparseMatrix> right_apc = cache_.GetRight(graph_, Path("APC"));
+  std::shared_ptr<const SparseMatrix> right_apc =
+      cache_.GetRight(graph_, Path("APC")).value();
   std::shared_ptr<const SparseMatrix> left_cpa =
-      cache_.GetLeft(graph_, Path("APC").Reverse());
+      cache_.GetLeft(graph_, Path("APC").Reverse()).value();
   EXPECT_TRUE(right_apc->ApproxEquals(*left_cpa, 1e-12));
   EXPECT_EQ(cache_.stats().entries, 1u);
   EXPECT_EQ(cache_.stats().hits, 1u);
@@ -132,8 +136,8 @@ TEST_F(MaterializeTest, ReversePathSharesTheEntry) {
 TEST_F(MaterializeTest, SharedLeftHalfAcrossDifferentFullPaths) {
   // A-P-C-P-A and A-P-C-P-C decompose to the same left half (the A-P-C
   // product): one entry, one hit.
-  cache_.GetLeft(graph_, Path("APCPA"));
-  cache_.GetLeft(graph_, Path("APCPC"));
+  cache_.GetLeft(graph_, Path("APCPA")).value();
+  cache_.GetLeft(graph_, Path("APCPC")).value();
   EXPECT_EQ(cache_.stats().entries, 1u);
   EXPECT_EQ(cache_.stats().hits, 1u);
 }
@@ -141,8 +145,10 @@ TEST_F(MaterializeTest, SharedLeftHalfAcrossDifferentFullPaths) {
 TEST_F(MaterializeTest, ReachOfPrefixSharesWithLeftHalf) {
   // The left half of the even path A-P-C-P-A is exactly the reachable
   // matrix of A-P-C: the cache serves both from one entry.
-  std::shared_ptr<const SparseMatrix> reach = cache_.GetReach(graph_, Path("APC"));
-  std::shared_ptr<const SparseMatrix> left = cache_.GetLeft(graph_, Path("APCPA"));
+  std::shared_ptr<const SparseMatrix> reach =
+      cache_.GetReach(graph_, Path("APC")).value();
+  std::shared_ptr<const SparseMatrix> left =
+      cache_.GetLeft(graph_, Path("APCPA")).value();
   EXPECT_EQ(reach.get(), left.get());
   EXPECT_EQ(cache_.stats().entries, 1u);
 }
@@ -160,9 +166,9 @@ TEST_F(MaterializeTest, KeysAreCanonical) {
 TEST_F(MaterializeTest, OddPathHalvesDistinctFromPlainReach) {
   // A-P is odd: its halves involve edge objects and must not be conflated
   // with the plain A-P reachable matrix.
-  cache_.GetLeft(graph_, Path("AP"));
-  cache_.GetRight(graph_, Path("AP"));
-  cache_.GetReach(graph_, Path("AP"));
+  cache_.GetLeft(graph_, Path("AP")).value();
+  cache_.GetRight(graph_, Path("AP")).value();
+  cache_.GetReach(graph_, Path("AP")).value();
   EXPECT_EQ(cache_.stats().entries, 3u);
 }
 
@@ -178,8 +184,9 @@ TEST_F(MaterializeTest, ConcurrentAccessIsSafeAndConsistent) {
       for (int round = 0; round < 50; ++round) {
         const std::string& spec = specs[(t + round) % specs.size()];
         MetaPath path = *MetaPath::Parse(graph_.schema(), spec);
-        std::shared_ptr<const SparseMatrix> left = cache_.GetLeft(graph_, path);
-        std::shared_ptr<const SparseMatrix> again = cache_.GetLeft(graph_, path);
+        std::shared_ptr<const SparseMatrix> left = cache_.GetLeft(graph_, path).value();
+        std::shared_ptr<const SparseMatrix> again =
+            cache_.GetLeft(graph_, path).value();
         if (!left->ApproxEquals(*again, 0.0)) mismatches.fetch_add(1);
       }
     });

@@ -181,13 +181,13 @@ TEST(Metrics, RuntimeKillSwitchStopsRecordingSites) {
   SetMetricsEnabled(false);
   const uint64_t hits_before = hits.value();
   const uint64_t misses_before = misses.value();
-  (void)cache.GetLeft(graph, path);  // miss
-  (void)cache.GetLeft(graph, path);  // hit
+  cache.GetLeft(graph, path).value();  // miss
+  cache.GetLeft(graph, path).value();  // hit
   SetMetricsEnabled(true);
   EXPECT_EQ(hits.value(), hits_before);
   EXPECT_EQ(misses.value(), misses_before);
   // Switched back on, the same sites record again.
-  (void)cache.GetLeft(graph, path);
+  cache.GetLeft(graph, path).value();
   EXPECT_EQ(hits.value(), hits_before + 1);
 }
 
@@ -240,8 +240,8 @@ TEST(CacheCounters, ExactUnderConcurrentMissStorm) {
         for (size_t p = 0; p < paths.size(); ++p) {
           const MetaPath& path =
               paths[(p + static_cast<size_t>(t)) % paths.size()];
-          ASSERT_NE(cache->GetLeft(graph, path), nullptr);
-          ASSERT_NE(cache->GetRight(graph, path), nullptr);
+          ASSERT_NE(cache->GetLeft(graph, path).value(), nullptr);
+          ASSERT_NE(cache->GetRight(graph, path).value(), nullptr);
         }
       }
     });
@@ -270,7 +270,7 @@ TEST(CacheCounters, AccountedBytesGaugeReturnsToZeroOnClear) {
   const MetaPath path = *MetaPath::Parse(graph.schema(), "APC");
   {
     PathMatrixCache cache;
-    (void)cache.GetLeft(graph, path);
+    cache.GetLeft(graph, path).value();
     EXPECT_GT(bytes.value(), before);
     cache.Clear();
     EXPECT_EQ(bytes.value(), before);

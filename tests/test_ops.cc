@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "matrix/spgemm.h"
 #include "test_util.h"
 
 namespace hetesim {
@@ -47,18 +48,19 @@ TEST(VectorOps, CosineSimilarity) {
   EXPECT_EQ(CosineSimilarity({0, 0}, {1, 1}), 0.0);  // zero vector convention
 }
 
-TEST(MultiplyDenseSparse, MatchesDenseProduct) {
+TEST(MultiplyDenseSparseParallel, MatchesDenseProduct) {
   SparseMatrix b = testing::RandomBipartiteAdjacency(6, 5, 0.4, 21);
   DenseMatrix a(3, 6);
   for (Index i = 0; i < 3; ++i) {
     for (Index j = 0; j < 6; ++j) a(i, j) = static_cast<double>(i + 2 * j);
   }
-  EXPECT_TRUE(MultiplyDenseSparse(a, b).ApproxEquals(a.Multiply(b.ToDense()), 1e-12));
+  EXPECT_TRUE(MultiplyDenseSparseParallel(a, b).value().ApproxEquals(
+      a.Multiply(b.ToDense()), 1e-12));
 }
 
 TEST(MultiplyChain, SingleElementIsCopy) {
   SparseMatrix a = testing::RandomBipartiteAdjacency(4, 4, 0.5, 22);
-  EXPECT_TRUE(MultiplyChain({a}).ApproxEquals(a));
+  EXPECT_TRUE(MultiplyChain({a}).value().ApproxEquals(a));
 }
 
 TEST(MultiplyChain, ThreeFactorAssociativity) {
@@ -67,7 +69,7 @@ TEST(MultiplyChain, ThreeFactorAssociativity) {
   SparseMatrix c = testing::RandomBipartiteAdjacency(5, 3, 0.4, 25);
   SparseMatrix left_assoc = a.Multiply(b).Multiply(c);
   SparseMatrix right_assoc = a.Multiply(b.Multiply(c));
-  SparseMatrix chained = MultiplyChain({a, b, c});
+  SparseMatrix chained = MultiplyChain({a, b, c}).value();
   EXPECT_TRUE(chained.ApproxEquals(left_assoc, 1e-12));
   EXPECT_TRUE(chained.ApproxEquals(right_assoc, 1e-12));
 }
@@ -83,26 +85,21 @@ TEST(MultiplyChain, LeftToRightMatchesSeedKernelBitwise) {
   EXPECT_EQ(ltr.values(), seed.values());
 }
 
-TEST(MultiplyChain, EmptyChainAborts) {
-  EXPECT_DEATH({ (void)MultiplyChain({}); }, "CHECK failed");
-  EXPECT_DEATH({ (void)MultiplyChainLeftToRight({}); }, "CHECK failed");
-}
-
-TEST(MultiplyChain, EmptyChainWithContextIsInvalidArgument) {
-  Result<SparseMatrix> product =
-      MultiplyChainWithContext({}, 1, QueryContext::Background());
+TEST(MultiplyChain, EmptyChainIsInvalidArgument) {
+  Result<SparseMatrix> product = MultiplyChain({});
   EXPECT_TRUE(product.status().IsInvalidArgument()) << product.status().ToString();
 }
 
-TEST(MultiplyChainDense, MatchesSparseChain) {
-  SparseMatrix a = testing::RandomBipartiteAdjacency(4, 6, 0.4, 26);
-  SparseMatrix b = testing::RandomBipartiteAdjacency(6, 5, 0.4, 27);
-  SparseMatrix c = testing::RandomBipartiteAdjacency(5, 3, 0.4, 28);
-  EXPECT_TRUE(MultiplyChainDense({a, b, c})
-                  .ApproxEquals(MultiplyChain({a, b, c}).ToDense(), 1e-12));
-  EXPECT_TRUE(MultiplyChainDense({a}).ApproxEquals(a.ToDense()));
-  EXPECT_TRUE(MultiplyChainDense({a, b})
-                  .ApproxEquals(MultiplyChain({a, b}).ToDense(), 1e-12));
+TEST(MultiplyChain, EmptyChainIsInvalidArgumentUnderACancelledContext) {
+  // Argument validation precedes the liveness check.
+  QueryContext ctx;
+  ctx.Cancel();
+  Result<SparseMatrix> product = MultiplyChain({}, 1, ctx);
+  EXPECT_TRUE(product.status().IsInvalidArgument()) << product.status().ToString();
+}
+
+TEST(MultiplyChainLeftToRight, EmptyChainAborts) {
+  EXPECT_DEATH({ (void)MultiplyChainLeftToRight({}); }, "CHECK failed");
 }
 
 TEST(VectorThroughChain, MatchesMatrixRow) {

@@ -13,6 +13,7 @@
 
 #include "common/thread_pool.h"
 #include "core/hetesim.h"
+#include "matrix/spgemm.h"
 #include "test_util.h"
 
 namespace hetesim {
@@ -277,12 +278,12 @@ TEST(ThreadPool, StatsCountRegionsAndTasks) {
   EXPECT_EQ(pool.stats().tasks_run, 0u);
 }
 
-TEST(MultiplyParallel, MatchesSequentialBitwise) {
+TEST(ParallelSpGemm, MatchesSequentialBitwise) {
   SparseMatrix a = testing::RandomBipartiteAdjacency(64, 48, 0.2, 88);
   SparseMatrix b = testing::RandomBipartiteAdjacency(48, 52, 0.2, 89);
   SparseMatrix sequential = a.Multiply(b);
   for (int threads : {0, 1, 2, 3, 8, 64}) {  // 0 = all hardware threads
-    SparseMatrix parallel = a.MultiplyParallel(b, threads);
+    SparseMatrix parallel = MultiplySparseAdaptive(a, b, threads).value();
     // Bitwise: identical structure and values (same per-row computation).
     EXPECT_EQ(parallel.row_ptr(), sequential.row_ptr()) << threads;
     EXPECT_EQ(parallel.col_idx(), sequential.col_idx()) << threads;
@@ -290,17 +291,17 @@ TEST(MultiplyParallel, MatchesSequentialBitwise) {
   }
 }
 
-TEST(MultiplyParallel, TinyMatrices) {
+TEST(ParallelSpGemm, TinyMatrices) {
   SparseMatrix a = SparseMatrix::FromTriplets(1, 2, {{0, 1, 2.0}});
   SparseMatrix b = SparseMatrix::FromTriplets(2, 1, {{1, 0, 3.0}});
-  SparseMatrix product = a.MultiplyParallel(b, 8);
+  SparseMatrix product = MultiplySparseAdaptive(a, b, 8).value();
   EXPECT_EQ(product.At(0, 0), 6.0);
 }
 
-TEST(MultiplyParallel, NormalizedChainsStayStochastic) {
+TEST(ParallelSpGemm, NormalizedChainsStayStochastic) {
   SparseMatrix a = testing::RandomBipartiteAdjacency(40, 40, 0.15, 90)
                        .RowNormalized();
-  SparseMatrix product = a.MultiplyParallel(a, 4);
+  SparseMatrix product = MultiplySparseAdaptive(a, a, 4).value();
   for (Index r = 0; r < product.rows(); ++r) {
     EXPECT_NEAR(product.RowSum(r), 1.0, 1e-12);
   }
@@ -311,12 +312,12 @@ TEST(EngineParallel, ComputeIdenticalAcrossThreadCounts) {
   MetaPath path = *MetaPath::Parse(g.schema(), "ABCBA");
   HeteSimOptions sequential_options;
   HeteSimEngine sequential(g, sequential_options);
-  DenseMatrix expected = sequential.Compute(path);
+  DenseMatrix expected = sequential.Compute(path).value();
   for (int threads : {2, 4, 8}) {
     HeteSimOptions options;
     options.num_threads = threads;
     HeteSimEngine engine(g, options);
-    DenseMatrix scores = engine.Compute(path);
+    DenseMatrix scores = engine.Compute(path).value();
     EXPECT_TRUE(scores.ApproxEquals(expected, 0.0)) << threads;  // bitwise
   }
 }
@@ -329,7 +330,8 @@ TEST(EngineParallel, UnnormalizedAlsoIdentical) {
   HeteSimEngine sequential(g, raw);
   raw.num_threads = 4;
   HeteSimEngine parallel(g, raw);
-  EXPECT_TRUE(parallel.Compute(path).ApproxEquals(sequential.Compute(path), 0.0));
+  EXPECT_TRUE(parallel.Compute(path).value().ApproxEquals(
+      sequential.Compute(path).value(), 0.0));
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ TEST_F(PathMatrixTest, TransitionChainShapes) {
 }
 
 TEST_F(PathMatrixTest, ReachProbabilityIsRowStochastic) {
-  SparseMatrix pm = ReachProbability(graph_, Path("APC"));
+  SparseMatrix pm = ReachProbability(graph_, Path("APC")).value();
   for (Index r = 0; r < pm.rows(); ++r) {
     EXPECT_NEAR(pm.RowSum(r), 1.0, 1e-12);
   }
@@ -39,7 +39,7 @@ TEST_F(PathMatrixTest, ReachProbabilityIsRowStochastic) {
 TEST_F(PathMatrixTest, ReachProbabilityKnownValues) {
   // Tom's papers p1, p2 are both in KDD (default Fig-4 placement puts p3 in
   // KDD too, but Tom did not write p3): Tom reaches KDD w.p. 1.
-  SparseMatrix pm = ReachProbability(graph_, Path("APC"));
+  SparseMatrix pm = ReachProbability(graph_, Path("APC")).value();
   EXPECT_DOUBLE_EQ(pm.At(0, 0), 1.0);   // Tom -> KDD
   EXPECT_DOUBLE_EQ(pm.At(0, 1), 0.0);   // Tom -> SIGMOD
   // Mary: p2, p3 in KDD; p4 in SIGMOD -> 2/3 vs 1/3.
@@ -48,7 +48,7 @@ TEST_F(PathMatrixTest, ReachProbabilityKnownValues) {
 }
 
 TEST_F(PathMatrixTest, ReachDistributionMatchesMatrixRow) {
-  SparseMatrix pm = ReachProbability(graph_, Path("APC"));
+  SparseMatrix pm = ReachProbability(graph_, Path("APC")).value();
   for (Index s = 0; s < 3; ++s) {
     std::vector<double> distribution = ReachDistribution(graph_, Path("APC"), s);
     std::vector<double> expected = pm.RowDense(s);
@@ -119,7 +119,7 @@ TEST_F(PathMatrixTest, EvenPathDecomposition) {
 TEST_F(PathMatrixTest, EvenPathLeftHalfIsPrefixReachability) {
   PathDecomposition d = DecomposePath(graph_, Path("APCPA"));
   SparseMatrix left = LeftReachMatrix(d);
-  EXPECT_TRUE(left.ApproxEquals(ReachProbability(graph_, Path("APC")), 1e-12));
+  EXPECT_TRUE(left.ApproxEquals(ReachProbability(graph_, Path("APC")).value(), 1e-12));
 }
 
 TEST_F(PathMatrixTest, EvenPathApcMeetsAtPapers) {

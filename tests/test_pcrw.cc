@@ -18,7 +18,7 @@ TEST(Pcrw, MatrixEqualsReachProbability) {
   HinGraph g = testing::BuildFig4Graph();
   MetaPath apc = Parse(g, "APC");
   EXPECT_TRUE(PcrwMatrix(g, apc).ApproxEquals(
-      ReachProbability(g, apc).ToDense(), 1e-12));
+      ReachProbability(g, apc).value().ToDense(), 1e-12));
 }
 
 TEST(Pcrw, RowsAreDistributions) {

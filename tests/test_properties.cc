@@ -44,7 +44,7 @@ class RandomGraphProperties
 
 TEST_P(RandomGraphProperties, NonNegativityAndSelfMaximum) {
   HeteSimEngine engine(graph_);
-  DenseMatrix scores = engine.Compute(path_);
+  DenseMatrix scores = engine.Compute(path_).value();
   for (Index i = 0; i < scores.rows(); ++i) {
     for (Index j = 0; j < scores.cols(); ++j) {
       EXPECT_GE(scores(i, j), -1e-15);
@@ -55,15 +55,15 @@ TEST_P(RandomGraphProperties, NonNegativityAndSelfMaximum) {
 
 TEST_P(RandomGraphProperties, Symmetry) {
   HeteSimEngine engine(graph_);
-  DenseMatrix forward = engine.Compute(path_);
-  DenseMatrix backward = engine.Compute(path_.Reverse());
+  DenseMatrix forward = engine.Compute(path_).value();
+  DenseMatrix backward = engine.Compute(path_.Reverse()).value();
   EXPECT_TRUE(forward.ApproxEquals(backward.Transpose(), 1e-10));
 }
 
 TEST_P(RandomGraphProperties, IdentityOfIndiscerniblesOnSymmetricPaths) {
   if (!path_.IsSymmetric()) GTEST_SKIP() << "asymmetric path";
   HeteSimEngine engine(graph_);
-  DenseMatrix scores = engine.Compute(path_);
+  DenseMatrix scores = engine.Compute(path_).value();
   for (Index i = 0; i < scores.rows(); ++i) {
     // dis(a, a) = 1 - HeteSim(a, a) = 0 (every node reaches the middle in
     // these generated graphs), and no pair scores above the self-score.
@@ -80,8 +80,8 @@ TEST_P(RandomGraphProperties, NormalizedIsCosineOfUnnormalizedHalves) {
   PathDecomposition d = DecomposePath(graph_, path_);
   SparseMatrix left = LeftReachMatrix(d);
   SparseMatrix right = RightReachMatrix(d);
-  DenseMatrix n = normalized.Compute(path_);
-  DenseMatrix u = raw.Compute(path_);
+  DenseMatrix n = normalized.Compute(path_).value();
+  DenseMatrix u = raw.Compute(path_).value();
   for (Index i = 0; i < n.rows(); ++i) {
     const double li = left.RowNorm(i);
     for (Index j = 0; j < n.cols(); ++j) {
@@ -97,10 +97,11 @@ TEST_P(RandomGraphProperties, CacheTransparency) {
   auto cache = std::make_shared<PathMatrixCache>();
   HeteSimEngine cached(graph_, {}, cache);
   HeteSimEngine uncached(graph_);
-  EXPECT_TRUE(cached.Compute(path_).ApproxEquals(uncached.Compute(path_), 1e-12));
+  EXPECT_TRUE(cached.Compute(path_).value().ApproxEquals(
+      uncached.Compute(path_).value(), 1e-12));
   // Three queries, but each distinct half is computed exactly once; on a
   // symmetric path the two halves share one canonical cache entry.
-  cached.Compute(path_);
+  cached.Compute(path_).value();
   (void)cached.ComputePair(path_, 0, 0);
   EXPECT_EQ(cache->stats().misses, path_.IsSymmetric() ? 1u : 2u);
   EXPECT_GE(cache->stats().hits, 4u);
@@ -110,12 +111,12 @@ TEST_P(RandomGraphProperties, PooledComputeIsThreadCountInvariant) {
   // The pooled runtime must be a pure performance knob: num_threads 1
   // (inline), 2 (partial) and 0 (all hardware threads) agree entrywise.
   HeteSimEngine sequential(graph_);
-  DenseMatrix expected = sequential.Compute(path_);
+  DenseMatrix expected = sequential.Compute(path_).value();
   for (int threads : {2, 0}) {
     HeteSimOptions options;
     options.num_threads = threads;
     HeteSimEngine pooled(graph_, options);
-    DenseMatrix scores = pooled.Compute(path_);
+    DenseMatrix scores = pooled.Compute(path_).value();
     ASSERT_EQ(scores.rows(), expected.rows());
     ASSERT_EQ(scores.cols(), expected.cols());
     EXPECT_TRUE(scores.ApproxEquals(expected, 1e-12)) << threads;
@@ -129,8 +130,8 @@ TEST_P(RandomGraphProperties, SemiMetricPropertiesHoldUnderPooledPath) {
   HeteSimOptions options;
   options.num_threads = 0;
   HeteSimEngine engine(graph_, options);
-  DenseMatrix forward = engine.Compute(path_);
-  DenseMatrix backward = engine.Compute(path_.Reverse());
+  DenseMatrix forward = engine.Compute(path_).value();
+  DenseMatrix backward = engine.Compute(path_.Reverse()).value();
   EXPECT_TRUE(forward.ApproxEquals(backward.Transpose(), 1e-10));
   for (Index i = 0; i < forward.rows(); ++i) {
     for (Index j = 0; j < forward.cols(); ++j) {
@@ -149,7 +150,7 @@ TEST_P(RandomGraphProperties, SemiMetricPropertiesHoldUnderPooledPath) {
 }
 
 TEST_P(RandomGraphProperties, PrunedTopKIsExact) {
-  TopKSearcher searcher(graph_, path_);
+  TopKSearcher searcher = TopKSearcher::Prepare(graph_, path_).value();
   const Index n = graph_.NumNodes(path_.SourceType());
   for (Index s = 0; s < n; ++s) {
     TopKResult pruned = *searcher.Query(s, 4);
@@ -231,8 +232,8 @@ TEST_P(InvarianceProperty, UniformEdgeWeightScalingLeavesScoresUnchanged) {
   for (const char* spec : {"AB", "ABC", "ABA"}) {
     MetaPath original_path = *MetaPath::Parse(original.schema(), spec);
     MetaPath scaled_path = *MetaPath::Parse(scaled.schema(), spec);
-    EXPECT_TRUE(original_engine.Compute(original_path)
-                    .ApproxEquals(scaled_engine.Compute(scaled_path), 1e-10))
+    EXPECT_TRUE(original_engine.Compute(original_path).value()
+                    .ApproxEquals(scaled_engine.Compute(scaled_path).value(), 1e-10))
         << spec;
   }
 }
@@ -277,8 +278,8 @@ TEST_P(InvarianceProperty, NodeRelabelingPermutesScores) {
   HeteSimEngine permuted_engine(permuted);
   MetaPath original_path = *MetaPath::Parse(original.schema(), "ABC");
   MetaPath permuted_path = *MetaPath::Parse(permuted.schema(), "ABC");
-  DenseMatrix original_scores = original_engine.Compute(original_path);
-  DenseMatrix permuted_scores = permuted_engine.Compute(permuted_path);
+  DenseMatrix original_scores = original_engine.Compute(original_path).value();
+  DenseMatrix permuted_scores = permuted_engine.Compute(permuted_path).value();
   for (Index i = 0; i < na; ++i) {
     for (Index j = 0; j < original_scores.cols(); ++j) {
       EXPECT_NEAR(original_scores(i, j),
@@ -318,8 +319,8 @@ TEST_P(InvarianceProperty, DuplicateEdgeEqualsDoubledWeight) {
   HeteSimEngine weighted_engine(weighted);
   MetaPath dup_path = *MetaPath::Parse(duplicated.schema(), "AB");
   MetaPath weight_path = *MetaPath::Parse(weighted.schema(), "AB");
-  EXPECT_TRUE(duplicated_engine.Compute(dup_path)
-                  .ApproxEquals(weighted_engine.Compute(weight_path), 1e-12));
+  EXPECT_TRUE(duplicated_engine.Compute(dup_path).value()
+                  .ApproxEquals(weighted_engine.Compute(weight_path).value(), 1e-12));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InvarianceProperty,
@@ -415,7 +416,9 @@ const HinGraph& MetamorphicGraph(const std::string& dataset, uint64_t seed) {
 SparseMatrix HalfProduct(const std::vector<SparseMatrix>& chain,
                          const KernelChoice& choice) {
   const ChainPlan plan = PlanChain(chain, choice.plan);
-  return ExecuteChainPlan(chain, plan, /*num_threads=*/1, choice.spgemm);
+  return ExecuteChainPlan(chain, plan, /*num_threads=*/1, QueryContext::Background(),
+                          choice.spgemm)
+      .value();
 }
 
 /// HeteSim relevance matrix computed from the decomposition halves with a
@@ -449,7 +452,7 @@ class MetamorphicKernelProperties
 
 TEST_P(MetamorphicKernelProperties, KernelChoicesAgreeWithEngine) {
   HeteSimEngine engine(graph_);
-  const DenseMatrix reference = engine.Compute(path_);
+  const DenseMatrix reference = engine.Compute(path_).value();
   std::vector<DenseMatrix> per_choice;
   for (const KernelChoice& choice : kKernelChoices) {
     SCOPED_TRACE(choice.name);

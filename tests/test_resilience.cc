@@ -22,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +35,7 @@
 #include "core/materialize.h"
 #include "core/topk.h"
 #include "matrix/ops.h"
+#include "matrix/spgemm.h"
 #include "test_util.h"
 
 namespace hetesim {
@@ -189,7 +191,8 @@ TEST_F(CancellationTest, PreCancelledMultiplyFailsFast) {
   QueryContext ctx;
   ctx.Cancel();
   for (int threads : {1, 4}) {
-    Result<SparseMatrix> product = a.MultiplyParallel(a.Transpose(), threads, ctx);
+    Result<SparseMatrix> product =
+        MultiplySparseAdaptive(a, a.Transpose(), threads, ctx);
     EXPECT_TRUE(product.status().IsCancelled()) << threads;
   }
 }
@@ -209,12 +212,82 @@ TEST_F(CancellationTest, PreCancelledPairsQueryFails) {
   EXPECT_TRUE(scores.status().IsCancelled());
 }
 
+/// A query kind run through a cache-backed engine under a context.
+struct CachedQueryKind {
+  const char* name;
+  Status (*run)(const HeteSimEngine& engine, const MetaPath& path,
+                const QueryContext& ctx);
+};
+
+const CachedQueryKind kCachedQueryKinds[] = {
+    {"Compute",
+     [](const HeteSimEngine& engine, const MetaPath& path, const QueryContext& ctx) {
+       return engine.Compute(path, ctx).status();
+     }},
+    {"ComputePairs",
+     [](const HeteSimEngine& engine, const MetaPath& path, const QueryContext& ctx) {
+       return engine.ComputePairs(path, {{0, 1}}, ctx).status();
+     }},
+    {"ComputeSingleSource",
+     [](const HeteSimEngine& engine, const MetaPath& path, const QueryContext& ctx) {
+       return engine.ComputeSingleSource(path, 0, ctx).status();
+     }},
+    {"ComputePair",
+     [](const HeteSimEngine& engine, const MetaPath& path, const QueryContext& ctx) {
+       return engine.ComputePair(path, 0, 1, ctx).status();
+     }},
+};
+
+/// Keeps the parameter's printed form (and so the test's name) stable.
+void PrintTo(const CachedQueryKind& kind, std::ostream* os) { *os << kind.name; }
+
+/// The dead-context cases of `CancellationTest`, over every query kind of a
+/// cache-backed engine: each must stop before computing either half.
+class CachedCancellationTest : public ::testing::TestWithParam<CachedQueryKind> {
+ protected:
+  CachedCancellationTest()
+      : graph_(testing::BuildFig4Graph()),
+        cache_(std::make_shared<PathMatrixCache>()),
+        engine_(graph_, HeteSimOptions{}, cache_),
+        path_(*MetaPath::Parse(graph_.schema(), "APCPA")) {}
+
+  void ExpectNothingComputed() const {
+    EXPECT_EQ(cache_->ComputeCount(PathMatrixCache::LeftKey(path_)), 0u);
+    EXPECT_EQ(cache_->ComputeCount(PathMatrixCache::RightKey(path_)), 0u);
+  }
+
+  HinGraph graph_;
+  std::shared_ptr<PathMatrixCache> cache_;
+  HeteSimEngine engine_;
+  MetaPath path_;
+};
+
+TEST_P(CachedCancellationTest, PreCancelledQueryIsCancelled) {
+  QueryContext ctx;
+  ctx.Cancel();
+  const Status status = GetParam().run(engine_, path_, ctx);
+  EXPECT_TRUE(status.IsCancelled()) << status.ToString();
+  ExpectNothingComputed();
+}
+
+TEST_P(CachedCancellationTest, ExpiredQueryIsDeadlineExceeded) {
+  const Status status = GetParam().run(engine_, path_, ExpiredContext());
+  EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
+  ExpectNothingComputed();
+}
+
+INSTANTIATE_TEST_SUITE_P(QueryKinds, CachedCancellationTest,
+                         ::testing::ValuesIn(kCachedQueryKinds),
+                         [](const ::testing::TestParamInfo<CachedQueryKind>& info) {
+                           return std::string(info.param.name);
+                         });
+
 TEST_F(CancellationTest, GenerousDeadlineMatchesPlainCompute) {
   HeteSimOptions options;
   options.num_threads = 4;
   HeteSimEngine engine(graph_, options);
   MetaPath path = Path("APCPA");
-  DenseMatrix expected = engine.Compute(path);
+  DenseMatrix expected = engine.Compute(path).value();
   Result<DenseMatrix> bounded = engine.Compute(path, GenerousContext());
   ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
   EXPECT_TRUE(bounded->ApproxEquals(expected, 0.0));  // bitwise identical
@@ -234,7 +307,7 @@ TEST_F(CancellationTest, ConcurrentCancelStopsParallelWorkPromptly) {
   steady_clock::time_point finished;
   std::thread worker([&] {
     for (;;) {
-      Result<SparseMatrix> product = a.MultiplyParallel(b, 4, ctx);
+      Result<SparseMatrix> product = MultiplySparseAdaptive(a, b, 4, ctx);
       started.store(true, std::memory_order_release);
       if (!product.ok()) {
         final_status = product.status();
@@ -277,8 +350,10 @@ TEST_F(CacheBudgetTest, AccountedBytesNeverExceedLimit) {
   {
     PathMatrixCache sizing;
     for (const char* spec : paths) {
-      largest = std::max(largest, sizing.GetLeft(graph_, Path(spec))->ApproxBytes());
-      largest = std::max(largest, sizing.GetRight(graph_, Path(spec))->ApproxBytes());
+      largest = std::max(largest,
+                         sizing.GetLeft(graph_, Path(spec)).value()->ApproxBytes());
+      largest = std::max(largest,
+                         sizing.GetRight(graph_, Path(spec)).value()->ApproxBytes());
     }
     distinct_total = sizing.stats().accounted_bytes;
   }
@@ -316,8 +391,8 @@ TEST_F(CacheBudgetTest, EvictedEntryIsRecomputedOnReturn) {
   size_t second_bytes = 0;
   {
     PathMatrixCache sizing;
-    first_bytes = sizing.GetLeft(graph_, first)->ApproxBytes();
-    second_bytes = sizing.GetLeft(graph_, second)->ApproxBytes();
+    first_bytes = sizing.GetLeft(graph_, first).value()->ApproxBytes();
+    second_bytes = sizing.GetLeft(graph_, second).value()->ApproxBytes();
   }
   // Either entry fits alone; the two never fit together.
   const size_t limit =
@@ -326,11 +401,11 @@ TEST_F(CacheBudgetTest, EvictedEntryIsRecomputedOnReturn) {
   PathMatrixCache cache;
   cache.SetMemoryBudget(std::make_shared<MemoryBudget>(limit));
   const std::string first_key = PathMatrixCache::LeftKey(first);
-  cache.GetLeft(graph_, first);
+  cache.GetLeft(graph_, first).value();
   EXPECT_EQ(cache.ComputeCount(first_key), 1u);
-  cache.GetLeft(graph_, second);  // must evict `first` to fit
+  cache.GetLeft(graph_, second).value();  // must evict `first` to fit
   EXPECT_GE(cache.stats().evictions, 1u);
-  cache.GetLeft(graph_, first);  // gone, so this recomputes
+  cache.GetLeft(graph_, first).value();  // gone, so this recomputes
   EXPECT_EQ(cache.ComputeCount(first_key), 2u);
 }
 
@@ -403,7 +478,7 @@ class TopKDeadlineTest : public ::testing::Test {
 
 TEST_F(TopKDeadlineTest, ExpiredQueryReturnsTruncatedPartial) {
   MetaPath path = *MetaPath::Parse(graph_.schema(), "ABC");
-  TopKSearcher searcher(graph_, path);
+  TopKSearcher searcher = TopKSearcher::Prepare(graph_, path).value();
   Result<TopKResult> full = searcher.Query(0, 10);
   ASSERT_TRUE(full.ok());
   EXPECT_FALSE(full->truncated);
@@ -440,17 +515,22 @@ TEST_F(TopKDeadlineTest, PrepareUnderExpiredDeadlineFails) {
   EXPECT_TRUE(searcher.status().IsDeadlineExceeded());
 }
 
-TEST_F(TopKDeadlineTest, PreparedSearcherMatchesDirectConstruction) {
+TEST_F(TopKDeadlineTest, PreparedWithCacheMatchesPreparedWithout) {
   MetaPath path = *MetaPath::Parse(graph_.schema(), "ABC");
-  Result<TopKSearcher> prepared =
-      TopKSearcher::Prepare(graph_, path, {}, GenerousContext());
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  TopKSearcher direct(graph_, path);
-  Result<TopKResult> a = prepared->Query(3, 5);
-  Result<TopKResult> b = direct.Query(3, 5);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->items, b->items);
+  PathMatrixCache cache;
+  Result<TopKSearcher> cached =
+      TopKSearcher::Prepare(graph_, path, {}, GenerousContext(), &cache);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  Result<TopKSearcher> uncached = TopKSearcher::Prepare(graph_, path);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  EXPECT_EQ(cache.ComputeCount(PathMatrixCache::RightKey(path)), 1u);
+  for (Index source : {0, 3, 7}) {
+    Result<TopKResult> a = cached->Query(source, 5);
+    Result<TopKResult> b = uncached->Query(source, 5);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(a->items, b->items) << "source " << source;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -511,18 +591,39 @@ TEST_F(FaultInjectionTest, SpgemmAllocFaultSurfacesAsResourceExhausted) {
   HinGraph graph = testing::BuildFig4Graph();
   MetaPath path = *MetaPath::Parse(graph.schema(), "APCPA");
   HeteSimEngine engine(graph);
-  DenseMatrix expected = engine.Compute(path);  // reference before arming
+  DenseMatrix expected = engine.Compute(path).value();  // reference before arming
+
+  // Single-source and pair queries of a cache-backed engine, with and
+  // without a deadline: the fault reaches them through the cache miss.
+  auto cached = std::make_shared<PathMatrixCache>();
+  HeteSimEngine cached_engine(graph, HeteSimOptions{}, cached);
+  const std::vector<double> expected_row =
+      cached_engine.ComputeSingleSource(path, 0).value();
+  const double expected_pair = cached_engine.ComputePair(path, 0, 1).value();
+  cached->Clear();
 
   FaultInjector::Global().Arm("spgemm.alloc", 1.0);
   Result<DenseMatrix> faulted = engine.Compute(path, GenerousContext());
   EXPECT_TRUE(faulted.status().IsResourceExhausted()) << faulted.status().ToString();
+  for (const QueryContext& ctx : {QueryContext::Background(), GenerousContext()}) {
+    Result<std::vector<double>> row = cached_engine.ComputeSingleSource(path, 0, ctx);
+    EXPECT_TRUE(row.status().IsResourceExhausted()) << row.status().ToString();
+    Result<double> pair = cached_engine.ComputePair(path, 0, 1, ctx);
+    EXPECT_TRUE(pair.status().IsResourceExhausted()) << pair.status().ToString();
+  }
   EXPECT_GE(FaultInjector::Global().StatsFor("spgemm.alloc").failures, 1u);
 
-  // Recovery: once the fault stops, the same query succeeds and matches.
+  // Recovery: once the fault stops, the same queries succeed and match.
   FaultInjector::Global().Reset();
   Result<DenseMatrix> recovered = engine.Compute(path, GenerousContext());
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE(recovered->ApproxEquals(expected, 0.0));
+  Result<std::vector<double>> row = cached_engine.ComputeSingleSource(path, 0);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ(*row, expected_row);
+  Result<double> pair = cached_engine.ComputePair(path, 0, 1, GenerousContext());
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  EXPECT_EQ(*pair, expected_pair);
 }
 
 TEST_F(FaultInjectionTest, FailedCacheComputeIsRetriedCleanly) {
@@ -554,8 +655,8 @@ TEST_F(FaultInjectionTest, PoolDispatchFaultsDoNotChangeResults) {
   SparseMatrix a = testing::RandomBipartiteAdjacency(120, 90, 0.15, 13);
   SparseMatrix b = a.Transpose();
   SparseMatrix expected = a.Multiply(b);
-  EXPECT_TRUE(a.MultiplyParallel(b, 8).ApproxEquals(expected, 0.0));
-  Result<SparseMatrix> ctx_product = a.MultiplyParallel(b, 8, GenerousContext());
+  EXPECT_TRUE(MultiplySparseAdaptive(a, b, 8).value().ApproxEquals(expected, 0.0));
+  Result<SparseMatrix> ctx_product = MultiplySparseAdaptive(a, b, 8, GenerousContext());
   ASSERT_TRUE(ctx_product.ok());
   EXPECT_TRUE(ctx_product->ApproxEquals(expected, 0.0));
   EXPECT_GE(FaultInjector::Global().StatsFor("pool.dispatch").failures, 1u);
@@ -594,7 +695,7 @@ TEST_F(FaultInjectionTest, SeededSweepIsCrashFreeAndRecovers) {
     HeteSimEngine reference_engine(graph, options);
     for (const char* spec : specs) {
       paths.push_back(*MetaPath::Parse(graph.schema(), spec));
-      references.push_back(reference_engine.Compute(paths.back()));
+      references.push_back(reference_engine.Compute(paths.back()).value());
     }
   }
 

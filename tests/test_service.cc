@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "common/context.h"
+#include "common/fault_injection.h"
 #include "core/hetesim.h"
 #include "core/topk.h"
 #include "hin/metapath.h"
@@ -404,6 +405,37 @@ TEST_F(QueryServiceTest, SingleSourceMatchesDirectEngine) {
   ASSERT_EQ(response.scores.size(), direct->size());
   for (size_t i = 0; i < direct->size(); ++i) {
     EXPECT_NEAR(response.scores[i], (*direct)[i], 1e-12) << "target " << i;
+  }
+}
+
+TEST_F(QueryServiceTest, InjectedSpgemmFaultFailsSingleSourceCleanly) {
+  // Chaos case: a cold single-source request whose half products hit an
+  // injected allocation failure answers ResourceExhausted instead of taking
+  // the server down, and the next request after the fault stops is served.
+  if (!FaultInjector::CompiledIn()) {
+    GTEST_SKIP() << "built without HETESIM_FAULT_INJECTION";
+  }
+  QueryRequest request;
+  request.kind = QueryKind::kSingleSource;
+  request.path = "A-P-C-P-A";
+  request.source = 0;
+  FaultInjector::Global().Reset();
+  FaultInjector::Global().Arm("spgemm.alloc", 1.0);
+  const QueryResponse faulted = service_->Execute(request);
+  FaultInjector::Global().Reset();
+  EXPECT_FALSE(faulted.served());
+  EXPECT_EQ(faulted.status_code, StatusCode::kResourceExhausted) << faulted.message;
+
+  const QueryResponse recovered = service_->Execute(request);
+  ASSERT_TRUE(recovered.served()) << recovered.message;
+  HeteSimEngine engine(graph_, HeteSimOptions{}, nullptr);
+  Result<MetaPath> path = MetaPath::Parse(graph_.schema(), request.path);
+  ASSERT_TRUE(path.ok());
+  Result<std::vector<double>> direct = engine.ComputeSingleSource(*path, 0);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_EQ(recovered.scores.size(), direct->size());
+  for (size_t i = 0; i < direct->size(); ++i) {
+    EXPECT_NEAR(recovered.scores[i], (*direct)[i], 1e-12) << "target " << i;
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "matrix/spgemm.h"
 #include "test_util.h"
 
 namespace hetesim {
@@ -115,10 +116,11 @@ TEST(SparseMatrix, MultiplyByIdentity) {
   EXPECT_TRUE(SparseMatrix::Identity(5).Multiply(a).ApproxEquals(a));
 }
 
-TEST(SparseMatrix, MultiplyDense) {
+TEST(SparseMatrix, SparseDenseKernelMatchesDenseProduct) {
   SparseMatrix a = Sample2x3();
   DenseMatrix b(3, 2, {1, 2, 3, 4, 5, 6});
-  EXPECT_TRUE(a.MultiplyDense(b).ApproxEquals(a.ToDense().Multiply(b)));
+  EXPECT_TRUE(
+      MultiplySparseDenseParallel(a, b).value().ApproxEquals(a.ToDense().Multiply(b)));
 }
 
 TEST(SparseMatrix, MultiplyVector) {

@@ -105,9 +105,9 @@ std::vector<SparseMatrix> SamplePartials() {
   PathMatrixCache fig4_cache;
   for (const char* spec : {"APC", "APA", "APCPA", "CPC", "AP"}) {
     const MetaPath path = Parse(fig4, spec);
-    out.push_back(*fig4_cache.GetLeft(fig4, path));
-    out.push_back(*fig4_cache.GetRight(fig4, path));
-    out.push_back(*fig4_cache.GetReach(fig4, path));
+    out.push_back(*fig4_cache.GetLeft(fig4, path).value());
+    out.push_back(*fig4_cache.GetRight(fig4, path).value());
+    out.push_back(*fig4_cache.GetReach(fig4, path).value());
   }
   DblpConfig config;
   config.num_papers = 120;
@@ -118,8 +118,8 @@ std::vector<SparseMatrix> SamplePartials() {
   PathMatrixCache dblp_cache;
   for (const char* spec : {"A-P-C", "A-P-T", "C-P-T"}) {
     const MetaPath path = Parse(dblp.graph, spec);
-    out.push_back(*dblp_cache.GetLeft(dblp.graph, path));
-    out.push_back(*dblp_cache.GetRight(dblp.graph, path));
+    out.push_back(*dblp_cache.GetLeft(dblp.graph, path).value());
+    out.push_back(*dblp_cache.GetRight(dblp.graph, path).value());
   }
   out.push_back(SparseMatrix(3, 4));  // no non-zeros
   out.push_back(SparseMatrix(0, 0));
@@ -174,7 +174,7 @@ TEST(StoreCodec, QuantizedIsSmallerThanLossless) {
   const DblpDataset dblp = *GenerateDblp(config);
   PathMatrixCache cache;
   const SparseMatrix matrix =
-      *cache.GetLeft(dblp.graph, Parse(dblp.graph, "A-P-T"));
+      *cache.GetLeft(dblp.graph, Parse(dblp.graph, "A-P-T")).value();
   ASSERT_GT(matrix.NumNonZeros(), 100);
   std::string lossless;
   std::string quantized;
@@ -698,7 +698,7 @@ class TwoTierTest : public ::testing::Test {
     size_t largest = 0;
     for (const char* spec : specs) {
       largest = std::max(largest,
-                         probe.GetLeft(graph_, Path(spec))->ApproxBytes());
+                         probe.GetLeft(graph_, Path(spec)).value()->ApproxBytes());
     }
     return largest;
   }
@@ -714,12 +714,13 @@ TEST_F(TwoTierTest, DemotePromoteLeavesComputeCountAtOne) {
   cache.AttachStore(store);
 
   const std::string key = PathMatrixCache::LeftKey(Path("APC"));
-  std::shared_ptr<const SparseMatrix> first = cache.GetLeft(graph_, Path("APC"));
+  std::shared_ptr<const SparseMatrix> first =
+      cache.GetLeft(graph_, Path("APC")).value();
   EXPECT_EQ(cache.ComputeCount(key), 1u);
 
   // Admitting a second half exceeds the one-entry budget: the first is
   // evicted and — store attached — demoted to disk instead of dropped.
-  cache.GetLeft(graph_, Path("CPA"));
+  cache.GetLeft(graph_, Path("CPA")).value();
   EXPECT_GE(cache.stats().evictions, 1u);
   EXPECT_GE(cache.stats().store_demotions, 1u);
   EXPECT_TRUE(store->Contains(key));
@@ -727,7 +728,7 @@ TEST_F(TwoTierTest, DemotePromoteLeavesComputeCountAtOne) {
   // The re-request is a miss served by promotion: exactly one disk read,
   // no recomputation, and (lossless codec) a bitwise-identical matrix.
   std::shared_ptr<const SparseMatrix> promoted =
-      cache.GetLeft(graph_, Path("APC"));
+      cache.GetLeft(graph_, Path("APC")).value();
   EXPECT_EQ(cache.ComputeCount(key), 1u);
   EXPECT_EQ(cache.stats().store_hits, 1u);
   EXPECT_EQ(store->ReadCount(key), 1u);
@@ -744,7 +745,7 @@ TEST_F(TwoTierTest, ColdRestartServesMissesFromDiskWithoutComputing) {
     warm.AttachStore(store);
     ASSERT_TRUE(warm.FlushToStore().ok());  // an empty cache writes nothing
     EXPECT_EQ(store->stats().entries, 0u);
-    original = warm.GetLeft(graph_, Path("APCPA"));
+    original = warm.GetLeft(graph_, Path("APCPA")).value();
     ASSERT_TRUE(warm.FlushToStore().ok());
   }
   // The restarted process: fresh cache over the reopened store.
@@ -752,7 +753,8 @@ TEST_F(TwoTierTest, ColdRestartServesMissesFromDiskWithoutComputing) {
   PathMatrixCache cold;
   cold.AttachStore(store);
   const std::string key = PathMatrixCache::LeftKey(Path("APCPA"));
-  std::shared_ptr<const SparseMatrix> served = cold.GetLeft(graph_, Path("APCPA"));
+  std::shared_ptr<const SparseMatrix> served =
+      cold.GetLeft(graph_, Path("APCPA")).value();
   EXPECT_EQ(cold.ComputeCount(key), 0u);  // reading back is not a computation
   EXPECT_EQ(cold.stats().store_hits, 1u);
   EXPECT_EQ(cold.stats().misses, 1u);
@@ -769,13 +771,13 @@ TEST_F(TwoTierTest, TooSmallBudgetRecomputesNothingAfterWarmup) {
   cache.SetMemoryBudget(std::make_shared<MemoryBudget>(LargestLeftBytes(specs)));
   cache.AttachStore(store);
 
-  for (const char* spec : specs) cache.GetLeft(graph_, Path(spec));  // warmup
+  for (const char* spec : specs) cache.GetLeft(graph_, Path(spec)).value();  // warmup
   for (const char* spec : specs) {
     ASSERT_EQ(cache.ComputeCount(PathMatrixCache::LeftKey(Path(spec))), 1u);
   }
 
   for (int pass = 0; pass < 4; ++pass) {
-    for (const char* spec : specs) cache.GetLeft(graph_, Path(spec));
+    for (const char* spec : specs) cache.GetLeft(graph_, Path(spec)).value();
   }
   // Zero recomputes after warmup: every key is still at one computation,
   // and every post-warmup miss was served by the store.
@@ -791,8 +793,8 @@ TEST_F(TwoTierTest, TooSmallBudgetRecomputesNothingAfterWarmup) {
 TEST_F(TwoTierTest, GoldenScoresUnchangedByStoreBackedCache) {
   const MetaPath path = Path("APCPA");
   HeteSimEngine baseline(graph_);
-  const DenseMatrix expected = baseline.Compute(path);
-  TopKSearcher baseline_searcher(graph_, path);
+  const DenseMatrix expected = baseline.Compute(path).value();
+  TopKSearcher baseline_searcher = TopKSearcher::Prepare(graph_, path).value();
 
   auto store = OpenStore(FreshDir("golden"));
   auto cache = std::make_shared<PathMatrixCache>();
@@ -803,7 +805,7 @@ TEST_F(TwoTierTest, GoldenScoresUnchangedByStoreBackedCache) {
 
   // Twice: the second pass exercises promotions of what the first demoted.
   for (int pass = 0; pass < 2; ++pass) {
-    const DenseMatrix scores = engine.Compute(path);
+    const DenseMatrix scores = engine.Compute(path).value();
     EXPECT_TRUE(scores.ApproxEquals(expected, 1e-12)) << "pass " << pass;
   }
 
@@ -827,7 +829,7 @@ TEST_F(TwoTierTest, GoldenScoresUnchangedByStoreBackedCache) {
 TEST_F(TwoTierTest, GoldenScoresSurviveOnDiskCorruption) {
   const MetaPath path = Path("APCPA");
   HeteSimEngine baseline(graph_);
-  const DenseMatrix expected = baseline.Compute(path);
+  const DenseMatrix expected = baseline.Compute(path).value();
 
   const fs::path dir = FreshDir("bitrot");
   {
@@ -835,7 +837,7 @@ TEST_F(TwoTierTest, GoldenScoresSurviveOnDiskCorruption) {
     auto warm = std::make_shared<PathMatrixCache>();
     warm->AttachStore(store);
     HeteSimEngine engine(graph_, {}, warm);
-    engine.Compute(path);
+    engine.Compute(path).value();
     ASSERT_TRUE(warm->FlushToStore().ok());
     ASSERT_GT(store->stats().entries, 0u);
   }
@@ -869,7 +871,7 @@ TEST_F(TwoTierTest, GoldenScoresSurviveOnDiskCorruption) {
   auto cold = std::make_shared<PathMatrixCache>();
   cold->AttachStore(store);
   HeteSimEngine engine(graph_, {}, cold);
-  const DenseMatrix scores = engine.Compute(path);
+  const DenseMatrix scores = engine.Compute(path).value();
   EXPECT_TRUE(scores.ApproxEquals(expected, 1e-12));
   EXPECT_EQ(cold->stats().store_hits, 0u);
   EXPECT_GE(store->stats().corrupt_entries, 1u);
@@ -890,8 +892,8 @@ TEST_F(TwoTierTest, FlushedLeftRightAndReachEntriesSurviveRestart) {
     auto store = OpenStore(dir);
     PathMatrixCache warm;
     warm.AttachStore(store);
-    originals = {warm.GetLeft(graph_, apc), warm.GetRight(graph_, apc),
-                 warm.GetReach(graph_, apa)};
+    originals = {warm.GetLeft(graph_, apc).value(), warm.GetRight(graph_, apc).value(),
+                 warm.GetReach(graph_, apa).value()};
     ASSERT_TRUE(warm.FlushToStore().ok());
     EXPECT_EQ(store->stats().entries, warm.stats().entries);
     for (const std::string& key : keys) EXPECT_TRUE(store->Contains(key)) << key;
@@ -900,8 +902,8 @@ TEST_F(TwoTierTest, FlushedLeftRightAndReachEntriesSurviveRestart) {
   PathMatrixCache cold;
   cold.AttachStore(store);
   const std::vector<std::shared_ptr<const SparseMatrix>> served = {
-      cold.GetLeft(graph_, apc), cold.GetRight(graph_, apc),
-      cold.GetReach(graph_, apa)};
+      cold.GetLeft(graph_, apc).value(), cold.GetRight(graph_, apc).value(),
+      cold.GetReach(graph_, apa).value()};
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(cold.ComputeCount(keys[i]), 0u) << keys[i];
     ExpectBitwiseEqual(*originals[i], *served[i]);
@@ -921,20 +923,22 @@ TEST_F(TwoTierTest, StoreFilledFromAnotherGraphIsNeverServed) {
     auto store = OpenStore(dir, GraphDigest(graph_));
     auto warm = std::make_shared<PathMatrixCache>();
     warm->AttachStore(store);
-    HeteSimEngine(graph_, {}, warm).Compute(Path("APC"));
+    HeteSimEngine(graph_, {}, warm).Compute(Path("APC")).value();
     ASSERT_TRUE(warm->FlushToStore().ok());
     ASSERT_GT(store->stats().entries, 0u);
   }
   const MetaPath apc = Parse(other, "APC");
-  const DenseMatrix expected = HeteSimEngine(other).Compute(apc);
+  const DenseMatrix expected = HeteSimEngine(other).Compute(apc).value();
   // Serving the first graph's partials would have changed the answer.
-  ASSERT_FALSE(HeteSimEngine(graph_).Compute(Path("APC")).ApproxEquals(expected, 1e-6));
+  ASSERT_FALSE(
+      HeteSimEngine(graph_).Compute(Path("APC")).value().ApproxEquals(expected, 1e-6));
 
   auto store = OpenStore(dir, GraphDigest(other));
   EXPECT_EQ(store->stats().entries, 0u);
   auto cache = std::make_shared<PathMatrixCache>();
   cache->AttachStore(store);
-  EXPECT_TRUE(HeteSimEngine(other, {}, cache).Compute(apc).ApproxEquals(expected, 0.0));
+  EXPECT_TRUE(
+      HeteSimEngine(other, {}, cache).Compute(apc).value().ApproxEquals(expected, 0.0));
   EXPECT_EQ(cache->stats().store_hits, 0u);
   EXPECT_EQ(cache->stats().store_misses, cache->stats().misses);
 }
@@ -944,7 +948,7 @@ TEST_F(TwoTierTest, FlushWritesEachEntryOnce) {
   // whether this cache flushed it before, another cache persisted it
   // first, or it was promoted from the store.
   PathMatrixCache detached;
-  detached.GetLeft(graph_, Path("APC"));
+  detached.GetLeft(graph_, Path("APC")).value();
   EXPECT_TRUE(detached.FlushToStore().IsFailedPrecondition());
 
   const fs::path dir = FreshDir("once");
@@ -952,7 +956,7 @@ TEST_F(TwoTierTest, FlushWritesEachEntryOnce) {
     auto store = OpenStore(dir);
     PathMatrixCache warm;
     warm.AttachStore(store);
-    warm.GetLeft(graph_, Path("APC"));
+    warm.GetLeft(graph_, Path("APC")).value();
     ASSERT_TRUE(warm.FlushToStore().ok());
     ASSERT_TRUE(warm.FlushToStore().ok());
     EXPECT_EQ(store->stats().writes, 1u);
@@ -964,8 +968,8 @@ TEST_F(TwoTierTest, FlushWritesEachEntryOnce) {
   auto store = OpenStore(dir);
   PathMatrixCache cold;
   cold.AttachStore(store);
-  cold.GetLeft(graph_, Path("APC"));  // promoted from disk
-  cold.GetLeft(graph_, Path("CPA"));  // computed
+  cold.GetLeft(graph_, Path("APC")).value();  // promoted from disk
+  cold.GetLeft(graph_, Path("CPA")).value();  // computed
   ASSERT_TRUE(cold.FlushToStore().ok());
   EXPECT_EQ(store->stats().writes, 1u);  // only the computed half
   EXPECT_EQ(store->stats().entries, 2u);
@@ -1039,16 +1043,16 @@ TEST_F(StoreFaultTest, DemotionWriteFaultNeverFailsTheQuery) {
   const MetaPath apc = Parse(graph, "APC");
   const MetaPath cpa = Parse(graph, "CPA");
   const size_t budget_bytes =
-      std::max(probe.GetLeft(graph, apc)->ApproxBytes(),
-               probe.GetLeft(graph, cpa)->ApproxBytes());
+      std::max(probe.GetLeft(graph, apc).value()->ApproxBytes(),
+               probe.GetLeft(graph, cpa).value()->ApproxBytes());
 
   PathMatrixCache cache;
   cache.SetMemoryBudget(std::make_shared<MemoryBudget>(budget_bytes));
   cache.AttachStore(store);
-  cache.GetLeft(graph, apc);
+  cache.GetLeft(graph, apc).value();
 
   FaultInjector::Global().Arm("store.write.alloc", 1.0);
-  std::shared_ptr<const SparseMatrix> survivor = cache.GetLeft(graph, cpa);
+  std::shared_ptr<const SparseMatrix> survivor = cache.GetLeft(graph, cpa).value();
   ASSERT_NE(survivor, nullptr);  // the query itself is untouched
   EXPECT_GE(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().store_demotions, 0u);  // the demotion was lost
@@ -1056,7 +1060,8 @@ TEST_F(StoreFaultTest, DemotionWriteFaultNeverFailsTheQuery) {
 
   // With the fault gone the evicted half is recomputed, not corrupted.
   FaultInjector::Global().Reset();
-  ExpectBitwiseEqual(*probe.GetLeft(graph, apc), *cache.GetLeft(graph, apc));
+  ExpectBitwiseEqual(*probe.GetLeft(graph, apc).value(),
+                     *cache.GetLeft(graph, apc).value());
   EXPECT_EQ(cache.ComputeCount(PathMatrixCache::LeftKey(apc)), 2u);
 }
 

@@ -70,7 +70,7 @@ class StoreStressTest : public ::testing::Test {
     size_t largest = 0;
     for (const char* spec : specs) {
       largest =
-          std::max(largest, warm.GetLeft(graph_, Path(spec))->ApproxBytes());
+          std::max(largest, warm.GetLeft(graph_, Path(spec)).value()->ApproxBytes());
     }
     HETESIM_CHECK(warm.FlushToStore().ok());
     return largest;
@@ -97,7 +97,7 @@ TEST_F(StoreStressTest, MissStormOnColdEntryReadsDiskExactlyOnce) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
-      results[static_cast<size_t>(t)] = cache.GetLeft(graph_, Path("APC"));
+      results[static_cast<size_t>(t)] = cache.GetLeft(graph_, Path("APC")).value();
     });
   }
   start.store(true, std::memory_order_release);
@@ -141,7 +141,7 @@ TEST_F(StoreStressTest, PromoteDemoteChurnNeverRecomputesAndBalancesBudget) {
         const size_t index =
             static_cast<size_t>(round * (t + 1)) % specs.size();
         std::shared_ptr<const SparseMatrix> matrix =
-            cache.GetLeft(graph_, Path(specs[index]));
+            cache.GetLeft(graph_, Path(specs[index])).value();
         ASSERT_NE(matrix, nullptr);
       }
     });

@@ -46,7 +46,7 @@ class TopKSearcherTest : public ::testing::TestWithParam<const char*> {
 
 TEST_P(TopKSearcherTest, PrunedMatchesExhaustive) {
   MetaPath path = *MetaPath::Parse(graph_.schema(), GetParam());
-  TopKSearcher searcher(graph_, path);
+  TopKSearcher searcher = TopKSearcher::Prepare(graph_, path).value();
   const Index num_sources = graph_.NumNodes(path.SourceType());
   for (Index s = 0; s < num_sources; ++s) {
     TopKResult pruned = *searcher.Query(s, 5);
@@ -71,7 +71,7 @@ TEST_P(TopKSearcherTest, PrunedMatchesExhaustive) {
 
 TEST_P(TopKSearcherTest, PruningExaminesNoMoreThanAllTargets) {
   MetaPath path = *MetaPath::Parse(graph_.schema(), GetParam());
-  TopKSearcher searcher(graph_, path);
+  TopKSearcher searcher = TopKSearcher::Prepare(graph_, path).value();
   TopKResult pruned = *searcher.Query(0, 3);
   TopKResult exhaustive = *searcher.QueryExhaustive(0, 3);
   EXPECT_LE(pruned.candidates_examined, exhaustive.candidates_examined);
@@ -85,7 +85,7 @@ TEST(TopKSearcher, MatchesEngineScores) {
   HinGraph g = testing::BuildFig4Graph();
   MetaPath apc = *MetaPath::Parse(g.schema(), "APC");
   HeteSimEngine engine(g);
-  TopKSearcher searcher(g, apc);
+  TopKSearcher searcher = TopKSearcher::Prepare(g, apc).value();
   for (Index s = 0; s < 3; ++s) {
     std::vector<double> reference = *engine.ComputeSingleSource(apc, s);
     TopKResult result = *searcher.QueryExhaustive(s, 10);
@@ -102,7 +102,7 @@ TEST(TopKSearcher, SparseSourcePrunesHard) {
   // has positive score.
   HinGraph g = testing::BuildFig4Graph();
   MetaPath apc = *MetaPath::Parse(g.schema(), "APC");
-  TopKSearcher searcher(g, apc);
+  TopKSearcher searcher = TopKSearcher::Prepare(g, apc).value();
   TopKResult result = *searcher.Query(0, 10);  // Tom
   EXPECT_EQ(result.items.size(), 1u);
   EXPECT_EQ(result.items[0].id, 0);  // KDD only
@@ -119,7 +119,7 @@ TEST(TopKSearcher, UnreachableSourceReturnsEmpty) {
   HinGraph g = std::move(builder).Build();
   (void)r;
   MetaPath ab = *MetaPath::Parse(g.schema(), "AB");
-  TopKSearcher searcher(g, ab);
+  TopKSearcher searcher = TopKSearcher::Prepare(g, ab).value();
   TopKResult result = *searcher.Query(0, 5);
   EXPECT_TRUE(result.items.empty());
   EXPECT_EQ(result.candidates_examined, 0);
@@ -128,7 +128,7 @@ TEST(TopKSearcher, UnreachableSourceReturnsEmpty) {
 TEST(TopKSearcher, OutOfRangeSourceErrors) {
   HinGraph g = testing::BuildFig4Graph();
   MetaPath apc = *MetaPath::Parse(g.schema(), "APC");
-  TopKSearcher searcher(g, apc);
+  TopKSearcher searcher = TopKSearcher::Prepare(g, apc).value();
   EXPECT_TRUE(searcher.Query(-1, 5).status().IsOutOfRange());
   EXPECT_TRUE(searcher.Query(17, 5).status().IsOutOfRange());
   EXPECT_TRUE(searcher.QueryExhaustive(17, 5).status().IsOutOfRange());
@@ -143,7 +143,7 @@ TEST(TopKPairs, MatchesBruteForce) {
   for (const char* spec : {"AB", "ABC", "ABA"}) {
     MetaPath path = *MetaPath::Parse(g.schema(), spec);
     HeteSimEngine engine(g);
-    DenseMatrix scores = engine.Compute(path);
+    DenseMatrix scores = engine.Compute(path).value();
     std::vector<ScoredPair> brute;
     for (Index s = 0; s < scores.rows(); ++s) {
       for (Index t = 0; t < scores.cols(); ++t) {

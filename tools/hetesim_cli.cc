@@ -297,7 +297,7 @@ Status RunCluster(const Args& args) {
   HeteSimOptions options;
   HETESIM_ASSIGN_OR_RETURN(options.num_threads, GetThreadsArg(args));
   HeteSimEngine engine(graph, options);
-  DenseMatrix affinity = engine.Compute(path);
+  HETESIM_ASSIGN_OR_RETURN(DenseMatrix affinity, engine.Compute(path));
   HETESIM_ASSIGN_OR_RETURN(std::vector<int> clusters,
                            SpectralClusterNormalizedCut(affinity, k));
   for (size_t i = 0; i < clusters.size(); ++i) {
