@@ -1,10 +1,10 @@
 // Approximate-truncation ablation (Section 4.6: "approximate algorithms
 // [can] fasten the search with a small loss of accuracy"): dropping
-// reachable-probability entries below epsilon during vector propagation.
+// frontier entries below epsilon times each hop's largest entry during
+// propagation (`HeteSimOptions::truncation`, a relative per-hop threshold).
 // Expected shape: query time falls as epsilon grows (sparser frontiers);
-// the max absolute score error stays near the analytic bound and the
-// top-1 answer survives until epsilon becomes comparable to typical
-// transition probabilities.
+// the score error grows with the dropped mass and the top-1 answer
+// survives until epsilon approaches the spread of a hop's probabilities.
 
 #include <cmath>
 #include <cstdio>

@@ -1,175 +1,172 @@
 // Section 4.6 of the paper: pruning. "The related objects to a searched
 // object are a very small percentage of all objects in the target type.
 // The pruning techniques can be used to prune those unpromising objects."
-// Expected shape: the pruned top-k search examines a fraction of the
-// target type yet returns exactly the exhaustive answer; speedup grows as
-// the source's reach gets sparser (shorter paths, rarer sources). The
-// frontier executor (DESIGN.md §14) sharpens the same idea: it only ever
-// touches candidates reachable from the source, and its monotone bound
-// lets it stop folding middle mass before the reached set is exhausted
-// (`bound_exit`), so its candidates-examined column should sit at or
-// below the pruned one.
+// `TopKSearcher::Query` is that pruning in sparse form (DESIGN.md §14): it
+// propagates the source's frontier and scatters it through the inverted
+// index, so it only ever scores targets that share a middle object with
+// the source. This bench measures it against the exhaustive oracle
+// (`QueryExhaustive`, which scores every target from a dense source row).
+//
+// Graph: the perfbench reference network (DBLP-style, 80,000 papers,
+// 40,000 authors, seed 11). Sources: a uniform mix of the source type's
+// objects that write or appear in at least one paper, plus the type's hub
+// (the object with the most papers), on A-P-A, A-P-C-P-A, A-P-T-P-A and
+// C-P-A. Expected shape: candidates examined a small fraction of the
+// targets for the mix, and Query time following the source's reach rather
+// than the type sizes; the hub is the worst case.
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "core/materialize.h"
 #include "core/topk.h"
+#include "datagen/dblp_generator.h"
 #include "hin/metapath.h"
 
 namespace {
 
 using namespace hetesim;
 
-Result<TopKSearcher> PrepareFrontier(const HinGraph& graph,
-                                     const MetaPath& path,
-                                     PathMatrixCache* cache = nullptr) {
-  HeteSimOptions options;
-  options.algo = RelevanceAlgo::kFrontier;
-  return TopKSearcher::Prepare(graph, path, options, QueryContext::Background(),
-                               cache);
+constexpr int kTopK = 10;
+/// Sources in the uniform mix (evenly spaced over the eligible ids).
+constexpr size_t kMixSize = 256;
+constexpr const char* kPaths[] = {"A-P-A", "A-P-C-P-A", "A-P-T-P-A", "C-P-A"};
+
+const HinGraph& ReferenceGraph() {
+  static const DblpDataset* const kDblp = [] {
+    DblpConfig config;
+    config.num_papers = 80000;
+    config.num_authors = 40000;
+    config.seed = 11;
+    return new DblpDataset(*GenerateDblp(config));
+  }();
+  return kDblp->graph;
+}
+
+/// A prepared path plus its source mix and hub.
+struct PathCase {
+  MetaPath path;
+  std::unique_ptr<TopKSearcher> searcher;
+  std::vector<Index> mix;
+  Index hub = 0;
+};
+
+const PathCase& CaseFor(const std::string& spec) {
+  static std::map<std::string, PathCase>* const kCases =
+      new std::map<std::string, PathCase>();
+  auto it = kCases->find(spec);
+  if (it != kCases->end()) return it->second;
+  const HinGraph& graph = ReferenceGraph();
+  MetaPath path = MetaPath::Parse(graph.schema(), spec).value();
+  // Eligible sources: a non-empty row towards papers (perfbench's rule).
+  const MetaPath to_paper =
+      MetaPath::Parse(graph.schema(), std::string(1, spec[0]) + "-P").value();
+  const SparseMatrix& adjacency = graph.StepAdjacency(to_paper.StepAt(0));
+  std::vector<Index> eligible;
+  Index hub = 0;
+  for (Index id = 0; id < adjacency.rows(); ++id) {
+    if (adjacency.RowNnz(id) > 0) eligible.push_back(id);
+    if (adjacency.RowNnz(id) > adjacency.RowNnz(hub)) hub = id;
+  }
+  std::vector<Index> mix;
+  const size_t count = std::min(kMixSize, eligible.size());
+  for (size_t i = 0; i < count; ++i) {
+    mix.push_back(eligible[i * eligible.size() / count]);
+  }
+  TopKSearcher searcher = TopKSearcher::Prepare(graph, path).value();
+  PathCase entry{std::move(path),
+                 std::make_unique<TopKSearcher>(std::move(searcher)),
+                 std::move(mix), hub};
+  return kCases->emplace(spec, std::move(entry)).first->second;
 }
 
 void PrintPruningStats() {
-  const AcmDataset& acm = bench::Acm();
   bench::Banner(
-      "Pruning ablation: candidates examined, pruned vs frontier top-10");
-  std::printf("%-14s %10s %12s %14s %12s %12s\n", "path", "targets",
-              "pruned-cand", "frontier-cand", "fraction", "bound-exits");
-  for (const char* spec : {"A-P-V-C", "A-P-A", "A-P-T", "A-P-V-C-V-P-A"}) {
-    MetaPath path = MetaPath::Parse(acm.graph.schema(), spec).value();
-    TopKSearcher searcher = TopKSearcher::Prepare(acm.graph, path).value();
-    TopKSearcher frontier = PrepareFrontier(acm.graph, path).value();
-    // Average candidate count over 50 sources.
-    double candidates = 0.0;
-    double frontier_candidates = 0.0;
-    long long bound_exits = 0;
-    for (Index s = 0; s < 50; ++s) {
-      candidates +=
-          static_cast<double>(searcher.Query(s, 10).value().candidates_examined);
-      const TopKResult result = frontier.Query(s, 10).value();
-      frontier_candidates += static_cast<double>(result.candidates_examined);
-      bound_exits += result.bound_exit ? 1 : 0;
+      "Pruning: candidates examined by top-10 Query vs all targets "
+      "(80k-paper reference graph)");
+  std::printf("%-11s %8s %12s %10s %14s %10s\n", "path", "targets",
+              "mix-cand", "fraction", "hub-cand", "fraction");
+  for (const char* spec : kPaths) {
+    const PathCase& c = CaseFor(spec);
+    double mix_candidates = 0.0;
+    for (Index s : c.mix) {
+      mix_candidates += static_cast<double>(
+          c.searcher->Query(s, kTopK).value().candidates_examined);
     }
-    candidates /= 50.0;
-    frontier_candidates /= 50.0;
-    std::printf("%-14s %10lld %12.1f %14.1f %11.1f%% %9lld/50\n", spec,
-                static_cast<long long>(searcher.num_targets()), candidates,
-                frontier_candidates,
-                100.0 * frontier_candidates /
-                    static_cast<double>(searcher.num_targets()),
-                bound_exits);
+    mix_candidates /= static_cast<double>(c.mix.size());
+    const double hub_candidates = static_cast<double>(
+        c.searcher->Query(c.hub, kTopK).value().candidates_examined);
+    const double targets = static_cast<double>(c.searcher->num_targets());
+    std::printf("%-11s %8.0f %12.1f %9.2f%% %14.0f %9.2f%%\n", spec, targets,
+                mix_candidates, 100.0 * mix_candidates / targets,
+                hub_candidates, 100.0 * hub_candidates / targets);
   }
 }
 
-// Ad-hoc decomposition reuse: warm the cache with the reach matrix of a
-// prefix sub-path, then prepare a longer never-seen path through the same
-// cache. The planner should probe the prefix/suffix partial keys, fold the
-// cached A-P product into the frontier chain, and account the bytes it did
-// not recompute — numbers that also land in BENCH_pruning.json via the
-// metrics registry splice.
-void PrintReuseStats() {
-  const AcmDataset& acm = bench::Acm();
-  bench::Banner("Ad-hoc meta-path reuse: cached-prefix fold into A-P-V-C-V-P-A");
-  PathMatrixCache cache;
-  const MetaPath prefix = MetaPath::Parse(acm.graph.schema(), "A-P").value();
-  (void)cache.GetReach(acm.graph, prefix);
-  const MetaPath path =
-      MetaPath::Parse(acm.graph.schema(), "A-P-V-C-V-P-A").value();
-  TopKSearcher frontier = PrepareFrontier(acm.graph, path, &cache).value();
-  (void)frontier.Query(0, 10).value();
-  const PathMatrixCache::Stats stats = cache.stats();
-  std::printf(
-      "prefix probes %zu (hits %zu), suffix probes %zu (hits %zu), "
-      "%zu bytes served from partials\n",
-      stats.prefix_probes, stats.prefix_probe_hits, stats.suffix_probes,
-      stats.suffix_probe_hits, stats.partial_bytes_saved);
-}
-
-void BM_TopKPruned(benchmark::State& state) {
-  const AcmDataset& acm = bench::Acm();
-  MetaPath path = MetaPath::Parse(acm.graph.schema(), "APT").value();
-  TopKSearcher searcher = TopKSearcher::Prepare(acm.graph, path).value();
-  Index source = 0;
+/// One iteration = one top-10 query; sources cycle through the mix (or
+/// repeat the hub). `candidates` is the mean candidates examined.
+template <bool kExhaustive>
+void RunQueries(benchmark::State& state, const PathCase& c,
+                const std::vector<Index>& sources) {
+  size_t next = 0;
+  double candidates = 0.0;
   for (auto _ : state) {
-    TopKResult result = searcher.Query(source, 10).value();
+    const Index source = sources[next];
+    next = (next + 1) % sources.size();
+    const TopKResult result =
+        (kExhaustive ? c.searcher->QueryExhaustive(source, kTopK)
+                     : c.searcher->Query(source, kTopK))
+            .value();
+    candidates += static_cast<double>(result.candidates_examined);
     benchmark::DoNotOptimize(result.items.data());
-    source = (source + 1) % acm.graph.NumNodes(acm.author);
   }
+  state.counters["candidates"] =
+      benchmark::Counter(candidates, benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_TopKPruned);
 
-void BM_TopKExhaustive(benchmark::State& state) {
-  const AcmDataset& acm = bench::Acm();
-  MetaPath path = MetaPath::Parse(acm.graph.schema(), "APT").value();
-  TopKSearcher searcher = TopKSearcher::Prepare(acm.graph, path).value();
-  Index source = 0;
-  for (auto _ : state) {
-    TopKResult result = searcher.QueryExhaustive(source, 10).value();
-    benchmark::DoNotOptimize(result.items.data());
-    source = (source + 1) % acm.graph.NumNodes(acm.author);
-  }
+void BM_Query(benchmark::State& state, const char* spec) {
+  const PathCase& c = CaseFor(spec);
+  RunQueries<false>(state, c, c.mix);
 }
-BENCHMARK(BM_TopKExhaustive);
 
-void BM_TopKFrontier(benchmark::State& state) {
-  const AcmDataset& acm = bench::Acm();
-  MetaPath path = MetaPath::Parse(acm.graph.schema(), "APT").value();
-  TopKSearcher searcher = PrepareFrontier(acm.graph, path).value();
-  Index source = 0;
-  for (auto _ : state) {
-    TopKResult result = searcher.Query(source, 10).value();
-    benchmark::DoNotOptimize(result.items.data());
-    source = (source + 1) % acm.graph.NumNodes(acm.author);
-  }
+void BM_Exhaustive(benchmark::State& state, const char* spec) {
+  const PathCase& c = CaseFor(spec);
+  RunQueries<true>(state, c, c.mix);
 }
-BENCHMARK(BM_TopKFrontier);
 
-void BM_TopKPrunedLongPath(benchmark::State& state) {
-  const AcmDataset& acm = bench::Acm();
-  MetaPath path = MetaPath::Parse(acm.graph.schema(), "APVCVPA").value();
-  TopKSearcher searcher = TopKSearcher::Prepare(acm.graph, path).value();
-  Index source = 0;
-  for (auto _ : state) {
-    TopKResult result = searcher.Query(source, 10).value();
-    benchmark::DoNotOptimize(result.items.data());
-    source = (source + 1) % acm.graph.NumNodes(acm.author);
-  }
+void BM_QueryHub(benchmark::State& state, const char* spec) {
+  const PathCase& c = CaseFor(spec);
+  RunQueries<false>(state, c, {c.hub});
 }
-BENCHMARK(BM_TopKPrunedLongPath);
 
-void BM_TopKExhaustiveLongPath(benchmark::State& state) {
-  const AcmDataset& acm = bench::Acm();
-  MetaPath path = MetaPath::Parse(acm.graph.schema(), "APVCVPA").value();
-  TopKSearcher searcher = TopKSearcher::Prepare(acm.graph, path).value();
-  Index source = 0;
-  for (auto _ : state) {
-    TopKResult result = searcher.QueryExhaustive(source, 10).value();
-    benchmark::DoNotOptimize(result.items.data());
-    source = (source + 1) % acm.graph.NumNodes(acm.author);
-  }
+void BM_ExhaustiveHub(benchmark::State& state, const char* spec) {
+  const PathCase& c = CaseFor(spec);
+  RunQueries<true>(state, c, {c.hub});
 }
-BENCHMARK(BM_TopKExhaustiveLongPath);
-
-void BM_TopKFrontierLongPath(benchmark::State& state) {
-  const AcmDataset& acm = bench::Acm();
-  MetaPath path = MetaPath::Parse(acm.graph.schema(), "APVCVPA").value();
-  TopKSearcher searcher = PrepareFrontier(acm.graph, path).value();
-  Index source = 0;
-  for (auto _ : state) {
-    TopKResult result = searcher.Query(source, 10).value();
-    benchmark::DoNotOptimize(result.items.data());
-    source = (source + 1) % acm.graph.NumNodes(acm.author);
-  }
-}
-BENCHMARK(BM_TopKFrontierLongPath);
 
 }  // namespace
 
 int main(int argc, char** argv) {
   PrintPruningStats();
-  PrintReuseStats();
+  for (const char* spec : kPaths) {
+    const std::string name(spec);
+    benchmark::RegisterBenchmark(("BM_Query/" + name).c_str(), BM_Query, spec)
+        ->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark(("BM_Exhaustive/" + name).c_str(),
+                                 BM_Exhaustive, spec)
+        ->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark(("BM_QueryHub/" + name).c_str(), BM_QueryHub,
+                                 spec)
+        ->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark(("BM_ExhaustiveHub/" + name).c_str(),
+                                 BM_ExhaustiveHub, spec)
+        ->Unit(benchmark::kMicrosecond);
+  }
   return hetesim::bench::BenchMain(argc, argv, "pruning");
 }

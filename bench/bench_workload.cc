@@ -9,13 +9,8 @@
 // the harness's own statistics.
 //
 // Usage:
-//   bench_workload [--queries N] [--workers N] [--realtime] [--algo NAME]
+//   bench_workload [--queries N] [--workers N] [--realtime]
 //                  [--out FILE.json] [SCENARIO.workload ...]
-//
-// --algo forces every scenario onto one relevance strategy (exhaustive |
-// pruned | frontier), overriding both the scenario-level `algo` directive
-// and per-class `algo=` options — the one-flag A/B lever for sweeping the
-// same scenario files across strategies.
 //
 // With no positional arguments it runs every checked-in scenario under
 // bench/workloads/ at a reduced scale (default --queries 400, think times
@@ -31,7 +26,6 @@
 
 #include "bench_util.h"
 #include "common/string_util.h"
-#include "core/hetesim.h"
 #include "workload/config.h"
 #include "workload/report.h"
 #include "workload/runner.h"
@@ -63,7 +57,6 @@ int main(int argc, char** argv) {
   if (const char* env = std::getenv("HETESIM_BENCH_OUT"); env != nullptr) {
     out_path = env;
   }
-  std::optional<RelevanceAlgo> algo_override;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -86,10 +79,6 @@ int main(int argc, char** argv) {
       options.override_workers = static_cast<int>(*workers);
     } else if (arg == "--realtime") {
       options.realtime = true;
-    } else if (arg == "--algo") {
-      Result<RelevanceAlgo> algo = ParseRelevanceAlgo(value("--algo"));
-      if (!algo.ok()) return Fail(std::string(algo.status().message()));
-      algo_override = *algo;
     } else if (arg == "--out") {
       out_path = value("--out");
     } else if (arg.rfind("--", 0) == 0) {
@@ -109,10 +98,6 @@ int main(int argc, char** argv) {
     Result<workload::WorkloadConfig> config =
         workload::LoadWorkloadConfigFromFile(file);
     if (!config.ok()) return Fail(config.status().ToString());
-    if (algo_override) {
-      config->algo = *algo_override;
-      for (workload::QueryClassSpec& cls : config->classes) cls.algo.reset();
-    }
     Result<std::unique_ptr<workload::WorkloadRunner>> runner =
         workload::WorkloadRunner::Create(*config);
     if (!runner.ok()) return Fail(file + ": " + runner.status().ToString());

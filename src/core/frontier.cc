@@ -1,10 +1,6 @@
 #include "core/frontier.h"
 
 #include <cmath>
-#include <functional>
-#include <numeric>
-#include <unordered_map>
-#include <utility>
 
 #include "common/fault_injection.h"
 #include "core/materialize.h"
@@ -15,64 +11,68 @@ namespace hetesim {
 namespace {
 
 /// One hop of frontier propagation: `y = x^T * m`, touching only the rows
-/// `x` reaches. Contributions to each output coordinate accumulate in
-/// ascending input-index order (the outer loop), so the per-coordinate sums
-/// are deterministic regardless of hash-map layout; sorting afterwards
-/// restores the ascending-index invariant. Entries below
+/// `x` reaches. Contributions accumulate into a dense array of the hop's
+/// output dimension in ascending input-index order (the outer loop) — the
+/// term order of the dense `VectorThroughChain`, so values are bitwise equal
+/// to it — while a touched list records which columns were reached; sorting
+/// that list emits the hop ascending. Entries below
 /// `relative_threshold * max_entry` are dropped, their L1 mass added to the
 /// frontier's running error bound.
 Result<SparseVector> ApplyHop(const SparseVector& x, const SparseMatrix& m,
                               double relative_threshold,
                               const QueryContext& ctx) {
-  HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
-  // Upper-bound the hop's output support to charge the transient
-  // accumulator (hash map entry ~= 2x payload with bucket overhead)
-  // against the query's memory budget before allocating.
+  // Charge the dense accumulator and the touched list (bounded by the
+  // hop's output support) against the query's memory budget before
+  // allocating either.
+  const size_t num_cols = static_cast<size_t>(m.cols());
   size_t out_bound = 0;
   for (Index row : x.indices) {
     out_bound += static_cast<size_t>(m.RowNnz(row));
   }
-  out_bound = std::min(out_bound, static_cast<size_t>(m.cols()));
+  out_bound = std::min(out_bound, num_cols);
   HETESIM_ASSIGN_OR_RETURN(
       MemoryReservation reservation,
-      ctx.Reserve(out_bound * (sizeof(Index) + sizeof(double)) * 2));
-  std::unordered_map<Index, double> acc;
-  acc.reserve(out_bound);
+      ctx.Reserve(num_cols * sizeof(double) + out_bound * sizeof(Index)));
+  std::vector<double> acc(num_cols, 0.0);
+  std::vector<Index> touched;
+  touched.reserve(out_bound);
   // Hops are unbounded work (a hub row can touch the whole target type), so
-  // the gather polls at an adaptive stride rather than only at hop entry.
-  PollStrideController poller(/*fixed_stride=*/0);
+  // the gather polls at an adaptive stride. There is deliberately no poll at
+  // hop entry: a propagation shorter than one stride completes, which keeps
+  // an expired top-k query's best-effort answer non-empty (DESIGN.md §14).
+  PollStrideController poller;
   for (size_t i = 0; i < x.indices.size(); ++i) {
     if (i > 0 && poller.ShouldPoll(i)) {
       HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
     }
-    const Index row = x.indices[i];
     const double xv = x.values[i];
-    const auto cols = m.RowIndices(row);
-    const auto vals = m.RowValues(row);
+    const auto cols = m.RowIndices(x.indices[i]);
+    const auto vals = m.RowValues(x.indices[i]);
     for (size_t j = 0; j < cols.size(); ++j) {
-      acc[cols[j]] += xv * vals[j];
+      double& slot = acc[static_cast<size_t>(cols[j])];
+      if (slot == 0.0) touched.push_back(cols[j]);
+      slot += xv * vals[j];
     }
   }
-  std::vector<std::pair<Index, double>> entries;
-  entries.reserve(acc.size());
-  for (const auto& entry : acc) {
-    if (entry.second != 0.0) entries.push_back(entry);
-  }
-  std::sort(entries.begin(), entries.end());
+  // A slot that a product left at zero is pushed again on its next touch.
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   double max_abs = 0.0;
-  for (const auto& [col, value] : entries) {
-    max_abs = std::max(max_abs, std::abs(value));
+  for (Index col : touched) {
+    max_abs = std::max(max_abs, std::abs(acc[static_cast<size_t>(col)]));
   }
   const double cutoff =
       relative_threshold > 0.0 ? relative_threshold * max_abs : 0.0;
   SparseVector y;
   y.dropped_mass = x.dropped_mass;
-  y.indices.reserve(entries.size());
-  y.values.reserve(entries.size());
+  y.indices.reserve(touched.size());
+  y.values.reserve(touched.size());
   // Bounded pass over the already-reserved accumulator; the gather loop
   // above is where the hop's unbounded work (and polling) lives.
-  for (const auto& [col, value] : entries) {  // hetesim-lint: allow(cancel-poll)
-    if (cutoff > 0.0 && std::abs(value) < cutoff) {
+  for (Index col : touched) {  // hetesim-lint: allow(cancel-poll)
+    const double value = acc[static_cast<size_t>(col)];
+    if (value == 0.0) continue;
+    if (std::abs(value) < cutoff) {
       y.dropped_mass += std::abs(value);
       continue;
     }
@@ -96,52 +96,6 @@ double RowPropagationFlops(const std::vector<MatrixEstimate>& chain) {
     support = std::min(static_cast<double>(est.cols), support * avg_row);
   }
   return flops;
-}
-
-/// The k-th largest valid lower bound among the touched candidates.
-/// Requires `touched.size() >= k >= 1`. Partial dots only ever grow (all
-/// entries are non-negative), so partial/(nu*nt) is a monotone lower bound
-/// on the final normalized score.
-double KthLowerBound(const std::vector<Index>& touched,
-                     const std::vector<double>& partial,
-                     const std::vector<double>& right_norms, bool normalized,
-                     double nu, size_t k, std::vector<double>& scratch) {
-  scratch.clear();
-  scratch.reserve(touched.size());
-  for (Index t : touched) {
-    double lb = partial[static_cast<size_t>(t)];
-    if (normalized) {
-      const double nt = right_norms[static_cast<size_t>(t)];
-      lb = nt != 0.0 ? lb / (nu * nt) : 0.0;
-    }
-    scratch.push_back(lb);
-  }
-  std::nth_element(scratch.begin(),
-                   scratch.begin() + static_cast<ptrdiff_t>(k - 1),
-                   scratch.end(), std::greater<double>());
-  return scratch[k - 1];
-}
-
-/// Exact dot of sparse right row (`cols`, `vals`) against frontier `u`, both
-/// ascending — the same term order as the pruned path's ascending-middle
-/// accumulation, so finished frontier scores match it bitwise.
-double ExactRowDot(std::span<const Index> cols, std::span<const double> vals,
-                   const SparseVector& u) {
-  double sum = 0.0;
-  size_t a = 0;
-  size_t b = 0;
-  while (a < cols.size() && b < u.indices.size()) {
-    if (cols[a] < u.indices[b]) {
-      ++a;
-    } else if (cols[a] > u.indices[b]) {
-      ++b;
-    } else {
-      sum += u.values[b] * vals[a];
-      ++a;
-      ++b;
-    }
-  }
-  return sum;
 }
 
 }  // namespace
@@ -202,23 +156,6 @@ double SparseNorm2(const SparseVector& a) {
   return std::sqrt(sum);
 }
 
-Result<double> FrontierPairScore(Index source, const FrontierChain& left,
-                                 Index target, const FrontierChain& right,
-                                 bool normalized, double relative_threshold,
-                                 const QueryContext& ctx) {
-  HETESIM_ASSIGN_OR_RETURN(
-      SparseVector u, PropagateFrontier(source, left, relative_threshold, ctx));
-  HETESIM_ASSIGN_OR_RETURN(
-      SparseVector v,
-      PropagateFrontier(target, right, relative_threshold, ctx));
-  const double dot = SparseDot(u, v);
-  if (!normalized) return dot;
-  const double nu = SparseNorm2(u);
-  const double nv = SparseNorm2(v);
-  if (nu == 0.0 || nv == 0.0) return 0.0;
-  return dot / (nu * nv);
-}
-
 FrontierChain PlanFrontierChain(const std::vector<SparseMatrix>& steps,
                                 const MetaPath& path, bool left_side,
                                 PathMatrixCache* cache) {
@@ -255,151 +192,9 @@ FrontierChain PlanFrontierChain(const std::vector<SparseMatrix>& steps,
   if (winner != nullptr) {
     plan.head = winner->matrix;
     plan.head_steps = static_cast<size_t>(winner->steps_covered);
-    plan.used_cached_partial = true;
     cache->RecordPartialReuse(left_side, winner->matrix->ApproxBytes());
   }
   return plan;
-}
-
-Result<TopKResult> FrontierExecutor::TopK(Index source, int k,
-                                          const QueryContext& ctx) const {
-  TopKResult result;
-  // Propagation polls the context per hop; deadline/cancellation there maps
-  // to the searcher's best-effort contract (an empty truncated ranking, not
-  // an error). Real failures — budget exhaustion, injected faults, range
-  // errors — still propagate.
-  Result<SparseVector> propagated =
-      PropagateFrontier(source, left_, options_.truncation, ctx);
-  if (!propagated.ok()) {
-    const Status status = propagated.status();
-    if (status.IsDeadlineExceeded() || status.IsCancelled()) {
-      result.truncated = true;
-      return result;
-    }
-    return status;
-  }
-  SparseVector u = *std::move(propagated);
-  result.error_bound = u.dropped_mass;
-  const size_t support = u.nnz();
-  // For the frontier algo the "middle" counters describe frontier entries,
-  // the unit of sweep work, not the dense middle-type size.
-  result.middle_total = static_cast<Index>(support);
-  const double nu = SparseNorm2(u);
-  if (support == 0 || nu == 0.0) {
-    result.middle_processed = result.middle_total;
-    return result;
-  }
-
-  // Phase 1: fold middle entries in descending-mass order, tracking per-
-  // candidate partial dots. tail_sumsq[j] is the squared L2 mass of the
-  // entries not yet folded after position j-1; it drives the unseen-
-  // candidate upper bound (see the class comment for the derivation).
-  std::vector<size_t> order(support);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&u](size_t a, size_t b) {
-    return u.values[a] != u.values[b] ? u.values[a] > u.values[b]
-                                      : u.indices[a] < u.indices[b];
-  });
-  std::vector<double> tail_sumsq(support + 1, 0.0);
-  for (size_t j = support; j-- > 0;) {
-    const double v = u.values[order[j]];
-    tail_sumsq[j] = tail_sumsq[j + 1] + v * v;
-  }
-
-  const size_t num_targets = static_cast<size_t>(right_->rows());
-  HETESIM_ASSIGN_OR_RETURN(
-      MemoryReservation sweep_reservation,
-      ctx.Reserve(num_targets * (sizeof(double) + sizeof(Index) / 4)));
-  std::vector<double> partial(num_targets, 0.0);
-  std::vector<Index> touched;
-  std::vector<double> lower_scratch;
-  PollStrideController poller(options_.topk_poll_stride);
-  const size_t keep_k = static_cast<size_t>(std::max(k, 0));
-  const double bound_scale =
-      options_.normalized ? 1.0 / nu : max_right_norm_;
-  // Re-deriving the k-th lower bound costs O(touched); do it at a stride.
-  // Between recomputations the last value stays a valid (stale) lower
-  // bound, because partial dots only grow. The stride shrinks with the
-  // frontier so small middles (a handful of conferences) still get enough
-  // checks to ever exit early; 64 caps the cost on wide frontiers.
-  constexpr size_t kBoundCheckStride = 64;
-  const size_t bound_stride =
-      std::min(kBoundCheckStride, std::max<size_t>(1, support / 8));
-  double last_kth_lower = -1.0;
-  size_t processed = support;
-  for (size_t j = 0; j < support; ++j) {
-    if (j > 0 && poller.ShouldPoll(j) && ctx.Expired()) {
-      result.truncated = true;
-      processed = j;
-      break;
-    }
-    const size_t e = order[j];
-    const auto targets = right_transpose_->RowIndices(u.indices[e]);
-    const auto weights = right_transpose_->RowValues(u.indices[e]);
-    const double um = u.values[e];
-    for (size_t i = 0; i < targets.size(); ++i) {
-      double& slot = partial[static_cast<size_t>(targets[i])];
-      if (slot == 0.0) touched.push_back(targets[i]);
-      slot += um * weights[i];
-    }
-    // A bound exit on the final entry would be a no-op that still pays the
-    // rescore pass, so the last fold always completes the sweep naturally.
-    if (keep_k > 0 && touched.size() >= keep_k && j + 1 < support) {
-      const double unseen = std::sqrt(tail_sumsq[j + 1]) * bound_scale;
-      if (last_kth_lower <= unseen && j % bound_stride == bound_stride - 1) {
-        last_kth_lower =
-            KthLowerBound(touched, partial, *right_norms_,
-                          options_.normalized, nu, keep_k, lower_scratch);
-      }
-      // Strict: ties (which the ranking breaks by id) must keep sweeping.
-      if (last_kth_lower > unseen) {
-        result.bound_exit = true;
-        processed = j + 1;
-        break;
-      }
-    }
-  }
-  result.middle_processed = static_cast<Index>(processed);
-  result.candidates_examined = static_cast<Index>(touched.size());
-
-  // Phase 2: exact scores. After a full sweep the partials already are the
-  // exact dots, but a bound exit froze them mid-accumulation — rescore every
-  // touched candidate against the full frontier. A deadline truncation
-  // instead reports the partial dots as-is: valid lower bounds, the same
-  // contract as the pruned path.
-  std::vector<Scored> candidates;
-  candidates.reserve(touched.size());
-  bool rescore = result.bound_exit;
-  // Rescoring is itself O(touched * nnz), so it keeps polling on the phase-1
-  // controller (the item counter continues past `processed` to keep the
-  // stride monotonic). On expiry the remaining candidates fall back to
-  // their partial dots — the same valid-lower-bound contract as a phase-1
-  // deadline truncation.
-  size_t rescore_item = processed;
-  for (Index t : touched) {
-    if (rescore && poller.ShouldPoll(rescore_item++) && ctx.Expired()) {
-      result.truncated = true;
-      rescore = false;
-    }
-    double score =
-        rescore ? ExactRowDot(right_->RowIndices(t), right_->RowValues(t), u)
-                : partial[static_cast<size_t>(t)];
-    if (options_.normalized) {
-      const double nt = (*right_norms_)[static_cast<size_t>(t)];
-      if (nt != 0.0) score /= nu * nt;
-    }
-    if (score != 0.0) candidates.push_back({t, score});
-  }
-  auto by_score_desc = [](const Scored& a, const Scored& b) {
-    return a.score != b.score ? a.score > b.score : a.id < b.id;
-  };
-  const size_t keep = std::min(keep_k, candidates.size());
-  std::partial_sort(candidates.begin(),
-                    candidates.begin() + static_cast<ptrdiff_t>(keep),
-                    candidates.end(), by_score_desc);
-  candidates.resize(keep);
-  result.items = std::move(candidates);
-  return result;
 }
 
 }  // namespace hetesim

@@ -71,24 +71,25 @@ void RecordQueryOutcome(TraceSpan& span, const Status& status,
   }
 }
 
+/// The cache-less propagation chain over one half's per-step transitions.
+FrontierChain StepsChain(const std::vector<SparseMatrix>& steps) {
+  FrontierChain chain;
+  chain.steps = &steps;
+  return chain;
+}
+
+/// Equation 7 on two propagated frontiers: their dot, cosine-normalized
+/// when `normalized` (0 when either side reaches nothing).
+double CombineFrontiers(const SparseVector& u, const SparseVector& v,
+                        bool normalized) {
+  const double dot = SparseDot(u, v);
+  if (!normalized) return dot;
+  const double nu = SparseNorm2(u);
+  const double nv = SparseNorm2(v);
+  return (nu == 0.0 || nv == 0.0) ? 0.0 : dot / (nu * nv);
+}
+
 }  // namespace
-
-Result<RelevanceAlgo> ParseRelevanceAlgo(std::string_view word) {
-  if (word == "exhaustive") return RelevanceAlgo::kExhaustive;
-  if (word == "pruned") return RelevanceAlgo::kPruned;
-  if (word == "frontier") return RelevanceAlgo::kFrontier;
-  return Status::InvalidArgument("unknown algo '" + std::string(word) +
-                                 "' (want exhaustive | pruned | frontier)");
-}
-
-const char* AlgoName(RelevanceAlgo algo) {
-  switch (algo) {
-    case RelevanceAlgo::kExhaustive: return "exhaustive";
-    case RelevanceAlgo::kPruned: return "pruned";
-    case RelevanceAlgo::kFrontier: return "frontier";
-  }
-  return "unknown";
-}
 
 HeteSimEngine::HeteSimEngine(const HinGraph& graph, HeteSimOptions options,
                              std::shared_ptr<PathMatrixCache> cache)
@@ -241,14 +242,19 @@ Result<std::vector<double>> HeteSimEngine::ComputeSingleSource(
                              cache_->GetRight(graph_, path, ctx, options_.num_threads));
   } else {
     PathDecomposition decomposition = DecomposePath(graph_, path);
-    u.assign(static_cast<size_t>(num_sources), 0.0);
-    u[static_cast<size_t>(source)] = 1.0;
-    u = VectorThroughChainTruncated(std::move(u), decomposition.left_transitions,
-                                    options_.truncation);
+    const FrontierChain left_chain = StepsChain(decomposition.left_transitions);
+    HETESIM_ASSIGN_OR_RETURN(
+        SparseVector frontier,
+        PropagateFrontier(source, left_chain, options_.truncation, ctx));
     HETESIM_ASSIGN_OR_RETURN(
         SparseMatrix computed,
         RightReachMatrix(decomposition, options_.num_threads, ctx));
     right = std::make_shared<const SparseMatrix>(std::move(computed));
+    // Densify the frontier for the row product below.
+    u.assign(static_cast<size_t>(right->cols()), 0.0);
+    for (size_t i = 0; i < frontier.nnz(); ++i) {
+      u[static_cast<size_t>(frontier.indices[i])] = frontier.values[i];
+    }
   }
   // scores[t] = u . PM_R(t,:), then cosine-normalize per Definition 10.
   std::vector<double> scores = right->MultiplyVector(u);
@@ -290,18 +296,18 @@ Result<double> HeteSimEngine::ComputePair(const MetaPath& path, Index source,
     return options_.normalized ? left->RowCosine(source, *right, target)
                                : left->RowDot(source, *right, target);
   }
-  // Cache-less path: propagate both indicator vectors to the middle type;
-  // no matrix products at all (Equation 7 evaluated directly).
+  // Cache-less path: propagate both indicators to the middle type as sparse
+  // frontiers; no matrix products at all (Equation 7 evaluated directly).
   PathDecomposition decomposition = DecomposePath(graph_, path);
-  std::vector<double> u(static_cast<size_t>(num_sources), 0.0);
-  u[static_cast<size_t>(source)] = 1.0;
-  u = VectorThroughChainTruncated(std::move(u), decomposition.left_transitions,
-                                  options_.truncation);
-  std::vector<double> v(static_cast<size_t>(num_targets), 0.0);
-  v[static_cast<size_t>(target)] = 1.0;
-  v = VectorThroughChainTruncated(std::move(v), decomposition.right_transitions,
-                                  options_.truncation);
-  return options_.normalized ? CosineSimilarity(u, v) : Dot(u, v);
+  const FrontierChain left_chain = StepsChain(decomposition.left_transitions);
+  const FrontierChain right_chain = StepsChain(decomposition.right_transitions);
+  HETESIM_ASSIGN_OR_RETURN(
+      SparseVector u,
+      PropagateFrontier(source, left_chain, options_.truncation, ctx));
+  HETESIM_ASSIGN_OR_RETURN(
+      SparseVector v,
+      PropagateFrontier(target, right_chain, options_.truncation, ctx));
+  return CombineFrontiers(u, v, options_.normalized);
 }
 
 Result<std::vector<double>> HeteSimEngine::ComputePairs(
@@ -337,52 +343,6 @@ Result<std::vector<double>> HeteSimEngine::ComputePairsTraced(
       return Status::OutOfRange("target id out of range");
     }
   }
-  if (options_.algo == RelevanceAlgo::kFrontier) {
-    // Frontier pair scoring (core/frontier.h): both indicators propagate
-    // sparsely to the middle type and combine per Equation 7 — no reachable
-    // matrix is materialized. A cache, when present, is probed for partial
-    // products to fold into the chains (ad-hoc meta-path reuse), and each
-    // distinct id's frontier is propagated once.
-    if (span.active()) span.Annotate("mode", "frontier");
-    PathDecomposition decomposition = DecomposePath(graph_, path);
-    const FrontierChain left_chain = PlanFrontierChain(
-        decomposition.left_transitions, path, /*left_side=*/true, cache_.get());
-    const FrontierChain right_chain =
-        PlanFrontierChain(decomposition.right_transitions, path,
-                          /*left_side=*/false, cache_.get());
-    std::unordered_map<Index, SparseVector> source_frontiers;
-    std::unordered_map<Index, SparseVector> target_frontiers;
-    auto frontier_of =
-        [&](Index id, const FrontierChain& chain,
-            std::unordered_map<Index, SparseVector>& memo)
-        -> Result<const SparseVector*> {
-      auto it = memo.find(id);
-      if (it != memo.end()) return &it->second;
-      HETESIM_ASSIGN_OR_RETURN(
-          SparseVector propagated,
-          PropagateFrontier(id, chain, options_.truncation, ctx));
-      return &memo.emplace(id, std::move(propagated)).first->second;
-    };
-    std::vector<double> scores;
-    scores.reserve(pairs.size());
-    for (const auto& [source, target] : pairs) {
-      HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
-      HETESIM_ASSIGN_OR_RETURN(
-          const SparseVector* u,
-          frontier_of(source, left_chain, source_frontiers));
-      HETESIM_ASSIGN_OR_RETURN(
-          const SparseVector* v,
-          frontier_of(target, right_chain, target_frontiers));
-      double score = SparseDot(*u, *v);
-      if (options_.normalized) {
-        const double nu = SparseNorm2(*u);
-        const double nv = SparseNorm2(*v);
-        score = (nu == 0.0 || nv == 0.0) ? 0.0 : score / (nu * nv);
-      }
-      scores.push_back(score);
-    }
-    return scores;
-  }
   if (cache_ != nullptr) {
     if (span.active()) span.Annotate("mode", "cached");
     HETESIM_ASSIGN_OR_RETURN(
@@ -416,36 +376,36 @@ Result<std::vector<double>> HeteSimEngine::ComputePairsTraced(
     HETESIM_RETURN_NOT_OK(region_status.status());
     return scores;
   }
-  // One decomposition; distributions propagated once per distinct id.
-  if (span.active()) span.Annotate("mode", "decomposed");
+  // Uncached: one decomposition; each distinct id's frontier is propagated
+  // once and reused by every pair that repeats it.
+  if (span.active()) span.Annotate("mode", "uncached");
   PathDecomposition decomposition = DecomposePath(graph_, path);
-  std::unordered_map<Index, std::vector<double>> source_distributions;
-  std::unordered_map<Index, std::vector<double>> target_distributions;
-  auto distribution_of = [&](Index id, Index dimension,
-                             const std::vector<SparseMatrix>& chain,
-                             std::unordered_map<Index, std::vector<double>>& memo)
-      -> const std::vector<double>& {
+  const FrontierChain left_chain = StepsChain(decomposition.left_transitions);
+  const FrontierChain right_chain = StepsChain(decomposition.right_transitions);
+  std::unordered_map<Index, SparseVector> source_frontiers;
+  std::unordered_map<Index, SparseVector> target_frontiers;
+  auto frontier_of = [&](Index id, const FrontierChain& chain,
+                         std::unordered_map<Index, SparseVector>& memo)
+      -> Result<const SparseVector*> {
     auto it = memo.find(id);
-    if (it != memo.end()) return it->second;
-    std::vector<double> indicator(static_cast<size_t>(dimension), 0.0);
-    indicator[static_cast<size_t>(id)] = 1.0;
-    return memo
-        .emplace(id, VectorThroughChainTruncated(std::move(indicator), chain,
-                                                 options_.truncation))
-        .first->second;
+    if (it != memo.end()) return &it->second;
+    HETESIM_ASSIGN_OR_RETURN(
+        SparseVector propagated,
+        PropagateFrontier(id, chain, options_.truncation, ctx));
+    return &memo.emplace(id, std::move(propagated)).first->second;
   };
   std::vector<double> scores;
   scores.reserve(pairs.size());
   for (const auto& [source, target] : pairs) {
-    // Each iteration propagates at most two indicator vectors — chunk-ish
-    // units of work, so per-pair polling keeps cancellation prompt without
+    // Each iteration propagates at most two frontiers — chunk-ish units of
+    // work, so per-pair polling keeps cancellation prompt without
     // measurable cost.
     HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
-    const std::vector<double>& u = distribution_of(
-        source, num_sources, decomposition.left_transitions, source_distributions);
-    const std::vector<double>& v = distribution_of(
-        target, num_targets, decomposition.right_transitions, target_distributions);
-    scores.push_back(options_.normalized ? CosineSimilarity(u, v) : Dot(u, v));
+    HETESIM_ASSIGN_OR_RETURN(const SparseVector* u,
+                             frontier_of(source, left_chain, source_frontiers));
+    HETESIM_ASSIGN_OR_RETURN(const SparseVector* v,
+                             frontier_of(target, right_chain, target_frontiers));
+    scores.push_back(CombineFrontiers(*u, *v, options_.normalized));
   }
   return scores;
 }

@@ -2,7 +2,6 @@
 #define HETESIM_CORE_HETESIM_H_
 
 #include <memory>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,28 +17,6 @@ namespace hetesim {
 class PathMatrixCache;  // materialize.h
 class TraceSpan;        // common/trace.h
 
-/// Which execution strategy the single-source/pair fast paths use. The
-/// three values form the `--algo` ablation ladder (DESIGN.md §14):
-///  * kExhaustive — reference: score every object of the target type.
-///  * kPruned     — score only candidates sharing a middle object with the
-///                  source (the historical default since the pruning PR).
-///  * kFrontier   — sparse frontier propagation with per-hop truncation,
-///                  lazy normalization, and monotone-bound early exit
-///                  (Section 4.6 taken seriously; see core/frontier.h).
-enum class RelevanceAlgo {
-  kExhaustive,
-  kPruned,
-  kFrontier,
-};
-
-/// Parses an `--algo` word ("exhaustive" | "pruned" | "frontier").
-/// Unknown values are `InvalidArgument` naming the choices — a usage
-/// error (exit 2) at the CLI layer.
-[[nodiscard]] Result<RelevanceAlgo> ParseRelevanceAlgo(std::string_view word);
-
-/// The canonical spelling of `algo` (inverse of `ParseRelevanceAlgo`).
-const char* AlgoName(RelevanceAlgo algo);
-
 /// Options controlling HeteSim evaluation.
 struct HeteSimOptions {
   /// When true (the default, and what the paper calls "HeteSim" from
@@ -49,12 +26,14 @@ struct HeteSimOptions {
   /// needed for the SimRank connection (Property 5).
   bool normalized = true;
 
-  /// Approximate truncation threshold for the cache-less pair and
-  /// single-source queries (Section 4.6: "approximate algorithms ... with
-  /// a small loss of accuracy"): reachable-probability entries below this
-  /// are dropped after each propagation step, keeping the frontier sparse
-  /// on hub-heavy networks. 0 (the default) is exact. The absolute score
-  /// error is bounded by `path length * truncation * middle-type size`.
+  /// Relative per-hop truncation threshold for frontier propagation
+  /// (Section 4.6: "approximate algorithms ... with a small loss of
+  /// accuracy"): after each hop, entries below `truncation` times the hop's
+  /// largest entry are dropped and their L1 mass recorded, keeping the
+  /// frontier sparse on hub-heavy networks. It applies wherever a query
+  /// propagates a frontier: every `TopKSearcher::Query` and the cache-less
+  /// pair and single-source queries; cached queries read materialized
+  /// halves and ignore it. 0 (the default) is exact.
   double truncation = 0.0;
 
   /// Threads used by the full-matrix `Compute` (the SpGEMM of the two
@@ -73,24 +52,6 @@ struct HeteSimOptions {
   /// floating-point rounding, so results are only ~1e-12-close to the
   /// seed's strict left-to-right evaluation, not bitwise equal to it.
   int num_threads = 1;
-
-  /// Strategy for the latency-critical single-source/pair queries
-  /// (`TopKSearcher::Query`, `HeteSimEngine::ComputePairs`). The default
-  /// keeps the historical pruned path; `kFrontier` switches to the sparse
-  /// frontier executor with bound-based early exit (core/frontier.h).
-  /// Full-matrix `Compute` ignores this — there is nothing to prune when
-  /// every row is wanted. Under `kFrontier`, `truncation` is interpreted
-  /// as a *relative* per-hop threshold (fraction of the hop's largest
-  /// entry) rather than an absolute one; 0 stays exact either way.
-  RelevanceAlgo algo = RelevanceAlgo::kPruned;
-
-  /// Deadline/cancellation poll stride for the top-k accumulation loops.
-  /// 0 (the default) adapts the stride to the observed per-item cost,
-  /// targeting ~25us between polls, so cheap items poll rarely and
-  /// expensive items poll often enough to honor tight deadlines. A
-  /// positive value pins a fixed stride — 1024 reproduces the historical
-  /// constant the deadline-storm scenario was originally tuned around.
-  int topk_poll_stride = 0;
 };
 
 /// \brief The HeteSim relevance measure (Section 4 of the paper).
@@ -127,13 +88,16 @@ class HeteSimEngine {
 
   /// Relevance of `source` to every target object: one row of `Compute`.
   /// Errors when `source` is out of range for the path's source type. A
-  /// cache miss or the uncached right-half product runs under `ctx`.
+  /// cache miss, or without a cache the source's frontier propagation
+  /// (`PropagateFrontier`) and the right-half product, runs under `ctx`.
   [[nodiscard]] Result<std::vector<double>> ComputeSingleSource(
       const MetaPath& path, Index source,
       const QueryContext& ctx = QueryContext::Background()) const;
 
-  /// Relevance of the single pair (`source`, `target`); a cache miss runs
-  /// under `ctx`.
+  /// Relevance of the single pair (`source`, `target`). With a cache it
+  /// combines the cached halves' rows; without one it propagates both
+  /// ends' frontiers and combines them (Equation 7). Either runs under
+  /// `ctx`.
   [[nodiscard]] Result<double> ComputePair(
       const MetaPath& path, Index source, Index target,
       const QueryContext& ctx = QueryContext::Background()) const;

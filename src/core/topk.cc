@@ -22,7 +22,6 @@ namespace {
 struct TopKMetrics {
   Counter& queries;
   Counter& truncated;
-  Counter& bound_exits;
   Histogram& latency;
 };
 
@@ -30,7 +29,6 @@ TopKMetrics& GlobalTopKMetrics() {
   static TopKMetrics metrics{
       MetricsRegistry::Global().GetCounter("hetesim_topk_queries_total"),
       MetricsRegistry::Global().GetCounter("hetesim_topk_truncated_total"),
-      MetricsRegistry::Global().GetCounter("hetesim_topk_bound_exits_total"),
       MetricsRegistry::Global().GetHistogram(
           "hetesim_topk_query_latency_seconds",
           DefaultLatencyBoundariesSeconds()),
@@ -75,10 +73,14 @@ Result<std::vector<ScoredPair>> TopKPairs(const HinGraph& graph,
   // Collect each source's top-k (more than enough to fill the global k)
   // and keep the best k overall.
   std::vector<ScoredPair> best;
+  // Request one extra so a skipped diagonal hit cannot starve the pool. In
+  // 64 bits because `k` may be INT_MAX; no source ranks more than every
+  // target, so the cap also brings the request back into `int` range.
+  const int per_source = static_cast<int>(
+      std::min<int64_t>(int64_t{k} + 1, searcher.num_targets()));
   const Index num_sources = graph.NumNodes(path.SourceType());
   for (Index s = 0; s < num_sources; ++s) {
-    // Request one extra so a skipped diagonal hit cannot starve the pool.
-    HETESIM_ASSIGN_OR_RETURN(TopKResult result, searcher.Query(s, k + 1));
+    HETESIM_ASSIGN_OR_RETURN(TopKResult result, searcher.Query(s, per_source));
     for (const Scored& item : result.items) {
       if (exclude_diagonal && same_type && item.id == s) continue;
       best.push_back({s, item.id, item.score});
@@ -96,10 +98,8 @@ Result<std::vector<ScoredPair>> TopKPairs(const HinGraph& graph,
 void TopKSearcher::FinishPreparation() {
   right_transpose_ = right_->Transpose();
   right_norms_.resize(static_cast<size_t>(right_->rows()));
-  max_right_norm_ = 0.0;
   for (Index t = 0; t < right_->rows(); ++t) {
     right_norms_[static_cast<size_t>(t)] = right_->RowNorm(t);
-    max_right_norm_ = std::max(max_right_norm_, right_norms_[static_cast<size_t>(t)]);
   }
 }
 
@@ -118,12 +118,10 @@ Result<TopKSearcher> TopKSearcher::Prepare(const HinGraph& graph,
     HETESIM_ASSIGN_OR_RETURN(
         searcher.right_,
         cache->GetRightWithReuse(graph, path, ctx, options.num_threads));
-    if (options.algo == RelevanceAlgo::kFrontier) {
-      FrontierChain plan = PlanFrontierChain(searcher.left_transitions_, path,
-                                             /*left_side=*/true, cache);
-      searcher.left_head_ = plan.head;
-      searcher.left_head_steps_ = plan.head_steps;
-    }
+    FrontierChain plan = PlanFrontierChain(searcher.left_transitions_, path,
+                                           /*left_side=*/true, cache);
+    searcher.left_head_ = plan.head;
+    searcher.left_head_steps_ = plan.head_steps;
   } else {
     HETESIM_ASSIGN_OR_RETURN(
         SparseMatrix right,
@@ -135,15 +133,6 @@ Result<TopKSearcher> TopKSearcher::Prepare(const HinGraph& graph,
   return searcher;
 }
 
-Result<std::vector<double>> TopKSearcher::SourceDistribution(Index source) const {
-  if (source < 0 || source >= num_sources_) {
-    return Status::OutOfRange("source id out of range");
-  }
-  std::vector<double> u(static_cast<size_t>(num_sources_), 0.0);
-  u[static_cast<size_t>(source)] = 1.0;
-  return VectorThroughChain(std::move(u), left_transitions_);
-}
-
 Result<TopKResult> TopKSearcher::Query(Index source, int k,
                                        const QueryContext& ctx) const {
   TraceSpan span(ctx.trace(), "topk.query");
@@ -151,7 +140,6 @@ Result<TopKResult> TopKSearcher::Query(Index source, int k,
     span.Annotate("source", std::to_string(source));
     span.Annotate("k", std::to_string(k));
   }
-  if (span.active()) span.Annotate("algo", AlgoName(options_.algo));
   Stopwatch stopwatch;
   Result<TopKResult> result = QueryTraced(source, k, ctx);
   if (MetricsEnabled()) {
@@ -159,7 +147,6 @@ Result<TopKResult> TopKSearcher::Query(Index source, int k,
     metrics.queries.Increment();
     metrics.latency.Observe(stopwatch.ElapsedSeconds());
     if (result.ok() && result->truncated) metrics.truncated.Increment();
-    if (result.ok() && result->bound_exit) metrics.bound_exits.Increment();
   }
   if (span.active()) {
     if (!result.ok()) {
@@ -167,8 +154,6 @@ Result<TopKResult> TopKSearcher::Query(Index source, int k,
                     std::string(StatusCodeToString(result.status().code())));
     } else if (result->truncated) {
       span.Annotate("truncated", "true");
-    } else if (result->bound_exit) {
-      span.Annotate("bound_exit", "true");
     }
   }
   return result;
@@ -176,70 +161,70 @@ Result<TopKResult> TopKSearcher::Query(Index source, int k,
 
 Result<TopKResult> TopKSearcher::QueryTraced(Index source, int k,
                                              const QueryContext& ctx) const {
-  // The `--algo` ablation switch. Exhaustive is the dense reference;
-  // frontier hands off to the sparse executor (core/frontier.h); the
-  // pruned accumulation below remains the default.
-  if (options_.algo == RelevanceAlgo::kExhaustive) {
-    return QueryExhaustive(source, k);
+  if (source < 0 || source >= num_sources_) {
+    return Status::OutOfRange("source id out of range");
   }
-  if (options_.algo == RelevanceAlgo::kFrontier) {
-    if (source < 0 || source >= num_sources_) {
-      return Status::OutOfRange("source id out of range");
-    }
-    FrontierChain left;
-    left.steps = &left_transitions_;
-    left.head = left_head_;
-    left.head_steps = left_head_steps_;
-    left.used_cached_partial = left_head_ != nullptr;
-    FrontierExecutor executor(std::move(left), right_.get(),
-                              &right_transpose_, &right_norms_,
-                              max_right_norm_, options_);
-    return executor.TopK(source, k, ctx);
-  }
-  // Deliberately no up-front CheckAlive: a query whose deadline has already
-  // passed still produces a well-formed *partial* result (one poll stride of
-  // accumulation, truncation marker set) rather than an error — the
-  // documented best-effort contract. Invalid arguments still fail below.
-  HETESIM_ASSIGN_OR_RETURN(std::vector<double> u, SourceDistribution(source));
-  const double nu = Norm2(u);
   TopKResult result;
-  result.middle_total = static_cast<Index>(u.size());
+  // 1. Propagate the source frontier through the left chain, from the
+  // cached head when preparation found one. Deliberately no up-front
+  // CheckAlive: a query whose deadline has already passed still completes
+  // a propagation shorter than one poll stride and returns a well-formed
+  // *partial* ranking. A deadline or cancellation inside the propagation
+  // maps to an empty truncated ranking, not an error; real failures
+  // (budget exhaustion, injected faults) still propagate.
+  const FrontierChain left{&left_transitions_, left_head_, left_head_steps_};
+  Result<SparseVector> propagated =
+      PropagateFrontier(source, left, options_.truncation, ctx);
+  if (!propagated.ok()) {
+    const Status status = propagated.status();
+    if (status.IsDeadlineExceeded() || status.IsCancelled()) {
+      result.truncated = true;
+      return result;
+    }
+    return status;
+  }
+  const SparseVector u = *std::move(propagated);
+  result.error_bound = u.dropped_mass;
+  result.middle_total = static_cast<Index>(u.nnz());
+  const double nu = SparseNorm2(u);
   if (nu == 0.0) {
     // Source reaches nothing: the empty answer is complete, not truncated.
     result.middle_processed = result.middle_total;
     return result;
   }
-  // Accumulate scores only for targets that share a middle object with u.
-  // `right_transpose_` maps each middle object to the targets reaching it.
-  // The context is polled once per stride (adaptive by default, pinned via
-  // `topk_poll_stride`): an expired deadline (or a cancellation) stops the
-  // accumulation and the partial scores are ranked and returned with the
-  // truncation marker set, so the caller always gets a best-effort answer
-  // within one stride of the deadline.
-  PollStrideController poller(options_.topk_poll_stride);
-  std::vector<double> scores(static_cast<size_t>(right_->rows()), 0.0);
+  // 2. Scatter the frontier through the inverted index in ascending middle
+  // order — the term order of a dense row-times-matrix product, so scores
+  // are bitwise reproducible. On expiry the partial scores are ranked and
+  // returned with the truncation marker set.
+  const size_t num_targets = static_cast<size_t>(right_->rows());
+  HETESIM_ASSIGN_OR_RETURN(
+      MemoryReservation reservation,
+      ctx.Reserve(num_targets * (sizeof(double) + sizeof(Index))));
+  std::vector<double> scores(num_targets, 0.0);
   std::vector<Index> touched;
-  size_t processed = u.size();
-  for (size_t m = 0; m < u.size(); ++m) {
-    if (m > 0 && poller.ShouldPoll(m) && ctx.Expired()) {
+  PollStrideController poller;
+  size_t processed = u.nnz();
+  for (size_t j = 0; j < u.nnz(); ++j) {
+    if (j > 0 && poller.ShouldPoll(j) && ctx.Expired()) {
       result.truncated = true;
-      processed = m;
+      processed = j;
       break;
     }
-    const double um = u[m];
-    if (um == 0.0) continue;
-    auto targets = right_transpose_.RowIndices(static_cast<Index>(m));
-    auto weights = right_transpose_.RowValues(static_cast<Index>(m));
-    for (size_t j = 0; j < targets.size(); ++j) {
-      if (scores[static_cast<size_t>(targets[j])] == 0.0) touched.push_back(targets[j]);
-      scores[static_cast<size_t>(targets[j])] += um * weights[j];
+    const double um = u.values[j];
+    const auto targets = right_transpose_.RowIndices(u.indices[j]);
+    const auto weights = right_transpose_.RowValues(u.indices[j]);
+    for (size_t i = 0; i < targets.size(); ++i) {
+      double& slot = scores[static_cast<size_t>(targets[i])];
+      if (slot == 0.0) touched.push_back(targets[i]);
+      slot += um * weights[i];
     }
   }
   result.middle_processed = static_cast<Index>(processed);
   result.candidates_examined = static_cast<Index>(touched.size());
+  // 3. Normalize (Definition 10) by the source and stored target norms.
   std::vector<Scored> candidates;
   candidates.reserve(touched.size());
-  // Bounded normalize-and-collect pass; the middle sweep above polls.
+  // Bounded normalize-and-collect pass; the scatter above polls.
   for (Index t : touched) {  // hetesim-lint: allow(cancel-poll)
     double s = scores[static_cast<size_t>(t)];
     if (options_.normalized) {
@@ -248,6 +233,7 @@ Result<TopKResult> TopKSearcher::QueryTraced(Index source, int k,
     }
     if (s != 0.0) candidates.push_back({t, s});
   }
+  // 4. Partial-sort the best k.
   auto by_score_desc = [](const Scored& a, const Scored& b) {
     return a.score != b.score ? a.score > b.score : a.id < b.id;
   };
@@ -261,7 +247,12 @@ Result<TopKResult> TopKSearcher::QueryTraced(Index source, int k,
 }
 
 Result<TopKResult> TopKSearcher::QueryExhaustive(Index source, int k) const {
-  HETESIM_ASSIGN_OR_RETURN(std::vector<double> u, SourceDistribution(source));
+  if (source < 0 || source >= num_sources_) {
+    return Status::OutOfRange("source id out of range");
+  }
+  std::vector<double> u(static_cast<size_t>(num_sources_), 0.0);
+  u[static_cast<size_t>(source)] = 1.0;
+  u = VectorThroughChain(std::move(u), left_transitions_);
   const double nu = Norm2(u);
   std::vector<double> scores = right_->MultiplyVector(u);
   if (options_.normalized && nu != 0.0) {

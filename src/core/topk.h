@@ -29,40 +29,32 @@ struct Scored {
 /// returns everything ranked.
 std::vector<Scored> TopK(const std::vector<double>& scores, int k);
 
-/// Result of a pruned top-k query, with the work counter used by the
-/// pruning ablation bench.
+/// Result of a top-k query, with the work counters used by the pruning
+/// bench.
 struct TopKResult {
   std::vector<Scored> items;
   /// Number of candidate targets actually scored. Exhaustive search scores
-  /// every object of the target type; pruned search only those reachable
-  /// from the source's middle-type distribution (Section 4.6: "the related
-  /// objects to a searched object are a very small percentage ... pruning
-  /// techniques can be used").
+  /// every object of the target type; `TopKSearcher::Query` only those
+  /// sharing a middle object with the source's frontier (Section 4.6: "the
+  /// related objects to a searched object are a very small percentage ...
+  /// pruning techniques can be used").
   Index candidates_examined = 0;
-  /// True when a deadline (or cancellation) cut the accumulation short:
-  /// `items` then ranks only the candidates reached through the first
-  /// `middle_processed` of `middle_total` middle objects — every reported
+  /// True when a deadline (or cancellation) cut the query short: `items`
+  /// then ranks only the candidates reached through the first
+  /// `middle_processed` of `middle_total` frontier entries — every reported
   /// score is a valid partial lower bound, but objects may be missing or
-  /// under-scored. Always false for queries run without a context.
+  /// under-scored. A cut inside the propagation itself leaves `items`
+  /// empty. Always false for queries run without a context.
   bool truncated = false;
-  /// Middle objects folded into the scores before stopping. Under
-  /// `RelevanceAlgo::kFrontier` the unit is *frontier entries* (the middle
-  /// objects the source actually reaches) rather than the dense middle
-  /// dimension — the sweep never visits unreached middles at all.
+  /// Frontier entries (middle objects the source reaches) scattered into
+  /// the scores before stopping.
   Index middle_processed = 0;
-  /// Size of the middle type (the full accumulation loop); for the frontier
-  /// algo, the source frontier's support.
+  /// The source frontier's support: the middle objects it reaches.
   Index middle_total = 0;
-  /// True when the frontier sweep stopped early because the k-th best lower
-  /// bound provably exceeded every unseen candidate's upper bound. Unlike
-  /// `truncated`, the ranking is still EXACT — the frozen candidates are
-  /// rescored in full; the bound only proves no one outside them belongs in
-  /// the top-k. Always false for the exhaustive/pruned algos.
-  bool bound_exit = false;
   /// Upper bound on the L1 probability mass dropped by per-hop truncation
-  /// (`HeteSimOptions::truncation` under the frontier algo); 0 for exact
-  /// runs. Scores may drift by up to roughly this mass (normalization makes
-  /// the bound heuristic rather than strict).
+  /// (`HeteSimOptions::truncation`); 0 for exact runs. Scores may drift by
+  /// up to roughly this mass (normalization makes the bound heuristic
+  /// rather than strict).
   double error_bound = 0.0;
 };
 
@@ -79,7 +71,7 @@ struct ScoredPair {
 
 /// \brief Global top-k relevance join: the `k` most related
 /// (source, target) pairs along `path` across ALL sources, descending by
-/// score (ties by ascending source then target). The per-source pruned
+/// score (ties by ascending source then target). The per-source sparse
 /// search keeps this at "touched candidates" cost rather than |A| x |B|.
 /// `k < 0` is an error; self-pairs are included (on symmetric paths they
 /// dominate, so callers ranking cross-object affinity may want
@@ -93,9 +85,9 @@ struct ScoredPair {
 ///
 /// Preparation materializes the path decomposition, the right reachable
 /// matrix, its transpose (an inverted index from middle objects to targets)
-/// and per-target norms, so each query costs one sparse vector propagation
-/// plus work proportional to the candidate set. `Prepare` is the only way
-/// to build one.
+/// and per-target norms, so each query costs one sparse frontier
+/// propagation plus work proportional to the candidate set. `Prepare` is
+/// the only way to build one.
 class TopKSearcher {
  public:
   TopKSearcher(TopKSearcher&&) = default;
@@ -107,27 +99,27 @@ class TopKSearcher {
   /// A non-null `cache` makes preparation ad-hoc-path aware: the right half
   /// is fetched through `PathMatrixCache::GetRightWithReuse` (folding the
   /// cheapest cached partial products instead of recomputing from scratch)
-  /// and, under `RelevanceAlgo::kFrontier`, the left chain is planned
-  /// against cached prefix partials too. The cache must outlive the
-  /// searcher.
+  /// and the left chain is planned against cached prefix partials too. The
+  /// cache must outlive the searcher.
   [[nodiscard]] static Result<TopKSearcher> Prepare(
       const HinGraph& graph, const MetaPath& path, HeteSimOptions options = {},
       const QueryContext& ctx = QueryContext::Background(),
       PathMatrixCache* cache = nullptr);
 
-  /// Single-source query via the strategy selected by
-  /// `HeteSimOptions::algo`: exhaustive reference, pruned accumulation
-  /// (exact — objects outside the candidate set provably score 0), or the
-  /// frontier executor with bound-based early exit (`core/frontier.h`).
-  /// The context is polled at the (adaptive) poll stride; on expiry the
-  /// scores accumulated so far are ranked and returned with
-  /// `truncated = true` instead of an error, so callers get a best-effort
-  /// partial answer within one poll stride of the deadline.
+  /// Single-source top-k (DESIGN.md §14): propagates the source frontier
+  /// through the left chain (`PropagateFrontier`), scatters it through the
+  /// inverted index in ascending middle order, normalizes and
+  /// partial-sorts. Exact: targets outside the candidate set provably score
+  /// 0. The context is polled at an adaptive stride; on expiry the scores
+  /// accumulated so far are ranked and returned with `truncated = true`
+  /// instead of an error, so callers get a best-effort partial answer
+  /// within one poll stride of the deadline.
   [[nodiscard]] Result<TopKResult> Query(
       Index source, int k,
       const QueryContext& ctx = QueryContext::Background()) const;
 
-  /// Exhaustive reference query scoring every target.
+  /// Exhaustive reference query scoring every target from a dense source
+  /// row; the test oracle for `Query`.
   [[nodiscard]] Result<TopKResult> QueryExhaustive(Index source, int k) const;
 
   /// Number of target-type objects.
@@ -141,9 +133,6 @@ class TopKSearcher {
   /// Builds the inverted index and per-target norms from `right_`.
   void FinishPreparation();
 
-  /// Propagates the indicator of `source` through the left chain.
-  [[nodiscard]] Result<std::vector<double>> SourceDistribution(Index source) const;
-
   /// `Query` body, separated so the public entry point can bracket it with
   /// the query span, the latency observation, and the truncation counter
   /// (DESIGN.md §12).
@@ -156,13 +145,12 @@ class TopKSearcher {
   std::vector<SparseMatrix> left_transitions_;
   /// Right reachable matrix, |targets| x |middle|. Shared so a cache-served
   /// half is referenced, not copied, and so the searcher stays cheap to
-  /// move (the frontier executor views these members per query).
+  /// move.
   std::shared_ptr<const SparseMatrix> right_;
   SparseMatrix right_transpose_;  // |middle| x |targets| (inverted index)
   std::vector<double> right_norms_;
-  double max_right_norm_ = 0.0;   // max over right_norms_
   /// Cached partial product covering the first `left_head_steps_` left-chain
-  /// matrices (ad-hoc meta-path reuse under the frontier algo), or null.
+  /// matrices (ad-hoc meta-path reuse), or null.
   std::shared_ptr<const SparseMatrix> left_head_;
   size_t left_head_steps_ = 0;
 };

@@ -75,18 +75,4 @@ std::vector<double> VectorThroughChain(std::vector<double> x,
   return x;
 }
 
-std::vector<double> VectorThroughChainTruncated(std::vector<double> x,
-                                                const std::vector<SparseMatrix>& chain,
-                                                double epsilon) {
-  for (const SparseMatrix& m : chain) {
-    x = m.LeftMultiplyVector(x);
-    if (epsilon > 0.0) {
-      for (double& v : x) {
-        if (std::abs(v) < epsilon) v = 0.0;
-      }
-    }
-  }
-  return x;
-}
-
 }  // namespace hetesim

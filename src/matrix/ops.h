@@ -52,22 +52,12 @@ double CosineSimilarity(const std::vector<double>& a, const std::vector<double>&
 SparseMatrix MultiplyChainLeftToRight(const std::vector<SparseMatrix>& chain);
 
 /// Row vector times a chain of sparse matrices:
-/// `x^T * chain[0] * ... * chain.back()`. This is the single-source
-/// reachable-probability computation — O(sum of nnz) instead of a full
-/// matrix product, the key to fast online queries (Section 4.6).
+/// `x^T * chain[0] * ... * chain.back()`: the dense single-source
+/// reachable-probability computation, O(sum of nnz + dimensions) instead of
+/// a full matrix product. Queries propagate the same values sparsely with
+/// `PropagateFrontier` (core/frontier.h); this dense form is their oracle.
 std::vector<double> VectorThroughChain(std::vector<double> x,
                                        const std::vector<SparseMatrix>& chain);
-
-/// `VectorThroughChain` with approximate truncation (the Section 4.6
-/// suggestion of "approximate algorithms ... with a small loss of
-/// accuracy"): after each step, entries below `epsilon` are dropped to
-/// keep the frontier sparse. For row-stochastic chains the total dropped
-/// probability mass — and hence the absolute error of any downstream dot
-/// product against a vector bounded by 1 — is at most
-/// `chain.size() * epsilon * x.size()`. `epsilon <= 0` is exact.
-std::vector<double> VectorThroughChainTruncated(std::vector<double> x,
-                                                const std::vector<SparseMatrix>& chain,
-                                                double epsilon);
 
 }  // namespace hetesim
 

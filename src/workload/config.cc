@@ -147,15 +147,6 @@ Result<PopularitySpec> ParsePopularity(const Line& line,
   return spec;
 }
 
-Result<RelevanceAlgo> ParseAlgoWord(const Line& line,
-                                    const std::string& word) {
-  Result<RelevanceAlgo> algo = ParseRelevanceAlgo(word);
-  if (!algo.ok()) {
-    return LineError(line, std::string(algo.status().message()));
-  }
-  return algo;
-}
-
 Status ParseGraphLine(const Line& line, OptionReader& reader,
                       WorkloadConfig* config) {
   if (line.positional.size() != 1) {
@@ -336,9 +327,6 @@ Status ParseClassLine(const Line& line, OptionReader& reader,
                              ParsePopularity(line, *pop, reader));
     spec.popularity = popularity;
   }
-  if (auto algo = reader.Take("algo"); algo) {
-    HETESIM_ASSIGN_OR_RETURN(spec.algo, ParseAlgoWord(line, *algo));
-  }
   config->classes.push_back(std::move(spec));
   return Status::OK();
 }
@@ -408,13 +396,6 @@ Result<WorkloadConfig> ParseWorkloadConfig(std::string_view text) {
       }
       HETESIM_ASSIGN_OR_RETURN(
           config.popularity, ParsePopularity(line, line.positional[0], reader));
-    } else if (line.directive == "algo") {
-      if (line.positional.size() != 1) {
-        return LineError(line,
-                         "algo needs a name: exhaustive | pruned | frontier");
-      }
-      HETESIM_ASSIGN_OR_RETURN(config.algo,
-                               ParseAlgoWord(line, line.positional[0]));
     } else if (line.directive == "cache") {
       HETESIM_RETURN_NOT_OK(ParseCacheLine(line, reader, &config));
     } else if (line.directive == "store") {

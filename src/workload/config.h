@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
-#include "core/hetesim.h"
 #include "workload/generators.h"
 
 namespace hetesim::workload {
@@ -29,12 +29,11 @@ namespace hetesim::workload {
 ///   arrival closed workers=8 think_ms=1.5         # closed loop + think time
 ///   arrival open rate_qps=400 workers=8           # open loop, Poisson arrivals
 ///   popularity zipf s=1.05                        # or: uniform | nurand
-///   algo frontier                                 # or: exhaustive | pruned (default)
 ///   cache mb=64                                   # or: cache off | cache unlimited
 ///   store dir=/tmp/hs_store codec=lossless        # persistent tier (or: store off)
 ///   service on workers=2 queue_depth=8 memory_mb=64 retries=2   # admission pipeline
 ///   class pair_hot type=pair   path=A-P-A   weight=0.3 deadline_ms=200
-///   class topk_c   type=topk   path=C-P-A   weight=0.5 k=10 deadline_ms=100 deadline_jitter_pct=50 popularity=nurand algo=frontier
+///   class topk_c   type=topk   path=C-P-A   weight=0.5 k=10 deadline_ms=100 deadline_jitter_pct=50 popularity=nurand
 ///   class row_scan type=single path=A-P-C-P-A weight=0.2
 /// \endcode
 ///
@@ -79,11 +78,6 @@ struct QueryClassSpec {
   int k = 10;             ///< top-k width (kTopK only)
   DeadlineSpec deadline;
   std::optional<PopularitySpec> popularity;  ///< override of the scenario default
-  /// Per-class relevance-strategy override (`algo=frontier`). Lets one
-  /// scenario race two strategies over an identical query stream — the
-  /// apples-to-apples A/B that BENCH_workload.json's frontier evidence
-  /// rests on. Absent = the scenario-level `algo` directive.
-  std::optional<RelevanceAlgo> algo;
 };
 
 /// Admission-pipeline knobs for service-mode scenarios (`service on ...`).
@@ -141,10 +135,6 @@ struct WorkloadConfig {
   double think_ms = 0;    ///< closed loop: mean exponential think time
   double rate_qps = 100;  ///< open loop: Poisson arrival rate
   PopularitySpec popularity;
-  /// Scenario-wide relevance strategy (`algo frontier` directive); classes
-  /// may override per class with `algo=`. In service mode only this
-  /// scenario-level value applies (the service holds one engine config).
-  RelevanceAlgo algo = RelevanceAlgo::kPruned;
   bool cache_enabled = true;
   size_t cache_mb = 0;  ///< 0 = unlimited (no memory budget)
   StoreSpec store;

@@ -137,7 +137,6 @@ Result<std::unique_ptr<WorkloadRunner>> WorkloadRunner::Create(
 
   HeteSimOptions options;
   options.num_threads = 1;  // per-query sequential; concurrency = in-flight queries
-  options.algo = config.algo;
   runner->engine_ = std::make_unique<HeteSimEngine>(*runner->graph_, options,
                                                     runner->cache_);
 
@@ -156,11 +155,9 @@ Result<std::unique_ptr<WorkloadRunner>> WorkloadRunner::Create(
       // Preparation is one-time serving setup (the paper's materialization
       // step), deliberately outside per-query latency. In service mode the
       // QueryService prepares its own searchers, so skip the direct-path one.
-      HeteSimOptions class_options = options;
-      class_options.algo = cls.algo.value_or(config.algo);
       HETESIM_ASSIGN_OR_RETURN(
           TopKSearcher searcher,
-          TopKSearcher::Prepare(*runner->graph_, runtime.path, class_options,
+          TopKSearcher::Prepare(*runner->graph_, runtime.path, options,
                                 QueryContext::Background(),
                                 runner->cache_.get()));
       runtime.searcher = std::make_unique<TopKSearcher>(std::move(searcher));
@@ -180,9 +177,6 @@ Result<std::unique_ptr<WorkloadRunner>> WorkloadRunner::Create(
     service_options.store = store;
     service_options.truncate_slice_ms = config.service.truncate_slice_ms;
     service_options.engine.num_threads = 1;  // same convention as direct mode
-    // Per-class overrides do not reach service mode: the service holds one
-    // engine configuration for every prepared searcher.
-    service_options.engine.algo = config.algo;
     runner->service_ =
         service::QueryService::Create(*runner->graph_, service_options);
   }

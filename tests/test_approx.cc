@@ -1,11 +1,15 @@
 // Tests for the approximate (truncated) propagation of Section 4.6:
-// dropping tiny reachable-probability entries keeps the frontier sparse
-// at a bounded, controllable accuracy cost.
+// dropping small reachable-probability entries keeps the frontier sparse
+// at a bounded, controllable accuracy cost. `HeteSimOptions::truncation`
+// is a relative per-hop threshold applied by `PropagateFrontier`.
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include <gtest/gtest.h>
 
+#include "core/frontier.h"
 #include "core/hetesim.h"
 #include "matrix/ops.h"
 #include "test_util.h"
@@ -13,49 +17,91 @@
 namespace hetesim {
 namespace {
 
+/// The frontier of `source` through `chain` at `threshold`, as a dense row.
+/// Also checks the frontier's invariants: strictly ascending indices and
+/// no explicit zeros.
+std::vector<double> Propagated(Index source,
+                               const std::vector<SparseMatrix>& chain,
+                               double threshold, double* dropped = nullptr) {
+  FrontierChain frontier_chain;
+  frontier_chain.steps = &chain;
+  const SparseVector u = *PropagateFrontier(source, frontier_chain, threshold,
+                                            QueryContext::Background());
+  EXPECT_EQ(std::adjacent_find(u.indices.begin(), u.indices.end(),
+                               std::greater_equal<Index>()),
+            u.indices.end());
+  std::vector<double> dense(static_cast<size_t>(chain.back().cols()), 0.0);
+  for (size_t i = 0; i < u.nnz(); ++i) {
+    EXPECT_NE(u.values[i], 0.0);
+    dense[static_cast<size_t>(u.indices[i])] = u.values[i];
+  }
+  if (dropped != nullptr) *dropped = u.dropped_mass;
+  return dense;
+}
+
+std::vector<double> Indicator(size_t size, Index source) {
+  std::vector<double> x(size, 0.0);
+  x[static_cast<size_t>(source)] = 1.0;
+  return x;
+}
+
 TEST(TruncatedChain, ZeroEpsilonIsExact) {
+  // Bitwise: each hop adds contributions in ascending input order, the
+  // term order of the dense chain.
   HinGraph g = testing::RandomTripartite(10, 12, 8, 0.3, 201);
-  MetaPath path = *MetaPath::Parse(g.schema(), "ABC");
-  std::vector<SparseMatrix> chain = TransitionChain(g, path);
-  std::vector<double> x(10, 0.0);
-  x[3] = 1.0;
-  EXPECT_EQ(VectorThroughChainTruncated(x, chain, 0.0),
-            VectorThroughChain(x, chain));
+  for (const char* spec : {"ABC", "ABCBA"}) {
+    MetaPath path = *MetaPath::Parse(g.schema(), spec);
+    std::vector<SparseMatrix> chain = TransitionChain(g, path);
+    for (Index s = 0; s < 10; ++s) {
+      double dropped = -1.0;
+      EXPECT_EQ(Propagated(s, chain, 0.0, &dropped),
+                VectorThroughChain(Indicator(10, s), chain))
+          << spec << " source " << s;
+      EXPECT_EQ(dropped, 0.0);
+    }
+  }
 }
 
 TEST(TruncatedChain, NegativeEpsilonIsExact) {
   std::vector<SparseMatrix> chain = {
       testing::RandomBipartiteAdjacency(5, 5, 0.5, 202).RowNormalized()};
-  std::vector<double> x = {0.2, 0.2, 0.2, 0.2, 0.2};
-  EXPECT_EQ(VectorThroughChainTruncated(x, chain, -1.0),
-            VectorThroughChain(x, chain));
+  for (Index s = 0; s < 5; ++s) {
+    EXPECT_EQ(Propagated(s, chain, -1.0),
+              VectorThroughChain(Indicator(5, s), chain));
+  }
 }
 
 TEST(TruncatedChain, DropsSmallEntries) {
-  // One step spreading mass 0.999 / 0.001: epsilon 0.01 kills the tail.
+  // One step spreading mass 0.999 / 0.001: a relative threshold of 0.01
+  // (cutoff 0.00999) kills the tail and records its mass.
   SparseMatrix step = SparseMatrix::FromTriplets(
       1, 2, {{0, 0, 0.999}, {0, 1, 0.001}});
-  std::vector<double> x = {1.0};
-  std::vector<double> result = VectorThroughChainTruncated(x, {step}, 0.01);
+  double dropped = 0.0;
+  std::vector<double> result = Propagated(0, {step}, 0.01, &dropped);
   EXPECT_EQ(result[0], 0.999);
   EXPECT_EQ(result[1], 0.0);
+  EXPECT_EQ(dropped, 0.001);
 }
 
 TEST(TruncatedChain, ErrorBoundHolds) {
-  // |exact - truncated|_1 <= steps * epsilon * dimension for stochastic
-  // chains (each truncation drops < epsilon per coordinate).
+  // On row-stochastic chains every dropped unit of mass would have stayed
+  // one unit through the remaining hops, so the L1 error of the truncated
+  // frontier is at most the dropped mass it reports.
   HinGraph g = testing::RandomTripartite(20, 25, 15, 0.3, 203);
   MetaPath path = *MetaPath::Parse(g.schema(), "ABCBA");
   std::vector<SparseMatrix> chain = TransitionChain(g, path);
-  const double epsilon = 1e-3;
-  for (Index s = 0; s < 5; ++s) {
-    std::vector<double> x(20, 0.0);
-    x[static_cast<size_t>(s)] = 1.0;
-    std::vector<double> exact = VectorThroughChain(x, chain);
-    std::vector<double> approx = VectorThroughChainTruncated(x, chain, epsilon);
-    double l1 = 0.0;
-    for (size_t i = 0; i < exact.size(); ++i) l1 += std::abs(exact[i] - approx[i]);
-    EXPECT_LE(l1, static_cast<double>(chain.size()) * epsilon * 25.0);
+  for (double threshold : {1e-3, 1e-2, 0.1, 0.5}) {
+    for (Index s = 0; s < 20; ++s) {
+      std::vector<double> exact = VectorThroughChain(Indicator(20, s), chain);
+      double dropped = 0.0;
+      std::vector<double> approx = Propagated(s, chain, threshold, &dropped);
+      double l1 = 0.0;
+      for (size_t i = 0; i < exact.size(); ++i) {
+        l1 += std::abs(exact[i] - approx[i]);
+      }
+      EXPECT_LE(l1, dropped + 1e-12)
+          << "source " << s << " threshold " << threshold;
+    }
   }
 }
 

@@ -104,10 +104,13 @@ TEST(CliArgs, GetDoubleParsesAndValidates) {
 }
 
 TEST(CliArgs, GetChoiceValidatesVocabulary) {
-  const Args args = MustParse({"topk", "--algo=frontier", "--mode", "bogus"});
-  ASSERT_TRUE(args.GetChoice("algo", "pruned", {"pruned", "frontier"}).ok());
-  EXPECT_EQ(*args.GetChoice("algo", "pruned", {"pruned", "frontier"}),
-            "frontier");
+  const Args args =
+      MustParse({"topk", "--store-codec=quantized", "--mode", "bogus"});
+  ASSERT_TRUE(
+      args.GetChoice("store-codec", "lossless", {"lossless", "quantized"}).ok());
+  EXPECT_EQ(
+      *args.GetChoice("store-codec", "lossless", {"lossless", "quantized"}),
+      "quantized");
   // Absent key yields the fallback even when the fallback is not listed.
   EXPECT_EQ(*args.GetChoice("absent", "default", {"a", "b"}), "default");
   Result<std::string> bad = args.GetChoice("mode", "a", {"a", "b"});

@@ -1,13 +1,15 @@
-// Property suite for the frontier single-source executor (DESIGN.md §14):
-// the frontier top-k must agree with the pruned and exhaustive algorithms
-// to 1e-12 on generated DBLP/ACM networks, terminate early via the
-// monotone bound without losing exactness, degrade to a marked partial
-// result under cancellation mid-frontier, surface injected allocation
-// failures at the `frontier.alloc` fault point, and fold cached partial
-// products into never-seen paths (ad-hoc meta-path reuse).
+// Property suite for frontier propagation and the top-k search built on it
+// (DESIGN.md §14): `TopKSearcher::Query` must agree with the exhaustive
+// oracle to 1e-12 on generated DBLP/ACM networks, examine exactly the
+// targets with a positive score, reproduce the dense pruned accumulation
+// bitwise, degrade to a marked partial result under cancellation, surface
+// injected allocation failures at the `frontier.alloc` fault point, and
+// fold cached partial products into never-seen paths (ad-hoc meta-path
+// reuse).
 
 #include "core/frontier.h"
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -18,10 +20,12 @@
 #include "common/fault_injection.h"
 #include "core/hetesim.h"
 #include "core/materialize.h"
+#include "core/path_matrix.h"
 #include "core/topk.h"
 #include "datagen/acm_generator.h"
 #include "datagen/dblp_generator.h"
 #include "hin/metapath.h"
+#include "matrix/ops.h"
 #include "test_util.h"
 
 namespace hetesim {
@@ -54,13 +58,10 @@ const HinGraph& DatasetGraph(const std::string& dataset) {
       .first->second;
 }
 
-TopKSearcher PrepareWithAlgo(const HinGraph& graph, const MetaPath& path,
-                             RelevanceAlgo algo,
+TopKSearcher PrepareSearcher(const HinGraph& graph, const MetaPath& path,
                              PathMatrixCache* cache = nullptr) {
-  HeteSimOptions options;
-  options.algo = algo;
   Result<TopKSearcher> searcher = TopKSearcher::Prepare(
-      graph, path, options, QueryContext::Background(), cache);
+      graph, path, HeteSimOptions{}, QueryContext::Background(), cache);
   HETESIM_CHECK(searcher.ok());
   return std::move(*searcher);
 }
@@ -81,109 +82,185 @@ void ExpectSameRanking(const TopKResult& got, const TopKResult& want,
   }
 }
 
+/// The dense pruned accumulation that `Query` replaced, kept as a bitwise
+/// reference: a dense `VectorThroughChain` source row, then a scatter
+/// through the inverted index in ascending middle order, normalization by
+/// the row norms and a (score desc, id asc) ranking.
+class PrunedReference {
+ public:
+  PrunedReference(const HinGraph& graph, const MetaPath& path)
+      : graph_(graph),
+        path_(path),
+        decomposition_(DecomposePath(graph, path)),
+        right_(*MultiplyChain(decomposition_.right_transitions)),
+        index_(right_.Transpose()) {}
+
+  TopKResult Query(Index source, int k) const {
+    std::vector<double> u(
+        static_cast<size_t>(graph_.NumNodes(path_.SourceType())), 0.0);
+    u[static_cast<size_t>(source)] = 1.0;
+    u = VectorThroughChain(std::move(u), decomposition_.left_transitions);
+    TopKResult result;
+    const double nu = Norm2(u);
+    if (nu == 0.0) return result;
+    std::vector<double> scores(static_cast<size_t>(right_.rows()), 0.0);
+    std::vector<Index> touched;
+    for (size_t m = 0; m < u.size(); ++m) {
+      if (u[m] == 0.0) continue;
+      const auto targets = index_.RowIndices(static_cast<Index>(m));
+      const auto weights = index_.RowValues(static_cast<Index>(m));
+      for (size_t j = 0; j < targets.size(); ++j) {
+        double& slot = scores[static_cast<size_t>(targets[j])];
+        if (slot == 0.0) touched.push_back(targets[j]);
+        slot += u[m] * weights[j];
+      }
+    }
+    for (Index t : touched) {
+      double s = scores[static_cast<size_t>(t)];
+      const double nt = right_.RowNorm(t);
+      if (nt != 0.0) s /= nu * nt;
+      if (s != 0.0) result.items.push_back({t, s});
+    }
+    std::sort(result.items.begin(), result.items.end(),
+              [](const Scored& a, const Scored& b) {
+                return a.score != b.score ? a.score > b.score : a.id < b.id;
+              });
+    if (result.items.size() > static_cast<size_t>(k)) {
+      result.items.resize(static_cast<size_t>(k));
+    }
+    result.candidates_examined = static_cast<Index>(touched.size());
+    return result;
+  }
+
+ private:
+  const HinGraph& graph_;
+  const MetaPath& path_;
+  PathDecomposition decomposition_;
+  SparseMatrix right_;
+  SparseMatrix index_;
+};
+
 struct FrontierCase {
-  const char* dataset;
-  const char* path;
+  std::string dataset;
+  std::string path;
 };
 
 void PrintTo(const FrontierCase& c, std::ostream* os) {
   *os << c.dataset << "_" << c.path;
 }
 
-class FrontierPropertyTest : public ::testing::TestWithParam<FrontierCase> {};
+/// Every X-P-Y and X-P-Z-P-Y path over {A, C, T} on the DBLP graph — C- and
+/// T-sourced paths included — plus an odd path and two ACM paths.
+std::vector<FrontierCase> AllCases() {
+  std::vector<FrontierCase> cases = {
+      {"dblp", "A-P"}, {"acm", "A-P-V-C"}, {"acm", "A-P-A"}};
+  const std::string ends = "ACT";
+  for (char x : ends) {
+    for (char y : ends) {
+      cases.push_back({"dblp", std::string{x, '-', 'P', '-', y}});
+    }
+  }
+  for (char x : ends) {
+    for (char z : ends) {
+      for (char y : ends) {
+        cases.push_back(
+            {"dblp", std::string{x, '-', 'P', '-', z, '-', 'P', '-', y}});
+      }
+    }
+  }
+  return cases;
+}
 
-TEST_P(FrontierPropertyTest, MatchesPrunedAndExhaustive) {
-  const FrontierCase& c = GetParam();
-  const HinGraph& graph = DatasetGraph(c.dataset);
-  const MetaPath path = *MetaPath::Parse(graph.schema(), c.path);
-  TopKSearcher pruned = TopKSearcher::Prepare(graph, path).value();
-  TopKSearcher frontier =
-      PrepareWithAlgo(graph, path, RelevanceAlgo::kFrontier);
-  const Index num_sources = graph.NumNodes(path.SourceType());
-  const Index stride = num_sources > 60 ? num_sources / 60 : 1;
-  for (Index s = 0; s < num_sources; s += stride) {
+std::string CaseName(const ::testing::TestParamInfo<FrontierCase>& info) {
+  std::string name = info.param.dataset + "_";
+  for (char c : info.param.path) {
+    if (c != '-') name += c;
+  }
+  return name;
+}
+
+class FrontierPropertyTest : public ::testing::TestWithParam<FrontierCase> {
+ protected:
+  const HinGraph& graph() const { return DatasetGraph(GetParam().dataset); }
+  MetaPath path() const {
+    return *MetaPath::Parse(graph().schema(), GetParam().path);
+  }
+  /// About 60 sources spread over the source type.
+  std::vector<Index> Sources() const {
+    const Index num_sources = graph().NumNodes(path().SourceType());
+    const Index stride = num_sources > 60 ? num_sources / 60 : 1;
+    std::vector<Index> sources;
+    for (Index s = 0; s < num_sources; s += stride) sources.push_back(s);
+    return sources;
+  }
+};
+
+TEST_P(FrontierPropertyTest, MatchesExhaustive) {
+  const MetaPath path = this->path();
+  TopKSearcher searcher = PrepareSearcher(graph(), path);
+  for (Index s : Sources()) {
     for (int k : {1, 5, 23}) {
-      const TopKResult f = *frontier.Query(s, k);
-      const TopKResult p = *pruned.Query(s, k);
-      ExpectSameRanking(f, p, 1e-12,
-                        std::string(c.path) + " source " +
-                            std::to_string(s) + " k " + std::to_string(k));
-      // Exhaustive keeps zero-score candidates the sparse algos omit;
+      const TopKResult got = *searcher.Query(s, k);
+      // Exhaustive keeps zero-score candidates the sparse search omits;
       // the positive prefix must agree.
-      const TopKResult e = *pruned.QueryExhaustive(s, k);
+      const TopKResult want = *searcher.QueryExhaustive(s, k);
       size_t positive = 0;
-      while (positive < e.items.size() && e.items[positive].score > 0.0) {
+      while (positive < want.items.size() && want.items[positive].score > 0.0) {
         ++positive;
       }
-      ASSERT_GE(f.items.size(), positive);
-      for (size_t i = 0; i < positive; ++i) {
-        EXPECT_NEAR(f.items[i].score, e.items[i].score, 1e-12)
-            << c.path << " source " << s << " rank " << i;
-      }
+      ASSERT_EQ(got.items.size(), positive)
+          << GetParam().path << " source " << s << " k " << k;
+      TopKResult want_positive = want;
+      want_positive.items.resize(positive);
+      ExpectSameRanking(got, want_positive, 1e-12,
+                        GetParam().path + " source " + std::to_string(s) +
+                            " k " + std::to_string(k));
     }
   }
 }
 
-TEST_P(FrontierPropertyTest, NeverExaminesMoreThanPruned) {
-  const FrontierCase& c = GetParam();
-  const HinGraph& graph = DatasetGraph(c.dataset);
-  const MetaPath path = *MetaPath::Parse(graph.schema(), c.path);
-  TopKSearcher pruned = TopKSearcher::Prepare(graph, path).value();
-  TopKSearcher frontier =
-      PrepareWithAlgo(graph, path, RelevanceAlgo::kFrontier);
-  const Index num_sources = graph.NumNodes(path.SourceType());
-  for (Index s = 0; s < num_sources; s += 7) {
-    EXPECT_LE(frontier.Query(s, 5)->candidates_examined,
-              pruned.Query(s, 5)->candidates_examined)
-        << c.path << " source " << s;
+TEST_P(FrontierPropertyTest, ExaminesExactlyThePositiveTargets) {
+  const MetaPath path = this->path();
+  TopKSearcher searcher = PrepareSearcher(graph(), path);
+  const int all = static_cast<int>(searcher.num_targets());
+  for (Index s : Sources()) {
+    const TopKResult exhaustive = *searcher.QueryExhaustive(s, all);
+    const auto positive = std::count_if(
+        exhaustive.items.begin(), exhaustive.items.end(),
+        [](const Scored& item) { return item.score > 0.0; });
+    EXPECT_EQ(searcher.Query(s, 5)->candidates_examined, positive)
+        << GetParam().path << " source " << s;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    GeneratedNets, FrontierPropertyTest,
-    ::testing::Values(FrontierCase{"dblp", "A-P"},
-                      FrontierCase{"dblp", "C-P-A"},
-                      FrontierCase{"dblp", "A-P-C-P-A"},
-                      FrontierCase{"dblp", "A-P-T-P-A"},
-                      FrontierCase{"acm", "A-P-V-C"},
-                      FrontierCase{"acm", "A-P-A"}));
-
-TEST(Frontier, BoundExitKeepsExactnessAndHappens) {
-  // k = 1 on a skewed long path: the leading candidate's lower bound
-  // should overtake the shrinking tail bound well before the frontier is
-  // exhausted — and when it does, the answer must still be exact.
-  const HinGraph& graph = DatasetGraph("dblp");
-  const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-C-P-A");
-  TopKSearcher pruned = TopKSearcher::Prepare(graph, path).value();
-  TopKSearcher frontier =
-      PrepareWithAlgo(graph, path, RelevanceAlgo::kFrontier);
-  int bound_exits = 0;
-  const Index num_sources = graph.NumNodes(path.SourceType());
-  for (Index s = 0; s < num_sources; ++s) {
-    const TopKResult f = *frontier.Query(s, 1);
-    const TopKResult p = *pruned.Query(s, 1);
-    ExpectSameRanking(f, p, 1e-12, "source " + std::to_string(s));
-    if (f.bound_exit) {
-      ++bound_exits;
-      EXPECT_LT(f.middle_processed, f.middle_total)
-          << "a bound exit that processed the whole frontier is a no-op";
+TEST_P(FrontierPropertyTest, BitwiseEqualsPrunedAccumulation) {
+  const MetaPath path = this->path();
+  TopKSearcher searcher = PrepareSearcher(graph(), path);
+  const PrunedReference reference(graph(), path);
+  const int all = static_cast<int>(searcher.num_targets());
+  for (Index s : Sources()) {
+    for (int k : {5, all}) {
+      const TopKResult got = *searcher.Query(s, k);
+      const TopKResult want = reference.Query(s, k);
+      EXPECT_EQ(got.items, want.items)
+          << GetParam().path << " source " << s << " k " << k;
+      EXPECT_EQ(got.candidates_examined, want.candidates_examined)
+          << GetParam().path << " source " << s;
     }
-    EXPECT_FALSE(p.bound_exit) << "pruned never reports bound exits";
   }
-  EXPECT_GT(bound_exits, 0)
-      << "no source triggered the monotone bound on " << num_sources
-      << " sources; the early-exit path is dead code";
 }
+
+INSTANTIATE_TEST_SUITE_P(GeneratedNets, FrontierPropertyTest,
+                         ::testing::ValuesIn(AllCases()), CaseName);
 
 TEST(Frontier, TruncationThresholdTracksErrorBound) {
   const HinGraph& graph = DatasetGraph("dblp");
   const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-C-P-A");
   HeteSimOptions options;
-  options.algo = RelevanceAlgo::kFrontier;
-  options.truncation = 1e-3;  // relative per-hop threshold under frontier
+  options.truncation = 1e-3;  // relative per-hop threshold
   TopKSearcher truncated = *TopKSearcher::Prepare(
       graph, path, options, QueryContext::Background());
-  TopKSearcher exact = PrepareWithAlgo(graph, path, RelevanceAlgo::kFrontier);
+  TopKSearcher exact = PrepareSearcher(graph, path);
   for (Index s = 0; s < 40; ++s) {
     const TopKResult t = *truncated.Query(s, 5);
     const TopKResult e = *exact.Query(s, 5);
@@ -198,22 +275,43 @@ TEST(Frontier, TruncationThresholdTracksErrorBound) {
   }
 }
 
-TEST(Frontier, CancellationMidFrontierTruncatesInsteadOfErroring) {
-  const HinGraph& graph = DatasetGraph("dblp");
-  const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-C-P-A");
-  TopKSearcher frontier =
-      PrepareWithAlgo(graph, path, RelevanceAlgo::kFrontier);
+TEST(Frontier, CancellationTruncatesInsteadOfErroring) {
+  // 4000 middle objects at density 0.02: source 0 reaches ~80 of them,
+  // more than the first poll stride (64 entries).
+  const HinGraph graph = testing::RandomTripartite(10, 4000, 10, 0.02, 7);
   QueryContext cancelled;
   cancelled.Cancel();
-  Result<TopKResult> result = frontier.Query(0, 5, cancelled);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->truncated);
-  // The same contract for an already-expired deadline.
   const QueryContext expired =
       QueryContext::Background().WithDeadlineAfterMs(0);
-  Result<TopKResult> late = frontier.Query(0, 5, expired);
-  ASSERT_TRUE(late.ok()) << late.status().ToString();
-  EXPECT_TRUE(late->truncated);
+  for (const QueryContext& dead : {cancelled, expired}) {
+    // Cut mid-scatter: ABC's frontier is source 0's B-neighbours, so the
+    // scatter stops after its first stride with a marked partial ranking.
+    const MetaPath abc = *MetaPath::Parse(graph.schema(), "ABC");
+    TopKSearcher scatter = PrepareSearcher(graph, abc);
+    Result<TopKResult> partial = scatter.Query(0, 5, dead);
+    ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+    EXPECT_TRUE(partial->truncated);
+    EXPECT_FALSE(partial->items.empty());
+    EXPECT_LT(partial->middle_processed, partial->middle_total);
+    // Cut mid-propagation: ABCBA's second hop gathers those same ~80
+    // entries and polls inside the gather; the answer is empty and marked.
+    const MetaPath abcba = *MetaPath::Parse(graph.schema(), "ABCBA");
+    TopKSearcher propagate = PrepareSearcher(graph, abcba);
+    Result<TopKResult> cut = propagate.Query(0, 5, dead);
+    ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+    EXPECT_TRUE(cut->truncated);
+    EXPECT_TRUE(cut->items.empty());
+  }
+  // A query shorter than one poll stride runs to completion: its answer is
+  // exact and carries no truncation marker.
+  const HinGraph& dblp = DatasetGraph("dblp");
+  const MetaPath apcpa = *MetaPath::Parse(dblp.schema(), "A-P-C-P-A");
+  TopKSearcher small = PrepareSearcher(dblp, apcpa);
+  Result<TopKResult> complete = small.Query(0, 5, cancelled);
+  ASSERT_TRUE(complete.ok()) << complete.status().ToString();
+  EXPECT_FALSE(complete->truncated);
+  EXPECT_EQ(complete->middle_processed, complete->middle_total);
+  EXPECT_EQ(complete->items, small.Query(0, 5)->items);
 }
 
 TEST(Frontier, MemoryBudgetExhaustionIsAnError) {
@@ -221,13 +319,13 @@ TEST(Frontier, MemoryBudgetExhaustionIsAnError) {
   // the query reports ResourceExhausted rather than a partial ranking.
   const HinGraph& graph = DatasetGraph("dblp");
   const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-C-P-A");
-  TopKSearcher frontier =
-      PrepareWithAlgo(graph, path, RelevanceAlgo::kFrontier);
+  TopKSearcher searcher = PrepareSearcher(graph, path);
   MemoryBudget tiny(16);
   const QueryContext ctx = QueryContext::Background().WithBudget(&tiny);
-  Result<TopKResult> result = frontier.Query(0, 5, ctx);
+  Result<TopKResult> result = searcher.Query(0, 5, ctx);
   EXPECT_TRUE(result.status().IsResourceExhausted())
       << result.status().ToString();
+  EXPECT_EQ(tiny.used_bytes(), 0u) << "a failed query releases its charges";
 }
 
 TEST(Frontier, AllocFaultInjectionSurfacesResourceExhausted) {
@@ -237,15 +335,14 @@ TEST(Frontier, AllocFaultInjectionSurfacesResourceExhausted) {
   FaultInjector::Global().Reset();
   const HinGraph& graph = DatasetGraph("dblp");
   const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-C-P-A");
-  TopKSearcher frontier =
-      PrepareWithAlgo(graph, path, RelevanceAlgo::kFrontier);
+  TopKSearcher searcher = PrepareSearcher(graph, path);
   FaultInjector::Global().Arm("frontier.alloc", 1.0, /*max_failures=*/1);
-  Result<TopKResult> faulted = frontier.Query(0, 5);
+  Result<TopKResult> faulted = searcher.Query(0, 5);
   EXPECT_TRUE(faulted.status().IsResourceExhausted())
       << faulted.status().ToString();
   EXPECT_GE(FaultInjector::Global().StatsFor("frontier.alloc").failures, 1u);
   // The single allotted fault is spent; the retry succeeds.
-  Result<TopKResult> retried = frontier.Query(0, 5);
+  Result<TopKResult> retried = searcher.Query(0, 5);
   EXPECT_TRUE(retried.ok()) << retried.status().ToString();
   FaultInjector::Global().Reset();
 }
@@ -259,10 +356,8 @@ TEST(Frontier, AdHocReuseFoldsCachedPartials) {
   const MetaPath prefix = *MetaPath::Parse(graph.schema(), "A-P");
   cache.GetReach(graph, prefix).value();
   const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-C-P-A");
-  TopKSearcher with_cache =
-      PrepareWithAlgo(graph, path, RelevanceAlgo::kFrontier, &cache);
-  TopKSearcher without =
-      PrepareWithAlgo(graph, path, RelevanceAlgo::kFrontier);
+  TopKSearcher with_cache = PrepareSearcher(graph, path, &cache);
+  TopKSearcher without = PrepareSearcher(graph, path);
   const PathMatrixCache::Stats stats = cache.stats();
   EXPECT_GE(stats.prefix_probes, 1u);
   EXPECT_GE(stats.suffix_probes, 1u);
@@ -275,66 +370,35 @@ TEST(Frontier, AdHocReuseFoldsCachedPartials) {
   }
 }
 
-TEST(Frontier, LegacyFixedPollStrideMatchesAdaptive) {
+TEST(Frontier, UncachedEnginePairsMatchCached) {
   const HinGraph& graph = DatasetGraph("dblp");
   const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-C-P-A");
-  HeteSimOptions fixed;
-  fixed.algo = RelevanceAlgo::kFrontier;
-  fixed.topk_poll_stride = PollStrideController::kLegacyFixedStride;
-  TopKSearcher pinned = *TopKSearcher::Prepare(
-      graph, path, fixed, QueryContext::Background());
-  TopKSearcher adaptive =
-      PrepareWithAlgo(graph, path, RelevanceAlgo::kFrontier);
-  for (Index s = 0; s < 40; ++s) {
-    ExpectSameRanking(*pinned.Query(s, 5), *adaptive.Query(s, 5), 1e-12,
-                      "source " + std::to_string(s));
-  }
-}
-
-TEST(Frontier, EnginePairsMatchDefaultAlgo) {
-  const HinGraph& graph = DatasetGraph("dblp");
-  const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-C-P-A");
-  HeteSimOptions frontier_options;
-  frontier_options.algo = RelevanceAlgo::kFrontier;
-  HeteSimEngine frontier(graph, frontier_options);
-  HeteSimEngine baseline(graph);
+  HeteSimEngine uncached(graph);
+  HeteSimEngine cached(graph, HeteSimOptions{},
+                       std::make_shared<PathMatrixCache>());
   std::vector<std::pair<Index, Index>> pairs;
   for (Index i = 0; i < 25; ++i) pairs.emplace_back(i, (i * 7 + 3) % 100);
-  const std::vector<double> got = *frontier.ComputePairs(path, pairs);
-  const std::vector<double> want = *baseline.ComputePairs(path, pairs);
+  pairs.emplace_back(3, 3);  // repeated ids reuse their frontiers
+  pairs.emplace_back(3, 10);
+  const std::vector<double> got = *uncached.ComputePairs(path, pairs);
+  const std::vector<double> want = *cached.ComputePairs(path, pairs);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got[i], want[i], 1e-12) << "pair " << i;
+    EXPECT_EQ(got[i], *uncached.ComputePair(path, pairs[i].first,
+                                           pairs[i].second))
+        << "pair " << i;
   }
 }
 
-TEST(PollStrideController, FixedStridePins) {
-  PollStrideController controller(1024);
-  EXPECT_EQ(controller.stride(), 1024u);
-  EXPECT_FALSE(controller.ShouldPoll(0));
-  EXPECT_FALSE(controller.ShouldPoll(1023));
-  EXPECT_TRUE(controller.ShouldPoll(1024));
-  EXPECT_EQ(controller.stride(), 1024u) << "fixed stride must never adapt";
-  EXPECT_FALSE(controller.ShouldPoll(1025));
-  EXPECT_TRUE(controller.ShouldPoll(2048));
-}
-
 TEST(PollStrideController, AdaptiveStrideStaysClamped) {
-  PollStrideController controller(0);
+  PollStrideController controller;
   size_t item = 0;
   for (int polls = 0; polls < 200; ++polls) {
     while (!controller.ShouldPoll(item)) ++item;
     EXPECT_GE(controller.stride(), PollStrideController::kMinStride);
     EXPECT_LE(controller.stride(), PollStrideController::kMaxStride);
   }
-}
-
-TEST(RelevanceAlgoNames, RoundTripAndReject) {
-  EXPECT_EQ(*ParseRelevanceAlgo("exhaustive"), RelevanceAlgo::kExhaustive);
-  EXPECT_EQ(*ParseRelevanceAlgo("pruned"), RelevanceAlgo::kPruned);
-  EXPECT_EQ(*ParseRelevanceAlgo("frontier"), RelevanceAlgo::kFrontier);
-  EXPECT_STREQ(AlgoName(RelevanceAlgo::kFrontier), "frontier");
-  EXPECT_TRUE(ParseRelevanceAlgo("bogus").status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -470,8 +470,9 @@ TEST_F(CacheBudgetTest, ExpiredCallerDoesNotPoisonResidentEntry) {
 
 class TopKDeadlineTest : public ::testing::Test {
  protected:
-  // 4000 middle objects: several poll strides, so an expired deadline
-  // truncates mid-accumulation rather than before the first stride.
+  // 4000 middle objects at density 0.02: a source's frontier (~80 entries)
+  // spans more than the first poll stride, so an expired deadline
+  // truncates mid-scatter rather than before the first stride.
   TopKDeadlineTest() : graph_(testing::RandomTripartite(10, 4000, 10, 0.02, 7)) {}
   HinGraph graph_;
 };
@@ -492,7 +493,12 @@ TEST_F(TopKDeadlineTest, ExpiredQueryReturnsTruncatedPartial) {
   Result<TopKResult> partial = searcher.Query(0, 10, ExpiredContext());
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
   EXPECT_TRUE(partial->truncated);
-  EXPECT_EQ(partial->middle_total, 4000);
+  // The unit is frontier entries: the middle objects source 0 reaches.
+  const Index support =
+      DecomposePath(graph_, path).left_transitions[0].RowNnz(0);
+  EXPECT_EQ(partial->middle_total, support);
+  EXPECT_EQ(full->middle_total, support);
+  EXPECT_FALSE(partial->items.empty());
   EXPECT_GT(partial->middle_processed, 0);
   EXPECT_LT(partial->middle_processed, partial->middle_total);
   // Partial scores are lower bounds: the accumulation is a sum of

@@ -439,6 +439,43 @@ TEST_F(QueryServiceTest, InjectedSpgemmFaultFailsSingleSourceCleanly) {
   }
 }
 
+TEST_F(QueryServiceTest, InjectedFrontierFaultFailsTopKCleanly) {
+  // Chaos case: every top-k query propagates its source frontier, so an
+  // injected allocation failure there answers ResourceExhausted instead of
+  // taking the server down. The prepared searcher is untouched — the path
+  // is not latched as failed — and the next request is served.
+  if (!FaultInjector::CompiledIn()) {
+    GTEST_SKIP() << "built without HETESIM_FAULT_INJECTION";
+  }
+  QueryRequest request;
+  request.kind = QueryKind::kTopK;
+  request.path = "A-P-C-P-A";
+  request.source = 0;
+  request.k = 3;
+  FaultInjector::Global().Reset();
+  FaultInjector::Global().Arm("frontier.alloc", 1.0);
+  const QueryResponse faulted = service_->Execute(request);
+  FaultInjector::Global().Reset();
+  EXPECT_FALSE(faulted.served());
+  EXPECT_EQ(faulted.status_code, StatusCode::kResourceExhausted) << faulted.message;
+
+  const QueryResponse recovered = service_->Execute(request);
+  ASSERT_TRUE(recovered.served()) << recovered.message;
+  EXPECT_FALSE(recovered.truncated);
+  Result<MetaPath> path = MetaPath::Parse(graph_.schema(), request.path);
+  ASSERT_TRUE(path.ok());
+  Result<TopKSearcher> searcher = TopKSearcher::Prepare(graph_, *path);
+  ASSERT_TRUE(searcher.ok());
+  Result<TopKResult> direct = searcher->Query(0, 3);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_FALSE(direct->items.empty());
+  ASSERT_EQ(recovered.items.size(), direct->items.size());
+  for (size_t i = 0; i < direct->items.size(); ++i) {
+    EXPECT_EQ(recovered.items[i].id, direct->items[i].id);
+    EXPECT_NEAR(recovered.items[i].score, direct->items[i].score, 1e-12);
+  }
+}
+
 TEST_F(QueryServiceTest, TopKMatchesDirectSearcher) {
   QueryRequest request;
   request.kind = QueryKind::kTopK;

@@ -1,5 +1,7 @@
 #include "core/topk.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -181,6 +183,21 @@ TEST(TopKPairs, ExcludeDiagonalOnSymmetricPath) {
   EXPECT_EQ(cross[0].source, cross[1].target);
   EXPECT_EQ(cross[0].target, cross[1].source);
   EXPECT_NEAR(cross[0].score, cross[1].score, 1e-12);
+}
+
+TEST(TopKPairs, IntMaxKRanksEveryPair) {
+  // The largest k the CLI accepts: the per-source request must not
+  // overflow, so INT_MAX returns the same ranking as |sources| x |targets|.
+  HinGraph g = testing::RandomTripartite(10, 12, 8, 0.25, 321);
+  for (const char* spec : {"AB", "ABC", "ABA"}) {
+    MetaPath path = *MetaPath::Parse(g.schema(), spec);
+    const int every = static_cast<int>(g.NumNodes(path.SourceType()) *
+                                       g.NumNodes(path.TargetType()));
+    std::vector<ScoredPair> all = *TopKPairs(g, path, every);
+    ASSERT_FALSE(all.empty()) << spec;
+    EXPECT_EQ(*TopKPairs(g, path, std::numeric_limits<int>::max()), all)
+        << spec;
+  }
 }
 
 TEST(TopKPairs, KZeroAndValidation) {

@@ -128,39 +128,6 @@ TEST(WorkloadConfig, RejectsMalformedInput) {
   }
 }
 
-TEST(WorkloadConfig, ParsesAlgoDirectiveAndClassOverride) {
-  Result<WorkloadConfig> config = ParseWorkloadConfig(
-      "scenario ab\n"
-      "algo frontier\n"
-      "class fast type=topk path=C-P-A\n"
-      "class slow type=topk path=C-P-A-P-C algo=pruned\n");
-  ASSERT_TRUE(config.ok()) << config.status().ToString();
-  EXPECT_EQ(config->algo, RelevanceAlgo::kFrontier);
-  EXPECT_FALSE(config->classes[0].algo.has_value());
-  ASSERT_TRUE(config->classes[1].algo.has_value());
-  EXPECT_EQ(*config->classes[1].algo, RelevanceAlgo::kPruned);
-  // Default without a directive is the pruned baseline.
-  Result<WorkloadConfig> plain = ParseWorkloadConfig(
-      "scenario plain\nclass c type=pair path=A-P-A\n");
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain->algo, RelevanceAlgo::kPruned);
-  // Unknown names are rejected with the line number, both forms.
-  Result<WorkloadConfig> bad_directive =
-      ParseWorkloadConfig("scenario s\nalgo warp\n");
-  ASSERT_FALSE(bad_directive.ok());
-  EXPECT_NE(bad_directive.status().message().find("line 2"),
-            std::string::npos);
-  EXPECT_NE(bad_directive.status().message().find("unknown algo"),
-            std::string::npos)
-      << bad_directive.status().ToString();
-  Result<WorkloadConfig> bad_class = ParseWorkloadConfig(
-      "scenario s\nclass c type=pair path=A-P-A algo=warp\n");
-  ASSERT_FALSE(bad_class.ok());
-  EXPECT_NE(bad_class.status().message().find("unknown algo"),
-            std::string::npos)
-      << bad_class.status().ToString();
-}
-
 TEST(WorkloadConfig, ErrorsNameTheLine) {
   Result<WorkloadConfig> config =
       ParseWorkloadConfig("scenario s\n\n# comment\nqueries nope\n");

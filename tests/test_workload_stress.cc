@@ -35,7 +35,7 @@ struct TopKAudit {
     topk_queries.fetch_add(1);
     const TopKResult& result = *obs.topk;
     if (result.truncated) truncated.fetch_add(1);
-    // A query that did not process every middle object MUST carry the
+    // A query that did not process every frontier entry MUST carry the
     // truncation marker — a silent partial answer is the bug this tier
     // exists to catch.
     if (result.middle_processed < result.middle_total && !result.truncated) {
@@ -53,9 +53,10 @@ struct TopKAudit {
 };
 
 TEST(WorkloadStress, DeadlineStormNeverYieldsUnmarkedOrMisorderedResults) {
-  // Middle dimension (papers) above the searcher's 1024 poll stride so
-  // deadlines can actually interrupt the accumulation; deadlines far below
-  // typical query latency so most queries truncate.
+  // A conference's frontier (~80 papers) above the scatter's first poll
+  // stride (64 entries) so deadlines can actually interrupt the
+  // accumulation; deadlines far below typical query latency so most
+  // queries truncate.
   Result<WorkloadConfig> config = ParseWorkloadConfig(R"(
 scenario storm_stress
 graph dblp papers=1600 authors=700 seed=11

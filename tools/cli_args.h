@@ -59,7 +59,7 @@ struct Args {
       double max = std::numeric_limits<double>::max()) const;
 
   /// `--key WORD` restricted to an enumerated vocabulary (e.g.
-  /// `--algo exhaustive|pruned|frontier`). An absent key yields `fallback`;
+  /// `--store-codec lossless|quantized`). An absent key yields `fallback`;
   /// a present key must match one of `allowed` exactly, otherwise
   /// `InvalidArgument` naming the flag and the choices — a usage error
   /// (exit 2) at the CLI layer.

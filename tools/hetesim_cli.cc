@@ -7,9 +7,9 @@
 //   hetesim_cli paths    --graph FILE --from TYPE --to TYPE
 //                        [--max-length N] [--symmetric]
 //   hetesim_cli pair     --graph FILE --path SPEC --source NAME --target NAME
-//                        [--unnormalized] [--threads N] [--algo NAME]
+//                        [--unnormalized] [--threads N]
 //   hetesim_cli topk     --graph FILE --path SPEC --source NAME [--k N]
-//                        [--deadline-ms N] [--algo NAME]
+//                        [--deadline-ms N]
 //   hetesim_cli topk-pairs --graph FILE --path SPEC [--k N]
 //                        [--exclude-diagonal]
 //   hetesim_cli matrix   --graph FILE --path SPEC --out FILE.csv
@@ -19,7 +19,7 @@
 //                        [--store-codec lossless|quantized] [--threads N]
 //   hetesim_cli workload --config FILE[,FILE...] [--out FILE.json]
 //                        [--queries N] [--workers N] [--no-realtime]
-//                        [--service-socket PATH] [--algo NAME]
+//                        [--service-socket PATH]
 //
 // `materialize` is the paper's Section 4.6 offline step: it computes the
 // left/right reachable-probability partials of every listed path and writes
@@ -36,11 +36,9 @@
 // --threads follows the library convention: 1 (default) is sequential,
 // 0 uses every hardware thread via the shared pool.
 //
-// --algo picks the relevance strategy (exhaustive | pruned | frontier,
-// default pruned). `pair` and `topk` honour it directly; `workload` uses it
-// to override the scenario files' `algo` directive (including any per-class
-// `algo=` options), which makes A/B sweeps of the same scenario a one-flag
-// affair. An unknown name is a usage error (exit 2).
+// `topk` propagates the source's sparse frontier and scatters it through
+// the path's inverted index (DESIGN.md §14); `pair` without a cache
+// propagates both ends' frontiers and combines them.
 //
 // --deadline-ms bounds a query's wall-clock time. `topk` degrades
 // gracefully: on expiry it prints whatever partial ranking was accumulated
@@ -180,16 +178,6 @@ Result<int> GetThreadsArg(const Args& args) {
 Result<int> GetKArg(const Args& args, int fallback) {
   return args.GetInt("k", fallback, /*min=*/1,
                      /*max=*/std::numeric_limits<int>::max());
-}
-
-/// --algo selects the relevance strategy; an unrecognised word is a usage
-/// error (InvalidArgument -> exit 2), validated by GetChoice so the message
-/// names the flag and the vocabulary.
-Result<RelevanceAlgo> GetAlgoArg(const Args& args) {
-  HETESIM_ASSIGN_OR_RETURN(
-      const std::string word,
-      args.GetChoice("algo", "pruned", {"exhaustive", "pruned", "frontier"}));
-  return ParseRelevanceAlgo(word);
 }
 
 void PrintCacheStats(const QueryBounds& bounds) {
@@ -347,7 +335,6 @@ Status RunPair(const Args& args) {
   HeteSimOptions options;
   options.normalized = !args.Has("unnormalized");
   HETESIM_ASSIGN_OR_RETURN(options.num_threads, GetThreadsArg(args));
-  HETESIM_ASSIGN_OR_RETURN(options.algo, GetAlgoArg(args));
   HETESIM_ASSIGN_OR_RETURN(const QueryBounds bounds, MakeQueryBounds(args, graph));
   HeteSimEngine engine(graph, options, bounds.cache);
   HETESIM_ASSIGN_OR_RETURN(
@@ -367,11 +354,9 @@ Status RunTopK(const Args& args) {
   HETESIM_ASSIGN_OR_RETURN(Index source,
                            graph.FindNode(path.SourceType(), *source_name));
   HETESIM_ASSIGN_OR_RETURN(const int k, GetKArg(args, 10));
-  HeteSimOptions options;
-  HETESIM_ASSIGN_OR_RETURN(options.algo, GetAlgoArg(args));
   HETESIM_ASSIGN_OR_RETURN(const QueryBounds bounds, MakeQueryBounds(args, graph));
   Result<TopKSearcher> searcher = TopKSearcher::Prepare(
-      graph, path, options, bounds.ctx, bounds.cache.get());
+      graph, path, HeteSimOptions{}, bounds.ctx, bounds.cache.get());
   if (searcher.status().IsDeadlineExceeded()) {
     // The deadline died during the one-time path materialization: an empty
     // partial answer, reported as such rather than as a failure.
@@ -535,13 +520,6 @@ Status RunWorkload(const Args& args) {
   for (const std::string& file : files) {
     HETESIM_ASSIGN_OR_RETURN(workload::WorkloadConfig config,
                              workload::LoadWorkloadConfigFromFile(file));
-    if (args.Has("algo")) {
-      // A command-line --algo beats both the scenario-level directive and
-      // any per-class overrides: the point of the flag is A/B runs of one
-      // unmodified scenario file.
-      HETESIM_ASSIGN_OR_RETURN(config.algo, GetAlgoArg(args));
-      for (workload::QueryClassSpec& cls : config.classes) cls.algo.reset();
-    }
     HETESIM_ASSIGN_OR_RETURN(std::unique_ptr<workload::WorkloadRunner> runner,
                              workload::WorkloadRunner::Create(config));
     HETESIM_ASSIGN_OR_RETURN(workload::ScenarioReport report,
@@ -571,9 +549,9 @@ void PrintUsage() {
                "[--max-length N] [--symmetric]\n"
                "  pair     --graph FILE --path SPEC --source NAME "
                "--target NAME [--unnormalized] [--threads N] "
-               "[--deadline-ms N] [--max-cache-mb N] [--algo NAME]\n"
+               "[--deadline-ms N] [--max-cache-mb N]\n"
                "  topk     --graph FILE --path SPEC --source NAME [--k N] "
-               "[--deadline-ms N] [--max-cache-mb N] [--algo NAME]\n"
+               "[--deadline-ms N] [--max-cache-mb N]\n"
                "  topk-pairs --graph FILE --path SPEC [--k N] "
                "[--exclude-diagonal]\n"
                "  matrix   --graph FILE --path SPEC --out FILE.csv "
@@ -583,9 +561,7 @@ void PrintUsage() {
                "[--store-codec lossless|quantized] [--threads N]\n"
                "  workload --config FILE[,FILE...] [--out FILE.json] "
                "[--queries N] [--workers N] [--no-realtime] "
-               "[--service-socket PATH] [--algo NAME]\n"
-               "--algo NAME picks the relevance strategy: "
-               "exhaustive | pruned | frontier (default pruned)\n"
+               "[--service-socket PATH]\n"
                "--store-dir DIR (pair, topk, matrix) serves cache misses "
                "from an on-disk store and demotes evictions into it; "
                "--store-codec picks the demotion encoding\n"

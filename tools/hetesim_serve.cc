@@ -13,8 +13,6 @@
 //       [--tenant-rate X]        per-tenant quota, cost-seconds/second (0 = off)
 //       [--tenant-burst X]       per-tenant burst allowance, cost-seconds (1.0)
 //       [--truncate-slice-ms X]  degraded top-k deadline slice (10)
-//       [--algo NAME]            top-k/pair strategy:
-//                                exhaustive | pruned | frontier (pruned)
 //       [--io-timeout-ms N]      slow-client stall guard (5000)
 //       [--max-connections N]    concurrent connections (32)
 //       [--metrics-out FILE]     write a Prometheus-text metrics snapshot
@@ -84,10 +82,6 @@ Result<ServiceOptions> ServiceOptionsFromArgs(const Args& args) {
   options.cache_enabled = !args.Has("no-cache");
   HETESIM_ASSIGN_OR_RETURN(options.truncate_slice_ms,
                            args.GetDouble("truncate-slice-ms", 10.0, 0.0, 1e6));
-  HETESIM_ASSIGN_OR_RETURN(
-      const std::string algo_word,
-      args.GetChoice("algo", "pruned", {"exhaustive", "pruned", "frontier"}));
-  HETESIM_ASSIGN_OR_RETURN(options.engine.algo, ParseRelevanceAlgo(algo_word));
   return options;
 }
 
