@@ -65,20 +65,4 @@ Result<std::vector<double>> PathSimSingleSource(const HinGraph& graph,
   return out;
 }
 
-Result<double> PathSimPair(const HinGraph& graph, const MetaPath& path, Index a,
-                           Index b) {
-  HETESIM_RETURN_NOT_OK(ValidateSymmetric(path));
-  const Index n = graph.NumNodes(path.SourceType());
-  if (a < 0 || a >= n || b < 0 || b >= n) {
-    return Status::OutOfRange("object id out of range");
-  }
-  HETESIM_ASSIGN_OR_RETURN(const SparseMatrix half, HalfCountMatrix(graph, path));
-  const double count_ab = half.RowDot(a, half, b);
-  const double na = half.RowNorm(a);
-  const double nb = half.RowNorm(b);
-  const double denominator = na * na + nb * nb;
-  if (denominator == 0.0) return 0.0;
-  return 2.0 * count_ab / denominator;
-}
-
 }  // namespace hetesim

@@ -28,10 +28,6 @@ namespace hetesim {
 [[nodiscard]] Result<std::vector<double>> PathSimSingleSource(const HinGraph& graph,
                                                 const MetaPath& path, Index source);
 
-/// PathSim of a single pair.
-[[nodiscard]] Result<double> PathSimPair(const HinGraph& graph, const MetaPath& path,
-                           Index a, Index b);
-
 }  // namespace hetesim
 
 #endif  // HETESIM_BASELINES_PATHSIM_H_

@@ -85,12 +85,6 @@
   HETESIM_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
 #endif
 
-/// Function attempts to acquire the capability; the first argument is the
-/// return value that signals success.
-#ifndef TRY_ACQUIRE
-#define TRY_ACQUIRE(...) HETESIM_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-#endif
-
 /// Function must be called with the listed capabilities NOT held. Because
 /// `std::mutex` is non-reentrant, every public method that locks `mutex_`
 /// internally is `EXCLUDES(mutex_)`.

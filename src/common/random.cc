@@ -79,23 +79,6 @@ uint64_t Rng::Zipf(uint64_t n, double s) {
   return sampler.Sample(*this);
 }
 
-size_t Rng::Categorical(const std::vector<double>& weights) {
-  HETESIM_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    HETESIM_CHECK_GE(w, 0.0);
-    total += w;
-  }
-  HETESIM_CHECK_GT(total, 0.0);
-  double target = UniformDouble() * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (target < acc) return i;
-  }
-  return weights.size() - 1;  // Floating-point slop: fall back to the last bin.
-}
-
 ZipfSampler::ZipfSampler(uint64_t n, double s) {
   HETESIM_CHECK_GT(n, 0u);
   HETESIM_CHECK_GT(s, 0.0);

@@ -45,9 +45,6 @@ class Rng {
   /// sampling prefer `ZipfSampler`.
   uint64_t Zipf(uint64_t n, double s);
 
-  /// Index drawn proportionally to `weights` (all non-negative, sum > 0).
-  size_t Categorical(const std::vector<double>& weights);
-
   /// In-place Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& values) {

@@ -9,19 +9,13 @@ namespace hetesim {
 /// materialization cache's cost accounting.
 class Stopwatch {
  public:
-  /// Starts (or restarts) timing at construction.
+  /// Starts timing at construction.
   Stopwatch() : start_(Clock::now()) {}
 
-  /// Restarts timing from now.
-  void Restart() { start_ = Clock::now(); }
-
-  /// Seconds elapsed since construction or the last Restart().
+  /// Seconds elapsed since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  /// Milliseconds elapsed since construction or the last Restart().
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

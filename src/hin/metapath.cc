@@ -141,33 +141,6 @@ MetaPath MetaPath::Reverse() const {
   return MetaPath(schema_, std::move(reversed));
 }
 
-Result<MetaPath> MetaPath::Concat(const MetaPath& other) const {
-  if (schema_ != other.schema_) {
-    return Status::InvalidArgument("cannot concatenate paths over different schemas");
-  }
-  if (TargetType() != other.SourceType()) {
-    return Status::InvalidArgument(StrFormat(
-        "paths are not concatenable: '%s' ends at '%s', '%s' starts at '%s'",
-        ToString().c_str(), schema_->TypeName(TargetType()).c_str(),
-        other.ToString().c_str(), schema_->TypeName(other.SourceType()).c_str()));
-  }
-  std::vector<RelationStep> steps = steps_;
-  steps.insert(steps.end(), other.steps_.begin(), other.steps_.end());
-  return MetaPath(schema_, std::move(steps));
-}
-
-MetaPath MetaPath::Prefix(int count) const {
-  HETESIM_CHECK(count >= 1 && count <= length());
-  return MetaPath(schema_, std::vector<RelationStep>(
-                               steps_.begin(), steps_.begin() + count));
-}
-
-MetaPath MetaPath::Suffix(int from) const {
-  HETESIM_CHECK(from >= 0 && from < length());
-  return MetaPath(schema_,
-                  std::vector<RelationStep>(steps_.begin() + from, steps_.end()));
-}
-
 bool MetaPath::IsSymmetric() const {
   return *this == Reverse();
 }

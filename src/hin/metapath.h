@@ -59,15 +59,6 @@ class MetaPath {
   /// The reverse path `P^-1` (each step inverted, order reversed).
   MetaPath Reverse() const;
 
-  /// Concatenation `(P1 P2)`; requires `TargetType() == other.SourceType()`
-  /// and a shared schema.
-  [[nodiscard]] Result<MetaPath> Concat(const MetaPath& other) const;
-
-  /// Prefix `[0, count)` of the steps as a path; `1 <= count <= length()`.
-  MetaPath Prefix(int count) const;
-  /// Suffix `[from, length())` of the steps; `0 <= from <= length()-1`.
-  MetaPath Suffix(int from) const;
-
   /// True iff `P == P^-1` (same relation walked forward then backward, in
   /// mirror order), e.g. APA, APCPA. Symmetric paths necessarily have even
   /// length and same source/target type.

@@ -136,122 +136,4 @@ Result<double> AverageRankDifference(const std::vector<double>& ground_truth,
   return total / static_cast<double>(counted);
 }
 
-namespace {
-
-/// Indices of `scores` ordered descending, ties by ascending index (the
-/// deterministic order used by TopK and the ranking benches).
-std::vector<size_t> DescendingOrder(const std::vector<double>& scores) {
-  std::vector<size_t> order(scores.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&scores](size_t x, size_t y) {
-    return scores[x] != scores[y] ? scores[x] > scores[y] : x < y;
-  });
-  return order;
-}
-
-}  // namespace
-
-Result<double> PrecisionAtK(const std::vector<double>& scores,
-                            const std::vector<bool>& relevant, int k) {
-  if (scores.size() != relevant.size()) {
-    return Status::InvalidArgument("scores and labels must align");
-  }
-  if (scores.empty()) {
-    return Status::InvalidArgument("scores must be non-empty");
-  }
-  if (k < 1) {
-    return Status::InvalidArgument("k must be positive");
-  }
-  const std::vector<size_t> order = DescendingOrder(scores);
-  const size_t keep = std::min(static_cast<size_t>(k), order.size());
-  size_t hits = 0;
-  for (size_t i = 0; i < keep; ++i) {
-    if (relevant[order[i]]) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(keep);
-}
-
-Result<double> NdcgAtK(const std::vector<double>& scores,
-                       const std::vector<double>& gains, int k) {
-  if (scores.size() != gains.size()) {
-    return Status::InvalidArgument("scores and gains must align");
-  }
-  if (scores.empty()) {
-    return Status::InvalidArgument("scores must be non-empty");
-  }
-  if (k < 1) {
-    return Status::InvalidArgument("k must be positive");
-  }
-  for (double g : gains) {
-    if (g < 0.0) return Status::InvalidArgument("gains must be non-negative");
-  }
-  auto dcg = [&](const std::vector<size_t>& order) {
-    double total = 0.0;
-    const size_t keep = std::min(static_cast<size_t>(k), order.size());
-    for (size_t i = 0; i < keep; ++i) {
-      total += gains[order[i]] / std::log2(static_cast<double>(i) + 2.0);
-    }
-    return total;
-  };
-  const double achieved = dcg(DescendingOrder(scores));
-  const double ideal = dcg(DescendingOrder(gains));
-  if (ideal == 0.0) return 0.0;
-  return achieved / ideal;
-}
-
-Result<double> KendallTau(const std::vector<double>& a,
-                          const std::vector<double>& b) {
-  if (a.size() != b.size()) {
-    return Status::InvalidArgument("score vectors must align");
-  }
-  if (a.size() < 2) {
-    return Status::InvalidArgument("need at least two observations");
-  }
-  // O(n^2) pair scan; tau-a with ties contributing 0. The inputs here are
-  // per-conference author lists (hundreds to thousands), far below the
-  // sizes where an O(n log n) merge-count would matter.
-  const size_t n = a.size();
-  int64_t concordant = 0;
-  int64_t discordant = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      const double da = a[i] - a[j];
-      const double db = b[i] - b[j];
-      const double product = da * db;
-      if (product > 0.0) ++concordant;
-      if (product < 0.0) ++discordant;
-    }
-  }
-  const double total_pairs = static_cast<double>(n) * (n - 1) / 2.0;
-  return (concordant - discordant) / total_pairs;
-}
-
-Result<double> SpearmanCorrelation(const std::vector<double>& a,
-                                   const std::vector<double>& b) {
-  if (a.size() != b.size()) {
-    return Status::InvalidArgument("score vectors must align");
-  }
-  if (a.size() < 2) {
-    return Status::InvalidArgument("need at least two observations");
-  }
-  const std::vector<double> ra = DescendingRanks(a);
-  const std::vector<double> rb = DescendingRanks(b);
-  const double n = static_cast<double>(a.size());
-  double mean = (n + 1.0) / 2.0;
-  double cov = 0.0;
-  double var_a = 0.0;
-  double var_b = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const double da = ra[i] - mean;
-    const double db = rb[i] - mean;
-    cov += da * db;
-    var_a += da * da;
-    var_b += db * db;
-  }
-  if (var_a == 0.0 || var_b == 0.0) {
-    return Status::InvalidArgument("constant score vector has undefined correlation");
-  }
-  return cov / std::sqrt(var_a * var_b);
-}
-
 }  // namespace hetesim

@@ -41,29 +41,6 @@ std::vector<double> DescendingRanks(const std::vector<double>& scores);
                                      const std::vector<double>& measure,
                                      int top_n);
 
-/// Spearman rank correlation of two score vectors (midrank ties), in
-/// [-1, 1]. Errors when sizes differ or are < 2, or a vector is constant.
-[[nodiscard]] Result<double> SpearmanCorrelation(const std::vector<double>& a,
-                                   const std::vector<double>& b);
-
-/// Fraction of the `k` highest-scoring objects that are relevant
-/// (descending scores, ties by ascending index — the `TopK` order).
-/// Errors when sizes differ, inputs are empty or `k < 1`.
-[[nodiscard]] Result<double> PrecisionAtK(const std::vector<double>& scores,
-                            const std::vector<bool>& relevant, int k);
-
-/// Normalized Discounted Cumulative Gain at `k` of `scores` against
-/// non-negative graded `gains`, in [0, 1] (1 = ideal ordering). Uses the
-/// standard log2 discount; returns 0 when every gain is zero.
-[[nodiscard]] Result<double> NdcgAtK(const std::vector<double>& scores,
-                       const std::vector<double>& gains, int k);
-
-/// Kendall tau-a rank correlation of two score vectors, in [-1, 1]
-/// (pairs tied in either vector count as discordant-neutral, i.e. 0).
-/// Errors when sizes differ or are < 2.
-[[nodiscard]] Result<double> KendallTau(const std::vector<double>& a,
-                          const std::vector<double>& b);
-
 }  // namespace hetesim
 
 #endif  // HETESIM_LEARN_METRICS_H_

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "common/parallel.h"
 #include "common/string_util.h"
 
 namespace hetesim {
@@ -94,55 +93,10 @@ DenseMatrix DenseMatrix::Add(const DenseMatrix& other) const {
   return out;
 }
 
-DenseMatrix DenseMatrix::Subtract(const DenseMatrix& other) const {
-  HETESIM_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  DenseMatrix out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] -= other.data_[i];
-  return out;
-}
-
 DenseMatrix DenseMatrix::Scale(double factor) const {
   DenseMatrix out = *this;
   for (double& v : out.data_) v *= factor;
   return out;
-}
-
-void DenseMatrix::NormalizeRowsL1(int num_threads) {
-  ParallelFor(
-      0, rows_, num_threads,
-      [this](int64_t row_begin, int64_t row_end) {
-        for (Index i = row_begin; i < row_end; ++i) {
-          double* row = RowData(i);
-          double sum = 0.0;
-          for (Index j = 0; j < cols_; ++j) sum += std::abs(row[j]);
-          if (sum == 0.0) continue;
-          for (Index j = 0; j < cols_; ++j) row[j] /= sum;
-        }
-      },
-      {.cost_per_element = static_cast<double>(cols_)});
-}
-
-void DenseMatrix::NormalizeColsL1(int num_threads) {
-  std::vector<double> sums(static_cast<size_t>(cols_), 0.0);
-  for (Index i = 0; i < rows_; ++i) {
-    const double* row = RowData(i);
-    for (Index j = 0; j < cols_; ++j) sums[static_cast<size_t>(j)] += std::abs(row[j]);
-  }
-  // The column sums above stay sequential (a parallel version would need
-  // per-thread partials); the division sweep is row-partitioned.
-  ParallelFor(
-      0, rows_, num_threads,
-      [this, &sums](int64_t row_begin, int64_t row_end) {
-        for (Index i = row_begin; i < row_end; ++i) {
-          double* row = RowData(i);
-          for (Index j = 0; j < cols_; ++j) {
-            if (sums[static_cast<size_t>(j)] != 0.0) {
-              row[j] /= sums[static_cast<size_t>(j)];
-            }
-          }
-        }
-      },
-      {.cost_per_element = static_cast<double>(cols_)});
 }
 
 double DenseMatrix::MaxAbsDiff(const DenseMatrix& other) const {

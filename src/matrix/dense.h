@@ -86,19 +86,9 @@ class DenseMatrix {
   DenseMatrix Submatrix(const std::vector<Index>& row_ids,
                         const std::vector<Index>& col_ids) const;
 
-  /// Element-wise sum / difference / scale.
+  /// Element-wise sum / scale.
   DenseMatrix Add(const DenseMatrix& other) const;
-  DenseMatrix Subtract(const DenseMatrix& other) const;
   DenseMatrix Scale(double factor) const;
-
-  /// L1-normalizes each row in place; all-zero rows are left untouched.
-  /// The sweep is row-parallel on the shared thread pool: `num_threads`
-  /// follows the usual convention (1 = sequential, 0 = all hardware
-  /// threads); results are identical at any thread count.
-  void NormalizeRowsL1(int num_threads = 1);
-  /// L1-normalizes each column in place; all-zero columns are untouched.
-  /// Same `num_threads` convention as `NormalizeRowsL1`.
-  void NormalizeColsL1(int num_threads = 1);
 
   /// max_ij |a_ij - b_ij|; matrices must have identical shapes.
   double MaxAbsDiff(const DenseMatrix& other) const;

@@ -26,24 +26,10 @@ double Sum(const std::vector<double>& a) {
   return acc;
 }
 
-void NormalizeL1(std::vector<double>& a) {
-  double total = 0.0;
-  for (double v : a) total += std::abs(v);
-  if (total == 0.0) return;
-  for (double& v : a) v /= total;
-}
-
 void NormalizeL2(std::vector<double>& a) {
   const double norm = Norm2(a);
   if (norm == 0.0) return;
   for (double& v : a) v /= norm;
-}
-
-double CosineSimilarity(const std::vector<double>& a, const std::vector<double>& b) {
-  const double na = Norm2(a);
-  const double nb = Norm2(b);
-  if (na == 0.0 || nb == 0.0) return 0.0;
-  return Dot(a, b) / (na * nb);
 }
 
 Result<SparseMatrix> MultiplyChain(const std::vector<SparseMatrix>& chain,

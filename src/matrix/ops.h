@@ -18,16 +18,8 @@ double Norm2(const std::vector<double>& a);
 /// Sum of entries (L1 norm for non-negative vectors).
 double Sum(const std::vector<double>& a);
 
-/// Scales `a` in place so it sums to 1; no-op for an all-zero vector.
-void NormalizeL1(std::vector<double>& a);
-
 /// Scales `a` in place to unit L2 norm; no-op for an all-zero vector.
 void NormalizeL2(std::vector<double>& a);
-
-/// Cosine similarity in [-1, 1]; 0 when either vector is all-zero. For two
-/// reachable-probability distributions this is the normalized HeteSim
-/// combination step (Definition 10 of the paper).
-double CosineSimilarity(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Multiplies a chain of sparse matrices:
 /// `chain[0] * chain[1] * ... * chain.back()`. Adjacent dimensions must

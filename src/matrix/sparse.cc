@@ -250,12 +250,6 @@ SparseMatrix SparseMatrix::ColNormalized() const {
   return out;
 }
 
-SparseMatrix SparseMatrix::Scaled(double factor) const {
-  SparseMatrix out = *this;
-  for (double& v : out.values_) v *= factor;
-  return out;
-}
-
 SparseMatrix SparseMatrix::Add(const SparseMatrix& other) const {
   HETESIM_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
   std::vector<Triplet> triplets;

@@ -90,8 +90,6 @@ class SparseMatrix {
   /// unchanged. `W.ColNormalized()` is `V` of Definition 8; note
   /// Property 2: `U_AB = V_BA'` and `V_AB = U_BA'`.
   SparseMatrix ColNormalized() const;
-  /// Returns a copy with every value multiplied by `factor`.
-  SparseMatrix Scaled(double factor) const;
   /// Element-wise sum; shapes must match.
   SparseMatrix Add(const SparseMatrix& other) const;
 

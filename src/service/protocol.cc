@@ -126,15 +126,6 @@ constexpr uint32_t kMaxWireElements = kMaxFramePayload / 8;
 
 }  // namespace
 
-const char* QueryKindName(QueryKind kind) {
-  switch (kind) {
-    case QueryKind::kPair: return "pair";
-    case QueryKind::kSingleSource: return "single_source";
-    case QueryKind::kTopK: return "topk";
-  }
-  return "unknown";
-}
-
 const char* ResponseOutcomeName(ResponseOutcome outcome) {
   switch (outcome) {
     case ResponseOutcome::kOk: return "ok";

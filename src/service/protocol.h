@@ -57,8 +57,6 @@ enum class QueryKind : uint8_t {
   kTopK = 2,          ///< pruned top-k targets for one source
 };
 
-const char* QueryKindName(QueryKind kind);
-
 /// Terminal disposition of a request, as seen by the client.
 enum class ResponseOutcome : uint8_t {
   kOk = 0,                ///< full answer

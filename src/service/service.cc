@@ -187,8 +187,12 @@ size_t QueryService::EstimateBytes(const PathState& state,
     case QueryKind::kSingleSource:
       return kBaseBytes + static_cast<size_t>(state.num_targets) * sizeof(double);
     case QueryKind::kTopK:
+      // A response never holds more items than there are targets, whatever
+      // `k` the wire carried.
       return kBaseBytes + static_cast<size_t>(state.num_targets) * sizeof(double) +
-             static_cast<size_t>(std::max(0, request.k)) * sizeof(Scored);
+             static_cast<size_t>(std::min<Index>(std::max(0, request.k),
+                                                 state.num_targets)) *
+                 sizeof(Scored);
   }
   return kBaseBytes;
 }

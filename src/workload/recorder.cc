@@ -34,20 +34,6 @@ std::string Sanitize(const std::string& name) {
 
 }  // namespace
 
-const char* QueryOutcomeName(QueryOutcome outcome) {
-  switch (outcome) {
-    case QueryOutcome::kOk: return "ok";
-    case QueryOutcome::kTruncated: return "truncated";
-    case QueryOutcome::kDeadlineExceeded: return "deadline_exceeded";
-    case QueryOutcome::kCancelled: return "cancelled";
-    case QueryOutcome::kError: return "error";
-    case QueryOutcome::kRejected: return "rejected";
-    case QueryOutcome::kShed: return "shed";
-    case QueryOutcome::kDegraded: return "degraded";
-  }
-  return "unknown";
-}
-
 bool OutcomeServed(QueryOutcome outcome) {
   return outcome == QueryOutcome::kOk || outcome == QueryOutcome::kTruncated ||
          outcome == QueryOutcome::kDegraded;

@@ -28,8 +28,6 @@ enum class QueryOutcome {
 /// kDegraded) — the numerator of goodput.
 bool OutcomeServed(QueryOutcome outcome);
 
-const char* QueryOutcomeName(QueryOutcome outcome);
-
 /// Latency/SLO aggregate of one query class over a run.
 struct ClassStats {
   std::string name;

@@ -78,6 +78,17 @@ TEST(AnalyzeLayering, UpwardSiblingAndCycleEdgesFireOthersStaySilent) {
                       {"src/service/svc.h", 1, "layer-order"}}));
 }
 
+// --- orphan headers -------------------------------------------------------
+
+TEST(AnalyzeOrphanHeader, TestOnlyAndUnincludedHeadersFire) {
+  // used.h is included by a tools/ binary besides its own .cc and stays
+  // silent; tested.h is included only by its own .cc and a test, dead.h by
+  // nothing at all.
+  EXPECT_EQ(AnalyzeFixture("orphan"),
+            (Findings{{"src/core/dead.h", 1, "orphan-header"},
+                      {"src/core/tested.h", 1, "orphan-header"}}));
+}
+
 // --- lock-order family ----------------------------------------------------
 
 TEST(AnalyzeLockOrder, DirectAndCallPropagatedCyclesAndReentryFire) {

@@ -10,9 +10,10 @@
 #include <sstream>
 #include <string>
 
+#include "datagen/acm_generator.h"
+#include "datagen/dblp_generator.h"
 #include "datagen/io.h"
 #include "datagen/random_hin.h"
-#include "datagen/retail_generator.h"
 #include "gtest/gtest.h"
 #include "workload/schedule.h"
 
@@ -75,37 +76,37 @@ std::string RandomBipartiteText() {
   return SerializeSparse(RandomBipartiteAdjacency(50, 70, 0.08, /*seed=*/9));
 }
 
-std::string RetailText() {
-  RetailConfig config;
-  config.num_customers = 120;
-  config.num_products = 90;
-  config.num_brands = 12;
-  config.num_categories = 4;
-  config.seed = 17;
-  Result<RetailDataset> retail = GenerateRetail(config);
-  EXPECT_TRUE(retail.ok()) << retail.status().ToString();
-  return SerializeGraph(retail->graph);
+/// The DBLP and ACM generators build the golden top-k fixtures (at these
+/// default configs), every bench graph and perfbench's reference graph.
+std::string DblpText(uint64_t seed = DblpConfig{}.seed) {
+  DblpConfig config;
+  config.seed = seed;
+  Result<DblpDataset> dblp = GenerateDblp(config);
+  EXPECT_TRUE(dblp.ok()) << dblp.status().ToString();
+  return SerializeGraph(dblp->graph);
+}
+
+std::string AcmText(uint64_t seed = AcmConfig{}.seed) {
+  AcmConfig config;
+  config.seed = seed;
+  Result<AcmDataset> acm = GenerateAcm(config);
+  EXPECT_TRUE(acm.ok()) << acm.status().ToString();
+  return SerializeGraph(acm->graph);
 }
 
 TEST(DatagenDeterminism, SameSeedIsBitwiseIdentical) {
   EXPECT_EQ(RandomTripartiteText(), RandomTripartiteText());
   EXPECT_EQ(RandomBipartiteText(), RandomBipartiteText());
-  EXPECT_EQ(RetailText(), RetailText());
+  EXPECT_EQ(DblpText(), DblpText());
+  EXPECT_EQ(AcmText(), AcmText());
 }
 
 TEST(DatagenDeterminism, DifferentSeedsDiffer) {
   EXPECT_NE(RandomTripartiteText(123), RandomTripartiteText(124));
   EXPECT_NE(SerializeSparse(RandomBipartiteAdjacency(50, 70, 0.08, 9)),
             SerializeSparse(RandomBipartiteAdjacency(50, 70, 0.08, 10)));
-  RetailConfig config;
-  config.num_customers = 120;
-  config.num_products = 90;
-  config.num_brands = 12;
-  config.num_categories = 4;
-  config.seed = 18;
-  Result<RetailDataset> other = GenerateRetail(config);
-  ASSERT_TRUE(other.ok());
-  EXPECT_NE(RetailText(), SerializeGraph(other->graph));
+  EXPECT_NE(DblpText(11), DblpText(12));
+  EXPECT_NE(AcmText(7), AcmText(8));
 }
 
 TEST(DatagenDeterminism, DigestsMatchCheckedInFixture) {
@@ -117,7 +118,8 @@ TEST(DatagenDeterminism, DigestsMatchCheckedInFixture) {
   } cases[] = {
       {"random_tripartite", RandomTripartiteText()},
       {"random_bipartite", RandomBipartiteText()},
-      {"retail", RetailText()},
+      {"dblp", DblpText()},
+      {"acm", AcmText()},
   };
   for (const auto& c : cases) {
     auto it = fixture.find(c.name);

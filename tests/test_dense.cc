@@ -78,28 +78,11 @@ TEST(DenseMatrix, TransposeInvolution) {
   EXPECT_TRUE(t.Transpose().ApproxEquals(a));
 }
 
-TEST(DenseMatrix, AddSubtractScale) {
+TEST(DenseMatrix, AddScale) {
   DenseMatrix a(1, 2, {1, 2});
   DenseMatrix b(1, 2, {10, 20});
   EXPECT_TRUE(a.Add(b).ApproxEquals(DenseMatrix(1, 2, {11, 22})));
-  EXPECT_TRUE(b.Subtract(a).ApproxEquals(DenseMatrix(1, 2, {9, 18})));
   EXPECT_TRUE(a.Scale(3).ApproxEquals(DenseMatrix(1, 2, {3, 6})));
-}
-
-TEST(DenseMatrix, NormalizeRowsL1) {
-  DenseMatrix m(2, 2, {1, 3, 0, 0});
-  m.NormalizeRowsL1();
-  EXPECT_DOUBLE_EQ(m(0, 0), 0.25);
-  EXPECT_DOUBLE_EQ(m(0, 1), 0.75);
-  EXPECT_EQ(m(1, 0), 0.0);  // zero row untouched
-}
-
-TEST(DenseMatrix, NormalizeColsL1) {
-  DenseMatrix m(2, 2, {1, 0, 3, 0});
-  m.NormalizeColsL1();
-  EXPECT_DOUBLE_EQ(m(0, 0), 0.25);
-  EXPECT_DOUBLE_EQ(m(1, 0), 0.75);
-  EXPECT_EQ(m(0, 1), 0.0);  // zero column untouched
 }
 
 TEST(DenseMatrix, SubmatrixSelectsAndReorders) {

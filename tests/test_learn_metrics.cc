@@ -1,7 +1,5 @@
 #include "learn/metrics.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 namespace hetesim {
@@ -122,101 +120,6 @@ TEST(AverageRankDifference, Validation) {
                   .IsInvalidArgument());
   EXPECT_TRUE(AverageRankDifference({}, {}, 1).status().IsInvalidArgument());
   EXPECT_TRUE(AverageRankDifference({1.0}, {1.0}, 0).status().IsInvalidArgument());
-}
-
-// --- Spearman ---
-
-TEST(Spearman, PerfectPositiveAndNegative) {
-  EXPECT_DOUBLE_EQ(*SpearmanCorrelation({1, 2, 3, 4}, {10, 20, 30, 40}), 1.0);
-  EXPECT_DOUBLE_EQ(*SpearmanCorrelation({1, 2, 3, 4}, {40, 30, 20, 10}), -1.0);
-}
-
-TEST(Spearman, MonotoneTransformInvariant) {
-  std::vector<double> a = {1, 5, 3, 9, 7};
-  std::vector<double> b = {2, 26, 10, 82, 50};  // b = a^2 + 1 (monotone)
-  EXPECT_DOUBLE_EQ(*SpearmanCorrelation(a, b), 1.0);
-}
-
-// --- Precision@k ---
-
-TEST(PrecisionAtK, PerfectAndWorstRanking) {
-  std::vector<double> scores = {0.9, 0.8, 0.2, 0.1};
-  EXPECT_DOUBLE_EQ(*PrecisionAtK(scores, {true, true, false, false}, 2), 1.0);
-  EXPECT_DOUBLE_EQ(*PrecisionAtK(scores, {false, false, true, true}, 2), 0.0);
-}
-
-TEST(PrecisionAtK, PartialCredit) {
-  std::vector<double> scores = {0.9, 0.8, 0.7, 0.1};
-  EXPECT_DOUBLE_EQ(*PrecisionAtK(scores, {true, false, true, false}, 3),
-                   2.0 / 3.0);
-}
-
-TEST(PrecisionAtK, KBeyondSizeUsesAll) {
-  EXPECT_DOUBLE_EQ(*PrecisionAtK({0.5, 0.4}, {true, false}, 10), 0.5);
-}
-
-TEST(PrecisionAtK, Validation) {
-  EXPECT_TRUE(PrecisionAtK({0.5}, {true, false}, 1).status().IsInvalidArgument());
-  EXPECT_TRUE(PrecisionAtK({}, {}, 1).status().IsInvalidArgument());
-  EXPECT_TRUE(PrecisionAtK({0.5}, {true}, 0).status().IsInvalidArgument());
-}
-
-// --- NDCG ---
-
-TEST(Ndcg, IdealOrderingScoresOne) {
-  std::vector<double> gains = {3, 2, 1, 0};
-  EXPECT_DOUBLE_EQ(*NdcgAtK({0.9, 0.8, 0.7, 0.6}, gains, 4), 1.0);
-}
-
-TEST(Ndcg, ReversedOrderingBelowOne) {
-  std::vector<double> gains = {3, 2, 1, 0};
-  double ndcg = *NdcgAtK({0.1, 0.2, 0.3, 0.4}, gains, 4);
-  EXPECT_LT(ndcg, 1.0);
-  EXPECT_GT(ndcg, 0.0);
-}
-
-TEST(Ndcg, KnownValue) {
-  // Two items, gains (1, 0). Wrong order: DCG = 0/log2(2) + 1/log2(3);
-  // ideal = 1/log2(2) = 1. NDCG = 1/log2(3) = 0.6309...
-  double ndcg = *NdcgAtK({0.1, 0.9}, {1.0, 0.0}, 2);
-  EXPECT_NEAR(ndcg, 1.0 / std::log2(3.0), 1e-12);
-}
-
-TEST(Ndcg, AllZeroGainsScoreZero) {
-  EXPECT_DOUBLE_EQ(*NdcgAtK({0.5, 0.4}, {0.0, 0.0}, 2), 0.0);
-}
-
-TEST(Ndcg, Validation) {
-  EXPECT_TRUE(NdcgAtK({0.5}, {1.0, 2.0}, 1).status().IsInvalidArgument());
-  EXPECT_TRUE(NdcgAtK({0.5}, {-1.0}, 1).status().IsInvalidArgument());
-  EXPECT_TRUE(NdcgAtK({0.5}, {1.0}, 0).status().IsInvalidArgument());
-}
-
-// --- Kendall tau ---
-
-TEST(KendallTau, PerfectAgreementAndReversal) {
-  EXPECT_DOUBLE_EQ(*KendallTau({1, 2, 3}, {4, 5, 6}), 1.0);
-  EXPECT_DOUBLE_EQ(*KendallTau({1, 2, 3}, {6, 5, 4}), -1.0);
-}
-
-TEST(KendallTau, OneSwappedPair) {
-  // 4 items, one adjacent transposition: (C(4,2)-2)/C(4,2) = 4/6.
-  EXPECT_NEAR(*KendallTau({1, 2, 3, 4}, {1, 3, 2, 4}), 4.0 / 6.0, 1e-12);
-}
-
-TEST(KendallTau, TiesContributeZero) {
-  EXPECT_DOUBLE_EQ(*KendallTau({1, 1, 2}, {1, 2, 3}), 2.0 / 3.0);
-}
-
-TEST(KendallTau, Validation) {
-  EXPECT_TRUE(KendallTau({1.0}, {1.0}).status().IsInvalidArgument());
-  EXPECT_TRUE(KendallTau({1, 2}, {1, 2, 3}).status().IsInvalidArgument());
-}
-
-TEST(Spearman, Validation) {
-  EXPECT_TRUE(SpearmanCorrelation({1.0}, {1.0}).status().IsInvalidArgument());
-  EXPECT_TRUE(SpearmanCorrelation({1, 2}, {1, 2, 3}).status().IsInvalidArgument());
-  EXPECT_TRUE(SpearmanCorrelation({1, 1, 1}, {1, 2, 3}).status().IsInvalidArgument());
 }
 
 }  // namespace

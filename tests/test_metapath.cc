@@ -107,27 +107,6 @@ TEST_F(MetaPathTest, ReverseInvertsStepsAndOrder) {
   EXPECT_EQ(reversed.Reverse(), path);  // involution
 }
 
-TEST_F(MetaPathTest, ConcatCompatiblePaths) {
-  MetaPath ap = *MetaPath::Parse(schema(), "AP");
-  MetaPath pc = *MetaPath::Parse(schema(), "PC");
-  Result<MetaPath> apc = ap.Concat(pc);
-  ASSERT_TRUE(apc.ok());
-  EXPECT_EQ(apc->ToString(), "A-P-C");
-  EXPECT_EQ(*apc, *MetaPath::Parse(schema(), "APC"));
-}
-
-TEST_F(MetaPathTest, ConcatIncompatiblePathsFails) {
-  MetaPath ap = *MetaPath::Parse(schema(), "AP");
-  EXPECT_TRUE(ap.Concat(ap).status().IsInvalidArgument());
-}
-
-TEST_F(MetaPathTest, PrefixSuffix) {
-  MetaPath apcpa = *MetaPath::Parse(schema(), "APCPA");
-  EXPECT_EQ(apcpa.Prefix(2).ToString(), "A-P-C");
-  EXPECT_EQ(apcpa.Suffix(2).ToString(), "C-P-A");
-  EXPECT_EQ(*apcpa.Prefix(2).Concat(apcpa.Suffix(2)), apcpa);
-}
-
 TEST_F(MetaPathTest, SymmetryDetection) {
   EXPECT_TRUE(MetaPath::Parse(schema(), "APA")->IsSymmetric());
   EXPECT_TRUE(MetaPath::Parse(schema(), "APCPA")->IsSymmetric());

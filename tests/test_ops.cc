@@ -24,28 +24,11 @@ TEST(VectorOps, Sum) {
   EXPECT_DOUBLE_EQ(Sum({1.5, 2.5, -1.0}), 3.0);
 }
 
-TEST(VectorOps, NormalizeL1) {
-  std::vector<double> v = {1, 3};
-  NormalizeL1(v);
-  EXPECT_DOUBLE_EQ(v[0], 0.25);
-  EXPECT_DOUBLE_EQ(v[1], 0.75);
-  std::vector<double> zero = {0, 0};
-  NormalizeL1(zero);  // no-op, no NaNs
-  EXPECT_EQ(zero, (std::vector<double>{0, 0}));
-}
-
 TEST(VectorOps, NormalizeL2) {
   std::vector<double> v = {3, 4};
   NormalizeL2(v);
   EXPECT_DOUBLE_EQ(v[0], 0.6);
   EXPECT_DOUBLE_EQ(v[1], 0.8);
-}
-
-TEST(VectorOps, CosineSimilarity) {
-  EXPECT_DOUBLE_EQ(CosineSimilarity({1, 0}, {0, 1}), 0.0);
-  EXPECT_DOUBLE_EQ(CosineSimilarity({2, 0}, {5, 0}), 1.0);
-  EXPECT_DOUBLE_EQ(CosineSimilarity({1, 0}, {-1, 0}), -1.0);
-  EXPECT_EQ(CosineSimilarity({0, 0}, {1, 1}), 0.0);  // zero vector convention
 }
 
 TEST(MultiplyDenseSparseParallel, MatchesDenseProduct) {

@@ -15,7 +15,6 @@ TEST(PathSim, RequiresSymmetricPath) {
   HinGraph g = testing::BuildFig4Graph();
   EXPECT_TRUE(PathSimMatrix(g, Parse(g, "APC")).status().IsInvalidArgument());
   EXPECT_TRUE(PathSimSingleSource(g, Parse(g, "AP"), 0).status().IsInvalidArgument());
-  EXPECT_TRUE(PathSimPair(g, Parse(g, "APCP"), 0, 0).status().IsInvalidArgument());
 }
 
 TEST(PathSim, SelfSimilarityIsOne) {
@@ -66,23 +65,11 @@ TEST(PathSim, SingleSourceMatchesMatrix) {
   }
 }
 
-TEST(PathSim, PairMatchesMatrix) {
-  HinGraph g = testing::RandomTripartite(6, 9, 5, 0.3, 73);
-  MetaPath abcba = Parse(g, "ABCBA");
-  DenseMatrix s = *PathSimMatrix(g, abcba);
-  for (Index i = 0; i < s.rows(); ++i) {
-    for (Index j = 0; j < s.cols(); ++j) {
-      EXPECT_NEAR(*PathSimPair(g, abcba, i, j), s(i, j), 1e-12);
-    }
-  }
-}
-
 TEST(PathSim, OutOfRangeErrors) {
   HinGraph g = testing::BuildFig4Graph();
   MetaPath apa = Parse(g, "APA");
   EXPECT_TRUE(PathSimSingleSource(g, apa, 99).status().IsOutOfRange());
-  EXPECT_TRUE(PathSimPair(g, apa, 0, 99).status().IsOutOfRange());
-  EXPECT_TRUE(PathSimPair(g, apa, -1, 0).status().IsOutOfRange());
+  EXPECT_TRUE(PathSimSingleSource(g, apa, -1).status().IsOutOfRange());
 }
 
 TEST(PathSim, IsolatedPairScoresZero) {
@@ -97,9 +84,9 @@ TEST(PathSim, IsolatedPairScoresZero) {
   HinGraph g = std::move(builder).Build();
   MetaPath aba = Parse(g, "ABA");
   // No edges at all: all counts zero, denominator zero -> similarity 0.
-  EXPECT_EQ(*PathSimPair(g, aba, 0, 1), 0.0);
   DenseMatrix s = *PathSimMatrix(g, aba);
   EXPECT_EQ(s(0, 0), 0.0);
+  EXPECT_EQ(s(0, 1), 0.0);
 }
 
 }  // namespace

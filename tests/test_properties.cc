@@ -1,14 +1,19 @@
-// Property-based sweeps: the semi-metric properties of Section 4.5 and the
-// structural invariants of the decomposition machinery, checked across a
-// grid of random networks (seed x density) and paths — plus a metamorphic
-// suite over generated DBLP/ACM networks that re-checks the paper
-// properties under every chain-plan kernel choice.
+// Property-based sweeps: the semi-metric properties of Section 4.5, the
+// structural invariants of the decomposition machinery and the agreement of
+// every query entry point with the full matrix, checked across a grid of
+// random networks (seed x density) and paths — plus a metamorphic suite
+// over generated DBLP/ACM networks that re-checks the paper properties
+// under every chain-plan kernel choice.
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,8 +24,11 @@
 #include "core/topk.h"
 #include "datagen/acm_generator.h"
 #include "datagen/dblp_generator.h"
+#include "hin/digest.h"
 #include "matrix/chain_plan.h"
 #include "matrix/spgemm.h"
+#include "service/service.h"
+#include "store/store.h"
 #include "test_util.h"
 
 namespace hetesim {
@@ -188,12 +196,123 @@ TEST_P(RandomGraphProperties, DecompositionHalvesHaveMatchingMiddle) {
   EXPECT_EQ(d.edge_object_inserted, path_.length() % 2 == 1);
 }
 
+/// Asserts that `items` ranks exactly the positive entries of `row`, each
+/// within 1e-12 of its score there, best first. Near-ties may order either
+/// way, so ids are matched by value rather than by position.
+void ExpectRanksPositiveEntries(const std::vector<Scored>& items,
+                                const std::vector<double>& row) {
+  std::vector<Index> positive;
+  for (size_t t = 0; t < row.size(); ++t) {
+    if (row[t] > 0.0) positive.push_back(static_cast<Index>(t));
+  }
+  std::vector<Index> ranked;
+  for (size_t i = 0; i < items.size(); ++i) {
+    ranked.push_back(items[i].id);
+    EXPECT_NEAR(items[i].score, row[static_cast<size_t>(items[i].id)], 1e-12);
+    if (i > 0) {
+      EXPECT_LE(items[i].score, items[i - 1].score);
+    }
+  }
+  std::sort(ranked.begin(), ranked.end());
+  EXPECT_EQ(ranked, positive);
+}
+
+TEST_P(RandomGraphProperties, EveryEntryPointAgreesWithCompute) {
+  // Differential check of every query entry point against the full matrix:
+  // the engine without and with a cache, top-k over that cache, a fresh
+  // cache reading a store the first one was flushed to, and an in-process
+  // service.
+  HeteSimEngine uncached(graph_);
+  const DenseMatrix expected = uncached.Compute(path_).value();
+  const Index num_sources = expected.rows();
+  const Index num_targets = expected.cols();
+  std::vector<std::pair<Index, Index>> all_pairs;
+  for (Index s = 0; s < num_sources; ++s) {
+    for (Index t = 0; t < num_targets; ++t) all_pairs.emplace_back(s, t);
+  }
+  auto expect_engine_agrees = [&](const HeteSimEngine& engine, const char* label) {
+    SCOPED_TRACE(label);
+    const std::vector<double> pairs = engine.ComputePairs(path_, all_pairs).value();
+    ASSERT_EQ(pairs.size(), all_pairs.size());
+    for (Index s = 0; s < num_sources; ++s) {
+      const std::vector<double> row = engine.ComputeSingleSource(path_, s).value();
+      ASSERT_EQ(row.size(), static_cast<size_t>(num_targets));
+      for (Index t = 0; t < num_targets; ++t) {
+        const size_t at = static_cast<size_t>(s * num_targets + t);
+        EXPECT_NEAR(engine.ComputePair(path_, s, t).value(), expected(s, t), 1e-12);
+        EXPECT_NEAR(pairs[at], expected(s, t), 1e-12);
+        EXPECT_NEAR(row[static_cast<size_t>(t)], expected(s, t), 1e-12);
+      }
+    }
+  };
+  expect_engine_agrees(uncached, "uncached");
+
+  auto cache = std::make_shared<PathMatrixCache>();
+  expect_engine_agrees(HeteSimEngine(graph_, {}, cache), "cached");
+  const TopKSearcher searcher =
+      TopKSearcher::Prepare(graph_, path_, {}, QueryContext::Background(), cache.get())
+          .value();
+  for (Index s = 0; s < num_sources; ++s) {
+    SCOPED_TRACE(s);
+    const TopKResult top =
+        searcher.Query(s, static_cast<int>(num_targets)).value();
+    ExpectRanksPositiveEntries(top.items, expected.Row(s));
+  }
+
+  // A restarted process: a fresh cache over the store the first cache was
+  // flushed to serves both halves without computing either.
+  std::string name = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::replace(name.begin(), name.end(), '/', '_');
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / ("hetesim_props_" + name);
+  std::filesystem::remove_all(dir);
+  StoreOptions store_options;
+  store_options.directory = dir.string();
+  store_options.graph_digest = GraphDigest(graph_);
+  std::shared_ptr<MatrixStore> store = MatrixStore::Open(store_options).value();
+  cache->AttachStore(store);
+  ASSERT_TRUE(cache->FlushToStore().ok());
+  auto restarted = std::make_shared<PathMatrixCache>();
+  restarted->AttachStore(MatrixStore::Open(store_options).value());
+  expect_engine_agrees(HeteSimEngine(graph_, {}, restarted), "store");
+  EXPECT_EQ(restarted->ComputeCount(PathMatrixCache::LeftKey(path_)), 0u);
+  EXPECT_EQ(restarted->ComputeCount(PathMatrixCache::RightKey(path_)), 0u);
+  std::filesystem::remove_all(dir);
+
+  std::unique_ptr<service::QueryService> svc =
+      service::QueryService::Create(graph_, service::ServiceOptions{});
+  for (Index s = 0; s < num_sources; ++s) {
+    SCOPED_TRACE(s);
+    service::QueryRequest request;
+    request.path = std::get<1>(GetParam());
+    request.source = s;
+    request.kind = service::QueryKind::kSingleSource;
+    const service::QueryResponse single = svc->Execute(request);
+    ASSERT_EQ(single.outcome, service::ResponseOutcome::kOk) << single.message;
+    ASSERT_EQ(single.scores.size(), static_cast<size_t>(num_targets));
+    request.kind = service::QueryKind::kTopK;
+    request.k = static_cast<int32_t>(num_targets);
+    const service::QueryResponse top = svc->Execute(request);
+    ASSERT_EQ(top.outcome, service::ResponseOutcome::kOk) << top.message;
+    ExpectRanksPositiveEntries(top.items, expected.Row(s));
+    request.kind = service::QueryKind::kPair;
+    for (Index t = 0; t < num_targets; ++t) {
+      EXPECT_NEAR(single.scores[static_cast<size_t>(t)], expected(s, t), 1e-12);
+      request.target = t;
+      const service::QueryResponse pair = svc->Execute(request);
+      ASSERT_EQ(pair.outcome, service::ResponseOutcome::kOk) << pair.message;
+      ASSERT_EQ(pair.scores.size(), 1u);
+      EXPECT_NEAR(pair.scores[0], expected(s, t), 1e-12);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SeedsDensitiesPaths, RandomGraphProperties,
     ::testing::Combine(::testing::Values(GraphCase{1, 0.15}, GraphCase{2, 0.3},
                                          GraphCase{3, 0.5}, GraphCase{4, 0.8}),
                        ::testing::Values("AB", "ABC", "ABA", "ABCBA", "CBA",
-                                         "BCB", "BAB")));
+                                         "BCB", "BAB", "ABCB")));
 
 // --- Invariances of the measure ---
 

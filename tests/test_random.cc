@@ -100,18 +100,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(sum_squares / draws, 1.0, 0.03);
 }
 
-TEST(Rng, CategoricalFollowsWeights) {
-  Rng rng(19);
-  std::vector<double> weights = {1.0, 3.0, 0.0, 6.0};
-  std::vector<int> histogram(4, 0);
-  const int draws = 100000;
-  for (int i = 0; i < draws; ++i) ++histogram[rng.Categorical(weights)];
-  EXPECT_NEAR(histogram[0] / static_cast<double>(draws), 0.1, 0.01);
-  EXPECT_NEAR(histogram[1] / static_cast<double>(draws), 0.3, 0.01);
-  EXPECT_EQ(histogram[2], 0);
-  EXPECT_NEAR(histogram[3] / static_cast<double>(draws), 0.6, 0.01);
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(23);
   std::vector<int> values(50);

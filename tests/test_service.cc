@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -498,6 +499,34 @@ TEST_F(QueryServiceTest, TopKMatchesDirectSearcher) {
   for (size_t i = 0; i < direct->items.size(); ++i) {
     EXPECT_EQ(response.items[i].id, direct->items[i].id);
     EXPECT_NEAR(response.items[i].score, direct->items[i].score, 1e-12);
+  }
+}
+
+TEST_F(QueryServiceTest, TopKChargesAtMostEveryTarget) {
+  // The wire accepts any k up to INT_MAX, but a response never holds more
+  // items than there are targets. A budgeted service must charge such a
+  // request like k = num_targets instead of shedding it as oversized.
+  ServiceOptions options;
+  options.admission.workers = 2;
+  options.memory_mb = 64;
+  std::unique_ptr<QueryService> budgeted = QueryService::Create(graph_, options);
+  Result<MetaPath> path = MetaPath::Parse(graph_.schema(), "C-P-A");
+  ASSERT_TRUE(path.ok());
+  QueryRequest request;
+  request.kind = QueryKind::kTopK;
+  request.path = "C-P-A";
+  request.source = 0;
+  request.k = static_cast<int32_t>(graph_.NumNodes(path->TargetType()));
+  const QueryResponse every_target = budgeted->Execute(request);
+  request.k = std::numeric_limits<int32_t>::max();
+  const QueryResponse huge_k = budgeted->Execute(request);
+  ASSERT_TRUE(every_target.served()) << every_target.message;
+  ASSERT_TRUE(huge_k.served()) << huge_k.message;
+  ASSERT_FALSE(every_target.items.empty());
+  ASSERT_EQ(huge_k.items.size(), every_target.items.size());
+  for (size_t i = 0; i < every_target.items.size(); ++i) {
+    EXPECT_EQ(huge_k.items[i].id, every_target.items[i].id);
+    EXPECT_EQ(huge_k.items[i].score, every_target.items[i].score);
   }
 }
 

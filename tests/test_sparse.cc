@@ -171,9 +171,8 @@ TEST(SparseMatrix, Property2ColNormalizedIsTransposedRowNormalized) {
   EXPECT_TRUE(v_ab.ApproxEquals(u_ba.Transpose(), 1e-12));
 }
 
-TEST(SparseMatrix, ScaledAndAdd) {
+TEST(SparseMatrix, Add) {
   SparseMatrix a = Sample2x3();
-  EXPECT_EQ(a.Scaled(2.0).At(0, 2), 4.0);
   SparseMatrix sum = a.Add(a);
   EXPECT_EQ(sum.At(1, 1), 6.0);
   EXPECT_EQ(sum.NumNonZeros(), a.NumNonZeros());

@@ -454,6 +454,27 @@ void CheckLayering(Analysis& a, const AnalyzerConfig& config) {
     };
     for (size_t i = 0; i < a.files.size(); ++i) dfs(i);
   }
+
+  // Orphan headers: a src/ header whose only includers are its own .cc and
+  // tests is code that nothing ships.
+  std::vector<bool> used(a.files.size(), false);
+  for (const auto& [from, edges] : file_edges) {
+    const FileModel& includer = a.files[from];
+    if (includer.role == Role::kTest) continue;
+    for (const auto& [to, _] : edges) {
+      const std::string& header = a.files[to].path;
+      if (includer.path != header.substr(0, header.size() - 2) + ".cc") {
+        used[to] = true;
+      }
+    }
+  }
+  for (size_t i = 0; i < a.files.size(); ++i) {
+    const FileModel& fm = a.files[i];
+    if (fm.role != Role::kSrc || used[i] || !fm.path.ends_with(".h")) continue;
+    a.Emit(fm, 0, "orphan-header",
+           "header is included only by its own .cc and by tests: no binary, "
+           "bench, example or other module uses it; delete it or use it");
+  }
 }
 
 // --- rule family: lock order ----------------------------------------------

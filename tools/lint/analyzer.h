@@ -25,6 +25,8 @@
 ///   module-cycle    the module-level include graph must stay acyclic even
 ///                   across allowlisted edges.
 ///   include-cycle   no file-level include cycles.
+///   orphan-header   a src/ header included only by its own .cc and by
+///                   files under tests/ (or by nothing) is dead code.
 ///   lock-order      the global lock-order graph (MutexLock nesting per
 ///                   function, propagated across calls) must be acyclic; a
 ///                   cycle is a potential deadlock and is reported with the
