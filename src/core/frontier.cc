@@ -1,5 +1,6 @@
 #include "core/frontier.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/fault_injection.h"
@@ -130,6 +131,54 @@ Result<SparseVector> PropagateFrontier(Index source, const FrontierChain& chain,
     }
   }
   return x;
+}
+
+TargetIndex TargetIndex::Build(const SparseMatrix& right) {
+  TargetIndex index;
+  index.by_middle = right.Transpose();
+  index.norms.resize(static_cast<size_t>(right.rows()));
+  for (Index t = 0; t < right.rows(); ++t) {
+    index.norms[static_cast<size_t>(t)] = right.RowNorm(t);
+  }
+  return index;
+}
+
+Result<std::vector<double>> ScatterRow(const TargetIndex& index,
+                                       std::span<const Index> middles,
+                                       std::span<const double> weights,
+                                       bool normalized, const QueryContext& ctx) {
+  const size_t num_targets = static_cast<size_t>(index.num_targets());
+  HETESIM_ASSIGN_OR_RETURN(MemoryReservation reservation,
+                           ctx.Reserve(num_targets * sizeof(double)));
+  std::vector<double> scores(num_targets, 0.0);
+  PollStrideController poller;
+  for (size_t j = 0; j < middles.size(); ++j) {
+    if (j > 0 && poller.ShouldPoll(j)) {
+      HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
+    }
+    const double um = weights[j];
+    const auto targets = index.by_middle.RowIndices(middles[j]);
+    const auto values = index.by_middle.RowValues(middles[j]);
+    for (size_t i = 0; i < targets.size(); ++i) {
+      scores[static_cast<size_t>(targets[i])] += um * values[i];
+    }
+  }
+  if (!normalized) return scores;
+  double norm_squared = 0.0;
+  for (double w : weights) norm_squared += w * w;
+  const double nu = std::sqrt(norm_squared);
+  if (nu == 0.0) {
+    // The source reaches no middle object: relevance is 0 to everything
+    // (the paper's O(s|R1) = empty convention).
+    std::fill(scores.begin(), scores.end(), 0.0);
+    return scores;
+  }
+  // One division per target of the answer row; the scatter above polls.
+  for (size_t t = 0; t < num_targets; ++t) {
+    const double nt = index.norms[t];
+    if (nt != 0.0) scores[t] /= nu * nt;
+  }
+  return scores;
 }
 
 double SparseDot(const SparseVector& a, const SparseVector& b) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/context.h"
@@ -25,8 +26,9 @@ class PathMatrixCache;  // materialize.h
 /// vector×CSR product over only the reached rows, optionally dropping mass
 /// below a relative threshold with a tracked error bound (the paper's §4.6
 /// pruning discussion made concrete). `TopKSearcher::Query` scatters the
-/// propagated frontier through its inverted index; the engine's uncached
-/// pair and single-source queries dot or densify it.
+/// propagated frontier through the path's `TargetIndex`, as the cached
+/// single-source query scatters a cached left-half row; the engine's
+/// uncached pair and single-source queries dot or densify it.
 
 /// Adaptive deadline/cancellation poll pacing for item-granular loops.
 ///
@@ -99,6 +101,43 @@ struct FrontierChain {
   std::shared_ptr<const SparseMatrix> head;
   size_t head_steps = 0;
 };
+
+/// The right half of a decomposed path in the form a query reads it: the
+/// middle->target inverted index and every target's norm (DESIGN.md §14).
+/// One is built per right half and shared: `PathMatrixCache::GetTargetIndex`
+/// caches it under its half's key, so every `TopKSearcher` and cached
+/// single-source query whose path ends in that half reads the same one.
+struct TargetIndex {
+  /// The right reachable matrix transposed, |middle| x |targets|: row `m`
+  /// lists the targets middle object `m` reaches, ascending, with their
+  /// reach probabilities.
+  SparseMatrix by_middle;
+  /// `norms[t]` is the L2 norm of the right reachable matrix's row `t`.
+  std::vector<double> norms;
+
+  /// Indexes `right`, the |targets| x |middle| `RightReachMatrix`.
+  static TargetIndex Build(const SparseMatrix& right);
+
+  Index num_targets() const { return by_middle.cols(); }
+  /// Heap footprint, charged to the cache's memory budget.
+  size_t ApproxBytes() const {
+    return by_middle.ApproxBytes() + sizeof(norms) +
+           norms.capacity() * sizeof(double);
+  }
+};
+
+/// Single-source HeteSim of a source whose left-half row is (`middles`,
+/// `weights`), ascending middle ids and their reach probabilities: the row
+/// is scattered through `index` in ascending middle order into a dense row
+/// over every target, then, when `normalized`, divided by the row's norm
+/// and the stored target norms (Definition 10). That is the term order of
+/// the dense `right.MultiplyVector(left.RowDense(source))`, so the scores
+/// are bitwise equal to it. The output row is reserved against `ctx`'s
+/// budget (`ResourceExhausted` when it does not fit) and the scatter polls
+/// `ctx` at an adaptive stride.
+[[nodiscard]] Result<std::vector<double>> ScatterRow(
+    const TargetIndex& index, std::span<const Index> middles,
+    std::span<const double> weights, bool normalized, const QueryContext& ctx);
 
 /// Plans the cheapest frontier chain for one half of `path`: probes `cache`
 /// (when non-null) for materialized prefix partials of the half, scores

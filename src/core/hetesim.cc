@@ -232,32 +232,32 @@ Result<std::vector<double>> HeteSimEngine::ComputeSingleSource(
         static_cast<long long>(source), static_cast<long long>(num_sources),
         graph_.schema().TypeName(path.SourceType()).c_str()));
   }
-  std::shared_ptr<const SparseMatrix> right;
-  std::vector<double> u;
   if (cache_ != nullptr) {
+    // Scatter the source's cached left-half row through the right half's
+    // shared index (DESIGN.md §14).
     HETESIM_ASSIGN_OR_RETURN(std::shared_ptr<const SparseMatrix> left,
                              cache_->GetLeft(graph_, path, ctx, options_.num_threads));
-    u = left->RowDense(source);
-    HETESIM_ASSIGN_OR_RETURN(right,
-                             cache_->GetRight(graph_, path, ctx, options_.num_threads));
-  } else {
-    PathDecomposition decomposition = DecomposePath(graph_, path);
-    const FrontierChain left_chain = StepsChain(decomposition.left_transitions);
     HETESIM_ASSIGN_OR_RETURN(
-        SparseVector frontier,
-        PropagateFrontier(source, left_chain, options_.truncation, ctx));
-    HETESIM_ASSIGN_OR_RETURN(
-        SparseMatrix computed,
-        RightReachMatrix(decomposition, options_.num_threads, ctx));
-    right = std::make_shared<const SparseMatrix>(std::move(computed));
-    // Densify the frontier for the row product below.
-    u.assign(static_cast<size_t>(right->cols()), 0.0);
-    for (size_t i = 0; i < frontier.nnz(); ++i) {
-      u[static_cast<size_t>(frontier.indices[i])] = frontier.values[i];
-    }
+        std::shared_ptr<const TargetIndex> index,
+        cache_->GetTargetIndex(graph_, path, ctx, options_.num_threads));
+    return ScatterRow(*index, left->RowIndices(source), left->RowValues(source),
+                      options_.normalized, ctx);
+  }
+  PathDecomposition decomposition = DecomposePath(graph_, path);
+  const FrontierChain left_chain = StepsChain(decomposition.left_transitions);
+  HETESIM_ASSIGN_OR_RETURN(
+      SparseVector frontier,
+      PropagateFrontier(source, left_chain, options_.truncation, ctx));
+  HETESIM_ASSIGN_OR_RETURN(
+      SparseMatrix right,
+      RightReachMatrix(decomposition, options_.num_threads, ctx));
+  // Densify the frontier for the row product below.
+  std::vector<double> u(static_cast<size_t>(right.cols()), 0.0);
+  for (size_t i = 0; i < frontier.nnz(); ++i) {
+    u[static_cast<size_t>(frontier.indices[i])] = frontier.values[i];
   }
   // scores[t] = u . PM_R(t,:), then cosine-normalize per Definition 10.
-  std::vector<double> scores = right->MultiplyVector(u);
+  std::vector<double> scores = right.MultiplyVector(u);
   if (options_.normalized) {
     const double nu = Norm2(u);
     if (nu == 0.0) {
@@ -265,8 +265,8 @@ Result<std::vector<double>> HeteSimEngine::ComputeSingleSource(
       // everything (the paper's O(s|R1) = empty convention).
       return std::vector<double>(scores.size(), 0.0);
     }
-    for (Index t = 0; t < right->rows(); ++t) {
-      const double nt = right->RowNorm(t);
+    for (Index t = 0; t < right.rows(); ++t) {
+      const double nt = right.RowNorm(t);
       if (nt != 0.0) scores[static_cast<size_t>(t)] /= nu * nt;
     }
   }

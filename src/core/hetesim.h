@@ -87,9 +87,13 @@ class HeteSimEngine {
       const QueryContext& ctx = QueryContext::Background()) const;
 
   /// Relevance of `source` to every target object: one row of `Compute`.
-  /// Errors when `source` is out of range for the path's source type. A
-  /// cache miss, or without a cache the source's frontier propagation
-  /// (`PropagateFrontier`) and the right-half product, runs under `ctx`.
+  /// Errors when `source` is out of range for the path's source type. With
+  /// a cache, the source's cached left-half row is scattered through the
+  /// right half's shared `TargetIndex` (`ScatterRow`: bitwise equal to the
+  /// dense row product); without one, the source's frontier is propagated
+  /// (`PropagateFrontier`) and multiplied into the computed right half.
+  /// Cache misses, the propagation and the scatter run under `ctx`, and
+  /// the dense answer row is reserved on its budget.
   [[nodiscard]] Result<std::vector<double>> ComputeSingleSource(
       const MetaPath& path, Index source,
       const QueryContext& ctx = QueryContext::Background()) const;

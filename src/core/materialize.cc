@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <type_traits>
 
 #include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "core/frontier.h"
 #include "matrix/cost_model.h"
+#include "matrix/ops.h"
 #include "matrix/spgemm.h"
 #include "store/store.h"
 
@@ -116,21 +119,23 @@ std::string PathMatrixCache::RightKey(const MetaPath& path) {
 Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetLeft(
     const HinGraph& graph, const MetaPath& path, const QueryContext& ctx,
     int num_threads) {
-  return GetOrCompute(LeftKey(path), ctx,
-                      [&graph, &path, &ctx, num_threads]() -> Result<SparseMatrix> {
-                        return LeftReachMatrix(DecomposePath(graph, path),
-                                               num_threads, ctx);
-                      });
+  return GetOrCompute<SparseMatrix>(
+      LeftKey(path), ctx,
+      [&graph, &path, &ctx, num_threads]() -> Result<SparseMatrix> {
+        return MultiplyChain(DecomposeHalf(graph, path, /*left_side=*/true),
+                             num_threads, ctx);
+      });
 }
 
 Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetRight(
     const HinGraph& graph, const MetaPath& path, const QueryContext& ctx,
     int num_threads) {
-  return GetOrCompute(RightKey(path), ctx,
-                      [&graph, &path, &ctx, num_threads]() -> Result<SparseMatrix> {
-                        return RightReachMatrix(DecomposePath(graph, path),
-                                                num_threads, ctx);
-                      });
+  return GetOrCompute<SparseMatrix>(
+      RightKey(path), ctx,
+      [&graph, &path, &ctx, num_threads]() -> Result<SparseMatrix> {
+        return MultiplyChain(DecomposeHalf(graph, path, /*left_side=*/false),
+                             num_threads, ctx);
+      });
 }
 
 Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetRightWithReuse(
@@ -141,12 +146,11 @@ Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetRightWithReuse(
   // never-seen path actually has to be materialized. The callback runs
   // outside the cache lock (GetOrCompute's contract), so the re-entrant
   // `ProbePartials` call is safe.
-  return GetOrCompute(
+  return GetOrCompute<SparseMatrix>(
       RightKey(path), ctx,
       [this, &graph, &path, &ctx, num_threads]() -> Result<SparseMatrix> {
-        PathDecomposition decomposition = DecomposePath(graph, path);
-        const std::vector<SparseMatrix>& chain =
-            decomposition.right_transitions;
+        const std::vector<SparseMatrix> chain =
+            DecomposeHalf(graph, path, /*left_side=*/false);
         std::vector<PartialHit> hits = ProbePartials(
             path, /*left_side=*/false, static_cast<int>(chain.size()));
         // Score each candidate plan: estimated Gustavson flops of folding
@@ -181,7 +185,7 @@ Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetRightWithReuse(
           }
         }
         if (best.matrix == nullptr) {
-          return RightReachMatrix(decomposition, num_threads, ctx);
+          return MultiplyChain(chain, num_threads, ctx);
         }
         SparseMatrix folded = *best.matrix;
         for (size_t s = static_cast<size_t>(best.steps_covered);
@@ -194,13 +198,28 @@ Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetRightWithReuse(
       });
 }
 
+Result<std::shared_ptr<const TargetIndex>> PathMatrixCache::GetTargetIndex(
+    const HinGraph& graph, const MetaPath& path, const QueryContext& ctx,
+    int num_threads) {
+  // The half is fetched inside the callback, outside the cache lock, so a
+  // resident index is a plain hit and a resident half is not re-fetched.
+  return GetOrCompute<TargetIndex>(
+      "IX:" + RightKey(path), ctx,
+      [this, &graph, &path, &ctx, num_threads]() -> Result<TargetIndex> {
+        HETESIM_ASSIGN_OR_RETURN(std::shared_ptr<const SparseMatrix> right,
+                                 GetRightWithReuse(graph, path, ctx, num_threads));
+        return TargetIndex::Build(*right);
+      });
+}
+
 Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetReach(
     const HinGraph& graph, const MetaPath& path, const QueryContext& ctx,
     int num_threads) {
-  return GetOrCompute(ReachKey(path), ctx,
-                      [&graph, &path, &ctx, num_threads]() -> Result<SparseMatrix> {
-                        return ReachProbability(graph, path, num_threads, ctx);
-                      });
+  return GetOrCompute<SparseMatrix>(
+      ReachKey(path), ctx,
+      [&graph, &path, &ctx, num_threads]() -> Result<SparseMatrix> {
+        return ReachProbability(graph, path, num_threads, ctx);
+      });
 }
 
 void PathMatrixCache::SetMemoryBudget(std::shared_ptr<MemoryBudget> budget) {
@@ -233,10 +252,9 @@ Status PathMatrixCache::FlushToStore() {
     }
     for (const auto& [key, slot] : entries_) {
       if (!slot->ready || slot->from_store) continue;
-      // Ready slots resolve immediately.
-      Result<std::shared_ptr<const SparseMatrix>> entry = slot->future.get();
-      if (!entry.ok()) continue;
-      to_write.emplace_back(key, *std::move(entry), slot);
+      std::shared_ptr<const SparseMatrix> matrix = MatrixOf(*slot);
+      if (matrix == nullptr) continue;  // indexes are rebuilt, not stored
+      to_write.emplace_back(key, std::move(matrix), slot);
     }
   }
   for (auto& [key, matrix, slot] : to_write) {
@@ -299,11 +317,10 @@ std::vector<PathMatrixCache::PartialHit> PathMatrixCache::ProbePartials(
       if (covered > max_steps) continue;
       auto it = entries_.find(key);
       if (it == entries_.end() || !it->second->ready) continue;
-      Result<std::shared_ptr<const SparseMatrix>> entry =
-          it->second->future.get();  // ready slots resolve immediately
-      if (!entry.ok()) continue;
+      std::shared_ptr<const SparseMatrix> matrix = MatrixOf(*it->second);
+      if (matrix == nullptr) continue;
       TouchLocked(*it->second);  // probed partials are about to be reused
-      hits.push_back({*std::move(entry), covered});
+      hits.push_back({std::move(matrix), covered});
     }
     if (left_side) {
       ++prefix_probes_;
@@ -372,12 +389,16 @@ void PathMatrixCache::Clear() {
   peak_accounted_bytes_ = 0;
 }
 
-Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetOrCompute(
+template <typename T>
+Result<std::shared_ptr<const T>> PathMatrixCache::GetOrCompute(
     const std::string& key, const QueryContext& ctx,
-    const std::function<Result<SparseMatrix>()>& compute) {
+    const std::function<Result<T>()>& compute) {
+  // Only matrices go to the persistent tier: an index is rebuilt from its
+  // cached half instead.
+  constexpr bool kPersisted = std::is_same_v<T, SparseMatrix>;
   for (;;) {
     HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
-    std::promise<Result<std::shared_ptr<const SparseMatrix>>> promise;
+    std::promise<Result<Entry>> promise;
     std::shared_ptr<Slot> slot;
     std::shared_ptr<MatrixStore> store;  // captured at claim time
     bool claimed = false;
@@ -416,8 +437,8 @@ Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetOrCompute(
           break;
         }
       }
-      Result<std::shared_ptr<const SparseMatrix>> published = slot->future.get();
-      if (published.ok()) return published;
+      Result<Entry> published = slot->future.get();
+      if (published.ok()) return std::get<std::shared_ptr<const T>>(*published);
       // The computation failed under its claimant's context (deadline,
       // cancellation, or an injected fault). Remove the dead slot if it is
       // still installed — pointer identity guards against erasing a
@@ -435,41 +456,25 @@ Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetOrCompute(
     // ComputeCount — reading back is not a computation). The store
     // validates checksum and structure; anything wrong there surfaces as a
     // plain NotFound-style miss and we fall through to compute.
-    if (store != nullptr) {
-      Result<SparseMatrix> promoted = store->Get(key);
-      {
-        MutexLock lock(mutex_);
-        if (promoted.ok()) {
-          ++store_hits_;
-        } else {
-          ++store_misses_;
-        }
-      }
-      if (promoted.ok()) {
-        auto matrix =
-            std::make_shared<const SparseMatrix>(*std::move(promoted));
-        // Same publish-then-admit ordering as the compute path below.
-        promise.set_value(Result<std::shared_ptr<const SparseMatrix>>(matrix));
+    if constexpr (kPersisted) {
+      if (store != nullptr) {
+        Result<SparseMatrix> promoted = store->Get(key);
         {
           MutexLock lock(mutex_);
-          auto it = entries_.find(key);
-          if (it != entries_.end() && it->second == slot) {
-            slot->bytes = matrix->ApproxBytes();
-            slot->compute_seconds = 0.0;  // re-readable for free-ish
-            slot->from_store = true;
-            if (AdmitLocked(*slot)) {
-              slot->ready = true;
-            } else {
-              ++rejected_inserts_;
-              if (MetricsEnabled()) {
-                GlobalCacheMetrics().rejected_inserts.Increment();
-              }
-              entries_.erase(it);
-            }
+          if (promoted.ok()) {
+            ++store_hits_;
+          } else {
+            ++store_misses_;
           }
         }
-        FlushPendingDemotions();
-        return matrix;
+        if (promoted.ok()) {
+          auto matrix =
+              std::make_shared<const SparseMatrix>(*std::move(promoted));
+          // Re-readable for free-ish, so no recompute cost.
+          Publish(key, slot, promise, matrix, /*compute_seconds=*/0.0,
+                  /*from_store=*/true);
+          return matrix;
+        }
       }
     }
 
@@ -479,7 +484,7 @@ Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetOrCompute(
       ++compute_counts_[key];
     }
     const auto start = std::chrono::steady_clock::now();
-    Result<SparseMatrix> computed = compute();
+    Result<T> computed = compute();
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -497,32 +502,51 @@ Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetOrCompute(
       return computed.status();
     }
 
-    auto matrix = std::make_shared<const SparseMatrix>(*std::move(computed));
-    // Same ordering rule: resolve the future before taking the lock.
-    promise.set_value(Result<std::shared_ptr<const SparseMatrix>>(matrix));
-    {
-      MutexLock lock(mutex_);
-      auto it = entries_.find(key);
-      if (it != entries_.end() && it->second == slot) {
-        slot->bytes = matrix->ApproxBytes();
-        slot->compute_seconds = seconds;
-        if (AdmitLocked(*slot)) {
-          slot->ready = true;
-        } else {
-          // Does not fit even after eviction: serve uncached.
-          ++rejected_inserts_;
-          if (MetricsEnabled()) {
-            GlobalCacheMetrics().rejected_inserts.Increment();
-          }
-          entries_.erase(it);
-        }
-      }
-      // else: Clear() raced us and already dropped the slot; the matrix is
-      // still delivered to us and any waiters, just not retained.
-    }
-    FlushPendingDemotions();
-    return matrix;
+    auto value = std::make_shared<const T>(*std::move(computed));
+    Publish(key, slot, promise, value, seconds, /*from_store=*/false);
+    return value;
   }
+}
+
+void PathMatrixCache::Publish(const std::string& key,
+                              const std::shared_ptr<Slot>& slot,
+                              std::promise<Result<Entry>>& promise, Entry value,
+                              double compute_seconds, bool from_store) {
+  const size_t bytes =
+      std::visit([](const auto& held) { return held->ApproxBytes(); }, value);
+  // Resolve the future before taking the lock, so waiters are released
+  // first.
+  promise.set_value(Result<Entry>(std::move(value)));
+  {
+    MutexLock lock(mutex_);
+    auto it = entries_.find(key);
+    if (it != entries_.end() && it->second == slot) {
+      slot->bytes = bytes;
+      slot->compute_seconds = compute_seconds;
+      slot->from_store = from_store;
+      if (AdmitLocked(*slot)) {
+        slot->ready = true;
+      } else {
+        // Does not fit even after eviction: serve uncached.
+        ++rejected_inserts_;
+        if (MetricsEnabled()) {
+          GlobalCacheMetrics().rejected_inserts.Increment();
+        }
+        entries_.erase(it);
+      }
+    }
+    // else: Clear() raced us and already dropped the slot; the value is
+    // still delivered to us and any waiters, just not retained.
+  }
+  FlushPendingDemotions();
+}
+
+std::shared_ptr<const SparseMatrix> PathMatrixCache::MatrixOf(const Slot& slot) {
+  // Ready slots resolve immediately.
+  const Result<Entry>& entry = slot.future.get();
+  if (!entry.ok()) return nullptr;
+  const auto* matrix = std::get_if<std::shared_ptr<const SparseMatrix>>(&*entry);
+  return matrix != nullptr ? *matrix : nullptr;
 }
 
 bool PathMatrixCache::AdmitLocked(Slot& slot) {
@@ -558,9 +582,8 @@ bool PathMatrixCache::EvictOneLocked() {
   // store (no IO under the lock — FlushPendingDemotions writes it after
   // the caller releases mutex_). Ready slots resolve immediately.
   if (store_ != nullptr && !slot.from_store) {
-    Result<std::shared_ptr<const SparseMatrix>> entry = slot.future.get();
-    if (entry.ok()) {
-      pending_demotions_.emplace_back(victim->first, *std::move(entry));
+    if (std::shared_ptr<const SparseMatrix> matrix = MatrixOf(slot)) {
+      pending_demotions_.emplace_back(victim->first, std::move(matrix));
     }
   }
   // GreedyDual-Size aging: the clock rises to the evicted priority, so

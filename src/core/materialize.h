@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <variant>
 
 #include "common/annotations.h"
 #include "common/context.h"
@@ -18,7 +19,8 @@
 
 namespace hetesim {
 
-class MatrixStore;  // store/store.h; optional second tier
+class MatrixStore;   // store/store.h; optional second tier
+struct TargetIndex;  // frontier.h
 
 /// \brief Cache of materialized reachable-probability products, the
 /// Section 4.6 acceleration: "for frequently-used relevance paths, the
@@ -60,9 +62,15 @@ class MatrixStore;  // store/store.h; optional second tier
 ///    own context is still alive — per-key recompute-or-propagate, never a
 ///    permanently wedged entry.
 ///
+/// Next to the products it holds each right half's `TargetIndex`, under
+/// `"IX:" + RightKey(path)`, built by `GetTargetIndex` through the same
+/// claim/wait/publish/admit/evict path and counted in the same `Stats`; an
+/// index is never written to or read from the store, since it is rebuilt
+/// from its half.
+///
 /// Memory budgeting: attach a `MemoryBudget` via `SetMemoryBudget` and
-/// every materialized matrix is charged (`SparseMatrix::ApproxBytes`)
-/// before admission. Admission that would exceed the limit first evicts
+/// every materialized matrix or index is charged (`ApproxBytes`) before
+/// admission. Admission that would exceed the limit first evicts
 /// ready entries in cost-aware-LRU order (GreedyDual-Size: lowest
 /// `clock + compute_seconds / bytes` first, so cheap-to-recompute bulky
 /// halves go before expensive compact ones); if the matrix still cannot
@@ -107,6 +115,16 @@ class PathMatrixCache {
   /// Right reachable matrix `PM_(PR^-1)` of the decomposition of `path`
   /// (|target type| x |middle|), computed on first use like `GetLeft`.
   [[nodiscard]] Result<std::shared_ptr<const SparseMatrix>> GetRight(
+      const HinGraph& graph, const MetaPath& path,
+      const QueryContext& ctx = QueryContext::Background(), int num_threads = 1);
+
+  /// The inverted index and target norms of `path`'s right half, keyed
+  /// `"IX:" + RightKey(path)`, so every path ending in the same half shares
+  /// one. Built on first use from `GetRightWithReuse`'s half and charged to
+  /// the memory budget like a matrix; waiters, failures and eviction behave
+  /// as in `GetLeft`. A searcher holding the index keeps it alive after
+  /// eviction or `Clear()`.
+  [[nodiscard]] Result<std::shared_ptr<const TargetIndex>> GetTargetIndex(
       const HinGraph& graph, const MetaPath& path,
       const QueryContext& ctx = QueryContext::Background(), int num_threads = 1);
 
@@ -165,7 +183,7 @@ class PathMatrixCache {
   /// The attached store, or nullptr.
   std::shared_ptr<MatrixStore> store() const EXCLUDES(mutex_);
 
-  /// Writes every READY cached entry not already on disk to the attached
+  /// Writes every READY cached matrix not already on disk to the attached
   /// store (the offline `materialize` workflow: compute the partials for a
   /// path list, then flush). In-flight entries are skipped. Fails if no
   /// store is attached or a write fails; already-persisted keys are not
@@ -204,7 +222,8 @@ class PathMatrixCache {
   /// served by promoting the key from the attached store does NOT count —
   /// reading back is not a computation — so with a store underneath, a
   /// demote/promote cycle leaves the count at 1. Keys come from
-  /// `LeftKey`/`RightKey`/`ReachKey`.
+  /// `LeftKey`/`RightKey`/`ReachKey`, and `"IX:" + RightKey(path)` for an
+  /// index.
   size_t ComputeCount(const std::string& key) const EXCLUDES(mutex_);
 
   /// Drops all entries and resets every counter in `Stats` (releasing any
@@ -212,22 +231,40 @@ class PathMatrixCache {
   void Clear() EXCLUDES(mutex_);
 
  private:
+  /// What a slot publishes: a reachable-probability product or an index.
+  using Entry = std::variant<std::shared_ptr<const SparseMatrix>,
+                             std::shared_ptr<const TargetIndex>>;
+
   /// One cache entry. The future becomes ready exactly when the claiming
-  /// thread publishes (a matrix or an error); waiters block on it without
+  /// thread publishes (a value or an error); waiters block on it without
   /// holding the map lock. Admission metadata is guarded by `mutex_`.
   struct Slot {
-    std::shared_future<Result<std::shared_ptr<const SparseMatrix>>> future;
+    std::shared_future<Result<Entry>> future;
     bool ready = false;        ///< future resolved OK; admission decided
     bool from_store = false;   ///< already on disk; eviction skips demotion
-    size_t bytes = 0;          ///< ApproxBytes of the matrix once ready
+    size_t bytes = 0;          ///< ApproxBytes of the value once ready
     double compute_seconds = 0;  ///< measured cost of the materialization
     double priority = 0;       ///< GreedyDual-Size eviction priority
     MemoryReservation reservation;  ///< budget charge (empty if unbudgeted)
   };
 
-  [[nodiscard]] Result<std::shared_ptr<const SparseMatrix>> GetOrCompute(
+  /// Claims, waits on or serves `key`, running `compute` outside the lock
+  /// on a miss. `T` is `SparseMatrix` (probed in and demoted to the store)
+  /// or `TargetIndex` (memory only).
+  template <typename T>
+  [[nodiscard]] Result<std::shared_ptr<const T>> GetOrCompute(
       const std::string& key, const QueryContext& ctx,
-      const std::function<Result<SparseMatrix>()>& compute) EXCLUDES(mutex_);
+      const std::function<Result<T>()>& compute) EXCLUDES(mutex_);
+
+  /// Resolves a claimed `slot`'s future with `value`, then admits the slot
+  /// (charging the value's `ApproxBytes`) or, when it cannot fit, drops it
+  /// so the value is served uncached.
+  void Publish(const std::string& key, const std::shared_ptr<Slot>& slot,
+               std::promise<Result<Entry>>& promise, Entry value,
+               double compute_seconds, bool from_store) EXCLUDES(mutex_);
+
+  /// The matrix a READY slot holds, or null when it holds an index.
+  static std::shared_ptr<const SparseMatrix> MatrixOf(const Slot& slot);
 
   /// Admission bookkeeping for a freshly computed `slot` (locked): charges
   /// the budget, evicting in priority order as needed. Returns false when

@@ -98,43 +98,69 @@ AtomicDecomposition DecomposeAtomicRelation(const HinGraph& graph,
   return result;
 }
 
+namespace {
+
+/// Transitions of one half of `path` (Definition 5): the left half walks
+/// steps [0, l/2) forward; the right half (PR^-1) walks the second half
+/// backwards, inverted. For an odd path, `atomic` is its decomposed middle
+/// relation and each half ends entering the edge-object type E: the left
+/// against R_O (W_AE row-normalized), the right against R_I (W_EB'
+/// row-normalized).
+std::vector<SparseMatrix> HalfTransitions(const HinGraph& graph,
+                                          const MetaPath& path, bool left_side,
+                                          const AtomicDecomposition* atomic) {
+  const int l = path.length();
+  std::vector<SparseMatrix> chain;
+  if (left_side) {
+    for (int i = 0; i < l / 2; ++i) {
+      chain.push_back(SanitizeTransition(graph.StepTransition(path.StepAt(i))));
+    }
+  } else {
+    for (int i = l - 1; i >= l - l / 2; --i) {
+      chain.push_back(
+          SanitizeTransition(graph.StepTransition(path.StepAt(i).Inverse())));
+    }
+  }
+  if (atomic != nullptr) {
+    chain.push_back(left_side ? atomic->out.RowNormalized()
+                              : atomic->in.Transpose().RowNormalized());
+  }
+  return chain;
+}
+
+}  // namespace
+
+std::vector<SparseMatrix> DecomposeHalf(const HinGraph& graph,
+                                        const MetaPath& path, bool left_side) {
+  if (path.length() % 2 == 0) {
+    return HalfTransitions(graph, path, left_side, nullptr);
+  }
+  const AtomicDecomposition atomic =
+      DecomposeAtomicRelation(graph, path.StepAt(path.length() / 2));
+  return HalfTransitions(graph, path, left_side, &atomic);
+}
+
 PathDecomposition DecomposePath(const HinGraph& graph, const MetaPath& path) {
   PathDecomposition result;
   const int l = path.length();
   if (l % 2 == 0) {
     // Even length: split at the middle type M = TypeAt(l/2).
-    const int mid = l / 2;
-    for (int i = 0; i < mid; ++i) {
-      result.left_transitions.push_back(
-          SanitizeTransition(graph.StepTransition(path.StepAt(i))));
-    }
-    // PR^-1 walks the second half backwards: steps l-1 .. mid, inverted.
-    for (int i = l - 1; i >= mid; --i) {
-      result.right_transitions.push_back(
-          SanitizeTransition(graph.StepTransition(path.StepAt(i).Inverse())));
-    }
-    result.middle_dimension = graph.NumNodes(path.TypeAt(mid));
-    result.edge_object_inserted = false;
+    result.left_transitions =
+        HalfTransitions(graph, path, /*left_side=*/true, nullptr);
+    result.right_transitions =
+        HalfTransitions(graph, path, /*left_side=*/false, nullptr);
+    result.middle_dimension = graph.NumNodes(path.TypeAt(l / 2));
     return result;
   }
-
   // Odd length: decompose the middle atomic relation (step index l/2)
   // through an edge-object type E, then split as in the even case with
   // M = E (Definitions 5 and 6).
-  const int mid_step = l / 2;
-  AtomicDecomposition atomic =
-      DecomposeAtomicRelation(graph, path.StepAt(mid_step));
-  for (int i = 0; i < mid_step; ++i) {
-    result.left_transitions.push_back(
-        SanitizeTransition(graph.StepTransition(path.StepAt(i))));
-  }
-  result.left_transitions.push_back(atomic.out.RowNormalized());
-  for (int i = l - 1; i > mid_step; --i) {
-    result.right_transitions.push_back(
-        SanitizeTransition(graph.StepTransition(path.StepAt(i).Inverse())));
-  }
-  // Final right-hand step enters E against R_I: row-normalize W_EB'.
-  result.right_transitions.push_back(atomic.in.Transpose().RowNormalized());
+  const AtomicDecomposition atomic =
+      DecomposeAtomicRelation(graph, path.StepAt(l / 2));
+  result.left_transitions =
+      HalfTransitions(graph, path, /*left_side=*/true, &atomic);
+  result.right_transitions =
+      HalfTransitions(graph, path, /*left_side=*/false, &atomic);
   result.middle_dimension = atomic.num_instances;
   result.edge_object_inserted = true;
   return result;

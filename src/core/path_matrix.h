@@ -80,6 +80,12 @@ struct PathDecomposition {
 /// Builds the decomposition of `path` over `graph`.
 PathDecomposition DecomposePath(const HinGraph& graph, const MetaPath& path);
 
+/// One half of `DecomposePath(graph, path)`: its `left_transitions` when
+/// `left_side`, else its `right_transitions`, without building the other
+/// half. For callers that read the other half from a cache.
+std::vector<SparseMatrix> DecomposeHalf(const HinGraph& graph,
+                                        const MetaPath& path, bool left_side);
+
 /// Product of the left chain: `PM_PL`, |A1| x |M|, computed under `ctx`
 /// at `num_threads` (see `MultiplyChain`).
 [[nodiscard]] Result<SparseMatrix> LeftReachMatrix(

@@ -95,14 +95,6 @@ Result<std::vector<ScoredPair>> TopKPairs(const HinGraph& graph,
   return best;
 }
 
-void TopKSearcher::FinishPreparation() {
-  right_transpose_ = right_->Transpose();
-  right_norms_.resize(static_cast<size_t>(right_->rows()));
-  for (Index t = 0; t < right_->rows(); ++t) {
-    right_norms_[static_cast<size_t>(t)] = right_->RowNorm(t);
-  }
-}
-
 Result<TopKSearcher> TopKSearcher::Prepare(const HinGraph& graph,
                                            const MetaPath& path,
                                            HeteSimOptions options,
@@ -110,25 +102,26 @@ Result<TopKSearcher> TopKSearcher::Prepare(const HinGraph& graph,
                                            PathMatrixCache* cache) {
   TraceSpan span(ctx.trace(), "topk.prepare");
   TopKSearcher searcher(graph, options, graph.NumNodes(path.SourceType()));
-  PathDecomposition decomposition = DecomposePath(graph, path);
-  searcher.left_transitions_ = std::move(decomposition.left_transitions);
   if (cache != nullptr) {
-    // Ad-hoc path: serve (and retain) the right half through the cache,
-    // folding the cheapest cached partial products on a miss.
+    // Ad-hoc path: share (and retain) the right half's index through the
+    // cache, folding the cheapest cached partial products on a miss.
+    searcher.left_transitions_ = DecomposeHalf(graph, path, /*left_side=*/true);
     HETESIM_ASSIGN_OR_RETURN(
-        searcher.right_,
-        cache->GetRightWithReuse(graph, path, ctx, options.num_threads));
+        searcher.index_,
+        cache->GetTargetIndex(graph, path, ctx, options.num_threads));
     FrontierChain plan = PlanFrontierChain(searcher.left_transitions_, path,
                                            /*left_side=*/true, cache);
     searcher.left_head_ = plan.head;
     searcher.left_head_steps_ = plan.head_steps;
   } else {
+    PathDecomposition decomposition = DecomposePath(graph, path);
+    searcher.left_transitions_ = std::move(decomposition.left_transitions);
     HETESIM_ASSIGN_OR_RETURN(
         SparseMatrix right,
         MultiplyChain(decomposition.right_transitions, options.num_threads, ctx));
-    searcher.right_ = std::make_shared<const SparseMatrix>(std::move(right));
+    searcher.index_ =
+        std::make_shared<const TargetIndex>(TargetIndex::Build(right));
   }
-  searcher.FinishPreparation();
   HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
   return searcher;
 }
@@ -196,7 +189,7 @@ Result<TopKResult> TopKSearcher::QueryTraced(Index source, int k,
   // order — the term order of a dense row-times-matrix product, so scores
   // are bitwise reproducible. On expiry the partial scores are ranked and
   // returned with the truncation marker set.
-  const size_t num_targets = static_cast<size_t>(right_->rows());
+  const size_t num_targets = static_cast<size_t>(index_->num_targets());
   HETESIM_ASSIGN_OR_RETURN(
       MemoryReservation reservation,
       ctx.Reserve(num_targets * (sizeof(double) + sizeof(Index))));
@@ -211,8 +204,8 @@ Result<TopKResult> TopKSearcher::QueryTraced(Index source, int k,
       break;
     }
     const double um = u.values[j];
-    const auto targets = right_transpose_.RowIndices(u.indices[j]);
-    const auto weights = right_transpose_.RowValues(u.indices[j]);
+    const auto targets = index_->by_middle.RowIndices(u.indices[j]);
+    const auto weights = index_->by_middle.RowValues(u.indices[j]);
     for (size_t i = 0; i < targets.size(); ++i) {
       double& slot = scores[static_cast<size_t>(targets[i])];
       if (slot == 0.0) touched.push_back(targets[i]);
@@ -228,7 +221,7 @@ Result<TopKResult> TopKSearcher::QueryTraced(Index source, int k,
   for (Index t : touched) {  // hetesim-lint: allow(cancel-poll)
     double s = scores[static_cast<size_t>(t)];
     if (options_.normalized) {
-      const double nt = right_norms_[static_cast<size_t>(t)];
+      const double nt = index_->norms[static_cast<size_t>(t)];
       if (nt != 0.0) s /= nu * nt;
     }
     if (s != 0.0) candidates.push_back({t, s});
@@ -254,15 +247,15 @@ Result<TopKResult> TopKSearcher::QueryExhaustive(Index source, int k) const {
   u[static_cast<size_t>(source)] = 1.0;
   u = VectorThroughChain(std::move(u), left_transitions_);
   const double nu = Norm2(u);
-  std::vector<double> scores = right_->MultiplyVector(u);
+  std::vector<double> scores = index_->by_middle.LeftMultiplyVector(u);
   if (options_.normalized && nu != 0.0) {
     for (size_t t = 0; t < scores.size(); ++t) {
-      const double nt = right_norms_[t];
+      const double nt = index_->norms[t];
       if (nt != 0.0) scores[t] /= nu * nt;
     }
   }
   TopKResult result;
-  result.candidates_examined = right_->rows();
+  result.candidates_examined = index_->num_targets();
   result.items = TopK(scores, k);
   return result;
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/frontier.h"
 #include "core/hetesim.h"
 #include "hin/graph.h"
 #include "hin/metapath.h"
@@ -83,9 +84,9 @@ struct ScoredPair {
 
 /// \brief Prepared single-source top-k HeteSim search along a fixed path.
 ///
-/// Preparation materializes the path decomposition, the right reachable
-/// matrix, its transpose (an inverted index from middle objects to targets)
-/// and per-target norms, so each query costs one sparse frontier
+/// Preparation materializes the left half's transitions and the right
+/// half's `TargetIndex` (the inverted index from middle objects to targets
+/// plus per-target norms), so each query costs one sparse frontier
 /// propagation plus work proportional to the candidate set. `Prepare` is
 /// the only way to build one.
 class TopKSearcher {
@@ -96,11 +97,13 @@ class TopKSearcher {
   /// Prepares the searcher; O(path matrix products) once. The right-chain
   /// product runs under `ctx` (deadline / cancellation / budget), so even
   /// the one-time materialization of a huge path respects `--deadline-ms`.
-  /// A non-null `cache` makes preparation ad-hoc-path aware: the right half
-  /// is fetched through `PathMatrixCache::GetRightWithReuse` (folding the
-  /// cheapest cached partial products instead of recomputing from scratch)
-  /// and the left chain is planned against cached prefix partials too. The
-  /// cache must outlive the searcher.
+  /// A non-null `cache` makes preparation ad-hoc-path aware: only the left
+  /// half is decomposed, the index is the cache's shared one
+  /// (`PathMatrixCache::GetTargetIndex`, built from `GetRightWithReuse`'s
+  /// half, which folds the cheapest cached partial products instead of
+  /// recomputing from scratch), and the left chain is planned against
+  /// cached prefix partials too. The cache must outlive the searcher;
+  /// without one the searcher builds a private index.
   [[nodiscard]] static Result<TopKSearcher> Prepare(
       const HinGraph& graph, const MetaPath& path, HeteSimOptions options = {},
       const QueryContext& ctx = QueryContext::Background(),
@@ -119,19 +122,17 @@ class TopKSearcher {
       const QueryContext& ctx = QueryContext::Background()) const;
 
   /// Exhaustive reference query scoring every target from a dense source
-  /// row; the test oracle for `Query`.
+  /// row (`LeftMultiplyVector` through the index); the test oracle for
+  /// `Query`.
   [[nodiscard]] Result<TopKResult> QueryExhaustive(Index source, int k) const;
 
   /// Number of target-type objects.
-  Index num_targets() const { return right_->rows(); }
+  Index num_targets() const { return index_->num_targets(); }
 
  private:
   /// Partially-initialized searcher for `Prepare` to fill in.
   TopKSearcher(const HinGraph& graph, HeteSimOptions options, Index num_sources)
       : graph_(graph), options_(options), num_sources_(num_sources) {}
-
-  /// Builds the inverted index and per-target norms from `right_`.
-  void FinishPreparation();
 
   /// `Query` body, separated so the public entry point can bracket it with
   /// the query span, the latency observation, and the truncation counter
@@ -143,12 +144,10 @@ class TopKSearcher {
   HeteSimOptions options_;
   Index num_sources_;
   std::vector<SparseMatrix> left_transitions_;
-  /// Right reachable matrix, |targets| x |middle|. Shared so a cache-served
-  /// half is referenced, not copied, and so the searcher stays cheap to
-  /// move.
-  std::shared_ptr<const SparseMatrix> right_;
-  SparseMatrix right_transpose_;  // |middle| x |targets| (inverted index)
-  std::vector<double> right_norms_;
+  /// The right half's inverted index and target norms. Shared so a
+  /// cache-served index is referenced, not copied, by every searcher and
+  /// single-source query over the same right half.
+  std::shared_ptr<const TargetIndex> index_;
   /// Cached partial product covering the first `left_head_steps_` left-chain
   /// matrices (ad-hoc meta-path reuse), or null.
   std::shared_ptr<const SparseMatrix> left_head_;

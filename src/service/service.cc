@@ -131,21 +131,23 @@ Result<std::shared_ptr<QueryService::PathState>> QueryService::StateFor(
   auto state = std::make_shared<PathState>(std::move(path));
   state->num_targets = graph_.NumNodes(state->path.TargetType());
 
-  // Fold the cost model over the transition chain the way the planner
-  // would materialize it left-to-right: the sum of product flops is the
-  // chain cost, and one row of it approximates a single-source walk.
-  const std::vector<SparseMatrix> chain = TransitionChain(graph_, state->path);
-  if (!chain.empty()) {
-    MatrixEstimate acc = EstimateOf(chain[0]);
+  // Fold the cost model over the path's steps the way the planner would
+  // materialize the transition chain left-to-right: one row of the chain
+  // cost approximates a single-source walk. Row normalization keeps a step
+  // adjacency's shape and fill, so the adjacencies stand in for the
+  // transitions.
+  if (state->path.length() > 0) {
+    const SparseMatrix& first = graph_.StepAdjacency(state->path.StepAt(0));
+    MatrixEstimate acc = EstimateOf(first);
     double flops = 0;
-    for (size_t i = 1; i < chain.size(); ++i) {
-      const MatrixEstimate next = EstimateOf(chain[i]);
+    for (int i = 1; i < state->path.length(); ++i) {
+      const MatrixEstimate next =
+          EstimateOf(graph_.StepAdjacency(state->path.StepAt(i)));
       flops += EstimateProductFlops(acc, next);
       acc = EstimateProduct(acc, next);
     }
-    state->chain_flops = flops;
-    const double rows = static_cast<double>(std::max<Index>(1, chain[0].rows()));
-    state->row_flops = flops / rows;
+    state->row_flops =
+        flops / static_cast<double>(std::max<Index>(1, first.rows()));
   }
   MutexLock lock(mutex_);
   auto [it, inserted] = paths_.emplace(spec, std::move(state));

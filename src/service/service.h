@@ -126,13 +126,11 @@ class QueryService {
     explicit PathState(MetaPath p) : path(std::move(p)) {}
 
     MetaPath path;
-    /// Cost-model estimate of materializing the full transition chain.
-    double chain_flops = 0;
     /// Estimate of one single-source propagation along the chain.
     double row_flops = 0;
     Index num_targets = 0;
     Mutex searcher_mutex;
-    /// Lazily prepared on the first top-k query (charged `chain_flops`).
+    /// Lazily prepared on the first top-k query.
     std::unique_ptr<TopKSearcher> searcher GUARDED_BY(searcher_mutex);
     bool searcher_failed GUARDED_BY(searcher_mutex) = false;
   };

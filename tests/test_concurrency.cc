@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
+#include "core/frontier.h"
 #include "core/hetesim.h"
 #include "core/materialize.h"
 #include "test_util.h"
@@ -179,6 +180,34 @@ TEST(CacheMissStorm, ComputePairsSharedCacheAcrossThreads) {
   for (int mismatch : mismatches) EXPECT_EQ(mismatch, 0);
   EXPECT_EQ(cache->ComputeCount(PathMatrixCache::LeftKey(path)), 1u);
   EXPECT_EQ(cache->ComputeCount(PathMatrixCache::RightKey(path)), 1u);
+}
+
+TEST(CacheMissStorm, TargetIndexBuiltExactlyOnce) {
+  // Many threads ask for one right half's index at the same instant: one
+  // claims and builds it (fetching its half, itself exactly once), the
+  // rest wait and share the published index.
+  const HinGraph graph = testing::RandomTripartite(40, 60, 30, 0.15, 31);
+  const MetaPath path = *MetaPath::Parse(graph.schema(), "ABCBA");
+  auto cache = std::make_shared<PathMatrixCache>();
+  constexpr int kThreads = 8;
+  StartGate gate(kThreads);
+  std::vector<std::shared_ptr<const TargetIndex>> indexes(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      gate.ArriveAndWait();
+      indexes[static_cast<size_t>(t)] =
+          cache->GetTargetIndex(graph, path, QueryContext::Background(), t % 3)
+              .value();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const std::string key = "IX:" + PathMatrixCache::RightKey(path);
+  EXPECT_EQ(cache->ComputeCount(key), 1u);
+  EXPECT_EQ(cache->ComputeCount(PathMatrixCache::RightKey(path)), 1u);
+  for (const auto& index : indexes) EXPECT_EQ(index, indexes[0]);
+  EXPECT_EQ(indexes[0]->num_targets(), graph.NumNodes(path.TargetType()));
 }
 
 TEST(CacheMissStorm, ClearRacingInFlightComputationsIsSafe) {

@@ -5,7 +5,9 @@
 // bitwise, degrade to a marked partial result under cancellation, surface
 // injected allocation failures at the `frontier.alloc` fault point, and
 // fold cached partial products into never-seen paths (ad-hoc meta-path
-// reuse).
+// reuse). The cached single-source scatter through the shared
+// `TargetIndex` must reproduce the dense row product bitwise, share one
+// index per right half, and honour its context's budget and cancellation.
 
 #include "core/frontier.h"
 
@@ -250,6 +252,34 @@ TEST_P(FrontierPropertyTest, BitwiseEqualsPrunedAccumulation) {
   }
 }
 
+TEST_P(FrontierPropertyTest, CachedSingleSourceBitwiseEqualsDenseProduct) {
+  // The cached single-source scatter against the dense row product on the
+  // very halves the cache holds: the source's left row densified,
+  // multiplied into the right half, divided by the row norm and each
+  // target's norm.
+  const MetaPath path = this->path();
+  auto cache = std::make_shared<PathMatrixCache>();
+  const HeteSimEngine engine(graph(), HeteSimOptions{}, cache);
+  const Index num_sources = graph().NumNodes(path.SourceType());
+  for (Index s = 0; s < num_sources; ++s) {
+    const std::vector<double> got = *engine.ComputeSingleSource(path, s);
+    const std::shared_ptr<const SparseMatrix> left = *cache->GetLeft(graph(), path);
+    const std::shared_ptr<const SparseMatrix> right = *cache->GetRight(graph(), path);
+    const std::vector<double> u = left->RowDense(s);
+    std::vector<double> want = right->MultiplyVector(u);
+    const double nu = Norm2(u);
+    if (nu == 0.0) {
+      want.assign(want.size(), 0.0);
+    } else {
+      for (Index t = 0; t < right->rows(); ++t) {
+        const double nt = right->RowNorm(t);
+        if (nt != 0.0) want[static_cast<size_t>(t)] /= nu * nt;
+      }
+    }
+    ASSERT_EQ(got, want) << GetParam().path << " source " << s;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(GeneratedNets, FrontierPropertyTest,
                          ::testing::ValuesIn(AllCases()), CaseName);
 
@@ -368,6 +398,70 @@ TEST(Frontier, AdHocReuseFoldsCachedPartials) {
     ExpectSameRanking(*with_cache.Query(s, 5), *without.Query(s, 5), 1e-12,
                       "source " + std::to_string(s));
   }
+}
+
+TEST(TargetIndex, PathsSharingARightHalfShareOneIndex) {
+  // A-P-T-P-A and C-P-T-P-A end in the same right half (A-P-T): a
+  // single-source query and two cached preparations build its index once.
+  const HinGraph& graph = DatasetGraph("dblp");
+  const MetaPath aptpa = *MetaPath::Parse(graph.schema(), "A-P-T-P-A");
+  const MetaPath cptpa = *MetaPath::Parse(graph.schema(), "C-P-T-P-A");
+  ASSERT_EQ(PathMatrixCache::RightKey(aptpa), PathMatrixCache::RightKey(cptpa));
+  auto cache = std::make_shared<PathMatrixCache>();
+  const HeteSimEngine engine(graph, HeteSimOptions{}, cache);
+  ASSERT_TRUE(engine.ComputeSingleSource(aptpa, 0).ok());
+  TopKSearcher first = PrepareSearcher(graph, aptpa, cache.get());
+  TopKSearcher second = PrepareSearcher(graph, cptpa, cache.get());
+  EXPECT_EQ(cache->ComputeCount("IX:" + PathMatrixCache::RightKey(aptpa)), 1u);
+  // The shared index answers like each path's own private one.
+  TopKSearcher first_private = PrepareSearcher(graph, aptpa);
+  TopKSearcher second_private = PrepareSearcher(graph, cptpa);
+  for (Index s = 0; s < 20; ++s) {
+    ExpectSameRanking(*first.Query(s, 10), *first_private.Query(s, 10), 1e-12,
+                      "A-P-T-P-A source " + std::to_string(s));
+    ExpectSameRanking(*second.Query(s, 10), *second_private.Query(s, 10), 1e-12,
+                      "C-P-T-P-A source " + std::to_string(s));
+  }
+}
+
+TEST(TargetIndex, SingleSourceReservesItsRowAndPollsTheScatter) {
+  // 4000 middle objects at density 0.02: source 0's left row holds ~80
+  // middle objects, more than the first poll stride (64 entries).
+  const HinGraph graph = testing::RandomTripartite(10, 4000, 10, 0.02, 7);
+  const MetaPath path = *MetaPath::Parse(graph.schema(), "ABC");
+  auto cache = std::make_shared<PathMatrixCache>();
+  const HeteSimEngine engine(graph, HeteSimOptions{}, cache);
+  const std::vector<double> want = *engine.ComputeSingleSource(path, 0);
+  const std::shared_ptr<const SparseMatrix> left = *cache->GetLeft(graph, path);
+  const std::shared_ptr<const TargetIndex> index = *cache->GetTargetIndex(graph, path);
+  ASSERT_GT(left->RowNnz(0), static_cast<Index>(PollStrideController::kInitialStride));
+
+  // A budget one byte short of the dense answer row refuses the query and
+  // keeps nothing reserved.
+  MemoryBudget tiny(static_cast<size_t>(index->num_targets()) * sizeof(double) - 1);
+  const Result<std::vector<double>> refused = engine.ComputeSingleSource(
+      path, 0, QueryContext::Background().WithBudget(&tiny));
+  EXPECT_TRUE(refused.status().IsResourceExhausted()) << refused.status().ToString();
+  EXPECT_EQ(tiny.used_bytes(), 0u);
+
+  // A dead context stops the query: through the engine, and inside the
+  // scatter itself at its first poll.
+  QueryContext cancelled;
+  cancelled.Cancel();
+  EXPECT_TRUE(engine.ComputeSingleSource(path, 0, cancelled).status().IsCancelled());
+  EXPECT_TRUE(ScatterRow(*index, left->RowIndices(0), left->RowValues(0), true,
+                         cancelled)
+                  .status()
+                  .IsCancelled());
+  const QueryContext expired = QueryContext::Background().WithDeadlineAfterMs(0);
+  EXPECT_TRUE(ScatterRow(*index, left->RowIndices(0), left->RowValues(0), true,
+                         expired)
+                  .status()
+                  .IsDeadlineExceeded());
+  // A live context gets the engine's answer.
+  EXPECT_EQ(*ScatterRow(*index, left->RowIndices(0), left->RowValues(0), true,
+                        QueryContext::Background()),
+            want);
 }
 
 TEST(Frontier, UncachedEnginePairsMatchCached) {

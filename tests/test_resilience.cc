@@ -31,6 +31,7 @@
 
 #include "common/context.h"
 #include "common/fault_injection.h"
+#include "core/frontier.h"
 #include "core/hetesim.h"
 #include "core/materialize.h"
 #include "core/topk.h"
@@ -464,6 +465,53 @@ TEST_F(CacheBudgetTest, ExpiredCallerDoesNotPoisonResidentEntry) {
   EXPECT_EQ(cache.ComputeCount(PathMatrixCache::LeftKey(path)), 1u);
 }
 
+TEST_F(CacheBudgetTest, TargetIndexIsChargedEvictableAndOutlivesClear) {
+  const MetaPath path = Path("ABC");
+  const MetaPath bulky = Path("ABCBA");
+  // Size the budget to the bulky full reach matrix: the half and its index
+  // fit beside each other, but admitting the reach matrix evicts both.
+  size_t reach_bytes = 0;
+  {
+    PathMatrixCache sizing;
+    reach_bytes = sizing.GetReach(graph_, bulky).value()->ApproxBytes();
+  }
+  auto budget = std::make_shared<MemoryBudget>(reach_bytes);
+  PathMatrixCache cache;
+  cache.SetMemoryBudget(budget);
+  const size_t right_bytes = cache.GetRight(graph_, path).value()->ApproxBytes();
+  ASSERT_EQ(cache.stats().accounted_bytes, right_bytes);
+  const std::shared_ptr<const TargetIndex> index =
+      cache.GetTargetIndex(graph_, path).value();
+  ASSERT_LE(right_bytes + index->ApproxBytes(), reach_bytes);
+  EXPECT_EQ(cache.stats().accounted_bytes, right_bytes + index->ApproxBytes());
+  EXPECT_EQ(budget->used_bytes(), right_bytes + index->ApproxBytes());
+
+  cache.GetReach(graph_, bulky).value();
+  PathMatrixCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.accounted_bytes, reach_bytes);
+  EXPECT_EQ(budget->used_bytes(), reach_bytes);
+  const std::string key = "IX:" + PathMatrixCache::RightKey(path);
+  cache.GetTargetIndex(graph_, path).value();  // evicted, so rebuilt
+  EXPECT_EQ(cache.ComputeCount(key), 2u);
+
+  // A searcher keeps its index after the cache lets go of it.
+  cache.Clear();
+  TopKSearcher searcher =
+      TopKSearcher::Prepare(graph_, path, {}, GenerousContext(), &cache).value();
+  std::vector<TopKResult> before;
+  for (Index source = 0; source < 20; ++source) {
+    before.push_back(searcher.Query(source, 5).value());
+  }
+  cache.Clear();
+  EXPECT_EQ(budget->used_bytes(), 0u);
+  for (Index source = 0; source < 20; ++source) {
+    EXPECT_EQ(searcher.Query(source, 5)->items,
+              before[static_cast<size_t>(source)].items)
+        << "source " << source;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Deadline-truncated top-k queries.
 // ---------------------------------------------------------------------------
@@ -683,6 +731,39 @@ TEST_F(FaultInjectionTest, CacheInsertFaultServesUncached) {
   PathMatrixCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.rejected_inserts, 2u);  // admission failed, service didn't
+}
+
+TEST_F(FaultInjectionTest, CacheInsertFaultServesTheIndexUncached) {
+  HinGraph graph = testing::BuildFig4Graph();
+  MetaPath path = *MetaPath::Parse(graph.schema(), "APCPA");
+  const std::vector<double> expected_row =
+      HeteSimEngine(graph).ComputeSingleSource(path, 0).value();
+  const TopKResult expected_top =
+      TopKSearcher::Prepare(graph, path).value().Query(0, 3).value();
+  auto cache = std::make_shared<PathMatrixCache>();
+  HeteSimEngine engine(graph, HeteSimOptions{}, cache);
+  FaultInjector::Global().Arm("cache.insert", 1.0);
+  for (int i = 1; i <= 2; ++i) {
+    Result<std::vector<double>> row =
+        engine.ComputeSingleSource(path, 0, GenerousContext());
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    ASSERT_EQ(row->size(), expected_row.size());
+    for (size_t t = 0; t < row->size(); ++t) {
+      EXPECT_NEAR((*row)[t], expected_row[t], 1e-12) << "target " << t;
+    }
+  }
+  Result<TopKSearcher> searcher =
+      TopKSearcher::Prepare(graph, path, {}, GenerousContext(), cache.get());
+  ASSERT_TRUE(searcher.ok()) << searcher.status().ToString();
+  Result<TopKResult> top = searcher->Query(0, 3);
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  ASSERT_EQ(top->items.size(), expected_top.items.size());
+  for (size_t i = 0; i < top->items.size(); ++i) {
+    EXPECT_NEAR(top->items[i].score, expected_top.items[i].score, 1e-12);
+  }
+  // Nothing was admitted, so every request rebuilt the index.
+  EXPECT_EQ(cache->stats().entries, 0u);
+  EXPECT_EQ(cache->ComputeCount("IX:" + PathMatrixCache::RightKey(path)), 3u);
 }
 
 TEST_F(FaultInjectionTest, SeededSweepIsCrashFreeAndRecovers) {
