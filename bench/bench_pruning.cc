@@ -2,9 +2,9 @@
 // object are a very small percentage of all objects in the target type.
 // The pruning techniques can be used to prune those unpromising objects."
 // `TopKSearcher::Query` is that pruning in sparse form (DESIGN.md §14): it
-// propagates the source's frontier and scatters it through the inverted
-// index, so it only ever scores targets that share a middle object with
-// the source. This bench measures it against the exhaustive oracle
+// scatters the source's row of the left half through the inverted index,
+// so it only ever scores targets that share a middle object with the
+// source. This bench measures it against the exhaustive oracle
 // (`QueryExhaustive`, which scores every target from a dense source row).
 //
 // Graph: the perfbench reference network (DBLP-style, 80,000 papers,

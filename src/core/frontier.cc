@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "common/fault_injection.h"
-#include "core/materialize.h"
-#include "matrix/cost_model.h"
 
 namespace hetesim {
 
@@ -38,9 +36,7 @@ Result<SparseVector> ApplyHop(const SparseVector& x, const SparseMatrix& m,
   std::vector<Index> touched;
   touched.reserve(out_bound);
   // Hops are unbounded work (a hub row can touch the whole target type), so
-  // the gather polls at an adaptive stride. There is deliberately no poll at
-  // hop entry: a propagation shorter than one stride completes, which keeps
-  // an expired top-k query's best-effort answer non-empty (DESIGN.md §14).
+  // the gather polls at an adaptive stride.
   PollStrideController poller;
   for (size_t i = 0; i < x.indices.size(); ++i) {
     if (i > 0 && poller.ShouldPoll(i)) {
@@ -83,32 +79,13 @@ Result<SparseVector> ApplyHop(const SparseVector& x, const SparseMatrix& m,
   return y;
 }
 
-/// Row-level cost of propagating one frontier through `chain`: expected
-/// multiply-adds, tracking the expected frontier support hop by hop (one
-/// source row in, `avg row fill` fan-out per reached row, capped by the hop's
-/// column count). Deterministic — shapes and fills only, no timing.
-double RowPropagationFlops(const std::vector<MatrixEstimate>& chain) {
-  double support = 1.0;
-  double flops = 0.0;
-  for (const MatrixEstimate& est : chain) {
-    if (est.rows <= 0) break;
-    const double avg_row = est.nnz / static_cast<double>(est.rows);
-    flops += support * avg_row;
-    support = std::min(static_cast<double>(est.cols), support * avg_row);
-  }
-  return flops;
-}
-
 }  // namespace
 
-Result<SparseVector> PropagateFrontier(Index source, const FrontierChain& chain,
+Result<SparseVector> PropagateFrontier(Index source,
+                                       const std::vector<SparseMatrix>& steps,
                                        double relative_threshold,
                                        const QueryContext& ctx) {
-  const SparseMatrix* first = chain.head != nullptr ? chain.head.get()
-                              : (chain.steps != nullptr && !chain.steps->empty())
-                                  ? &(*chain.steps)[0]
-                                  : nullptr;
-  if (first != nullptr && (source < 0 || source >= first->rows())) {
+  if (!steps.empty() && (source < 0 || source >= steps.front().rows())) {
     return Status::OutOfRange("source id out of range");
   }
   if (HETESIM_FAULT_POINT("frontier.alloc")) {
@@ -118,17 +95,8 @@ Result<SparseVector> PropagateFrontier(Index source, const FrontierChain& chain,
   SparseVector x;
   x.indices.push_back(source);
   x.values.push_back(1.0);
-  size_t next_step = 0;
-  if (chain.head != nullptr) {
-    HETESIM_ASSIGN_OR_RETURN(
-        x, ApplyHop(x, *chain.head, relative_threshold, ctx));
-    next_step = chain.head_steps;
-  }
-  if (chain.steps != nullptr) {
-    for (size_t s = next_step; s < chain.steps->size(); ++s) {
-      HETESIM_ASSIGN_OR_RETURN(
-          x, ApplyHop(x, (*chain.steps)[s], relative_threshold, ctx));
-    }
+  for (const SparseMatrix& step : steps) {
+    HETESIM_ASSIGN_OR_RETURN(x, ApplyHop(x, step, relative_threshold, ctx));
   }
   return x;
 }
@@ -203,47 +171,6 @@ double SparseNorm2(const SparseVector& a) {
   double sum = 0.0;
   for (double v : a.values) sum += v * v;
   return std::sqrt(sum);
-}
-
-FrontierChain PlanFrontierChain(const std::vector<SparseMatrix>& steps,
-                                const MetaPath& path, bool left_side,
-                                PathMatrixCache* cache) {
-  FrontierChain plan;
-  plan.steps = &steps;
-  if (cache == nullptr || steps.empty()) return plan;
-  std::vector<PathMatrixCache::PartialHit> hits =
-      cache->ProbePartials(path, left_side, static_cast<int>(steps.size()));
-  if (hits.empty()) return plan;
-  std::vector<MatrixEstimate> estimates;
-  estimates.reserve(steps.size());
-  for (const SparseMatrix& m : steps) estimates.push_back(EstimateOf(m));
-  double best_flops = RowPropagationFlops(estimates);
-  const PathMatrixCache::PartialHit* winner = nullptr;
-  for (const PathMatrixCache::PartialHit& hit : hits) {
-    if (hit.matrix == nullptr || hit.steps_covered < 1 ||
-        static_cast<size_t>(hit.steps_covered) > steps.size()) {
-      continue;
-    }
-    std::vector<MatrixEstimate> candidate;
-    candidate.reserve(steps.size() - static_cast<size_t>(hit.steps_covered) +
-                      1);
-    candidate.push_back(EstimateOf(*hit.matrix));
-    for (size_t s = static_cast<size_t>(hit.steps_covered); s < steps.size();
-         ++s) {
-      candidate.push_back(estimates[s]);
-    }
-    const double flops = RowPropagationFlops(candidate);
-    if (flops < best_flops) {
-      best_flops = flops;
-      winner = &hit;
-    }
-  }
-  if (winner != nullptr) {
-    plan.head = winner->matrix;
-    plan.head_steps = static_cast<size_t>(winner->steps_covered);
-    cache->RecordPartialReuse(left_side, winner->matrix->ApproxBytes());
-  }
-  return plan;
 }
 
 }  // namespace hetesim

@@ -3,32 +3,27 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/context.h"
 #include "common/result.h"
-#include "hin/metapath.h"
 #include "matrix/sparse.h"
 
 namespace hetesim {
 
-class PathMatrixCache;  // materialize.h
-
 /// \file
-/// Frontier propagation: the one sparse single-source primitive (DESIGN.md
-/// §14).
+/// Sparse single-source primitives (DESIGN.md §14).
 ///
-/// Instead of materializing whole reachable-probability matrices, a query
-/// propagates one *sparse* row vector from the source end of the decomposed
-/// path (and, for pair queries, one from the target end): each hop is a
-/// vector×CSR product over only the reached rows, optionally dropping mass
-/// below a relative threshold with a tracked error bound (the paper's §4.6
-/// pruning discussion made concrete). `TopKSearcher::Query` scatters the
-/// propagated frontier through the path's `TargetIndex`, as the cached
-/// single-source query scatters a cached left-half row; the engine's
-/// uncached pair and single-source queries dot or densify it.
+/// A source's row of a path's left reachable matrix is scattered through
+/// the right half's `TargetIndex`: `TopKSearcher::Query` and the cached
+/// single-source query both read that row from the cached left half. The
+/// cache-less engine's pair and single-source queries instead propagate one
+/// *sparse* row vector from the source end of the decomposed path (and, for
+/// pair queries, one from the target end): each hop is a vector×CSR
+/// product over only the reached rows, optionally dropping mass below a
+/// relative threshold with a tracked error bound (the paper's §4.6 pruning
+/// discussion made concrete).
 
 /// Adaptive deadline/cancellation poll pacing for item-granular loops.
 ///
@@ -91,17 +86,6 @@ struct SparseVector {
   size_t nnz() const { return indices.size(); }
 };
 
-/// One half of a frontier execution plan: the per-step transition chain,
-/// optionally with the first `head_steps` transitions replaced by an
-/// already-materialized cached partial product (ad-hoc meta-path reuse).
-struct FrontierChain {
-  /// The half's per-step transitions (non-owning; must outlive the chain).
-  const std::vector<SparseMatrix>* steps = nullptr;
-  /// Cached product of `(*steps)[0..head_steps)`, or null for no reuse.
-  std::shared_ptr<const SparseMatrix> head;
-  size_t head_steps = 0;
-};
-
 /// The right half of a decomposed path in the form a query reads it: the
 /// middle->target inverted index and every target's norm (DESIGN.md §14).
 /// One is built per right half and shared: `PathMatrixCache::GetTargetIndex`
@@ -139,30 +123,19 @@ struct TargetIndex {
     const TargetIndex& index, std::span<const Index> middles,
     std::span<const double> weights, bool normalized, const QueryContext& ctx);
 
-/// Plans the cheapest frontier chain for one half of `path`: probes `cache`
-/// (when non-null) for materialized prefix partials of the half, scores
-/// each candidate plan with the cost model's single-row propagation flops
-/// estimate, and folds the winning partial in as the chain head. Records
-/// partial-hit stats on the cache. With no cache (or no profitable hit)
-/// the plain per-step chain is returned.
-FrontierChain PlanFrontierChain(const std::vector<SparseMatrix>& steps,
-                                const MetaPath& path, bool left_side,
-                                PathMatrixCache* cache);
-
-/// Propagates the indicator vector of `source` through `chain`, keeping the
-/// frontier sparse. Each hop accumulates into a dense array of its output
-/// dimension in ascending input order, so at `relative_threshold = 0` the
-/// values are bitwise equal to the dense `VectorThroughChain`.
-/// `relative_threshold` in [0, 1) drops entries below
+/// Propagates the indicator vector of `source` through `steps`, one half's
+/// per-step transitions, keeping the frontier sparse. Each hop accumulates
+/// into a dense array of its output dimension in ascending input order, so
+/// at `relative_threshold = 0` the values are bitwise equal to the dense
+/// `VectorThroughChain`. `relative_threshold` in [0, 1) drops entries below
 /// `threshold * max_entry` after each hop, accumulating the dropped L1 mass
 /// into the result's `dropped_mass` (0 = exact). Each hop charges its
 /// accumulator against `ctx`'s memory budget and polls `ctx` at an adaptive
-/// stride inside its gather, never at hop entry, so a propagation shorter
-/// than one stride completes even under an expired context. Fails with
-/// `ResourceExhausted` at the `frontier.alloc` fault point.
+/// stride inside its gather. Fails with `ResourceExhausted` at the
+/// `frontier.alloc` fault point.
 [[nodiscard]] Result<SparseVector> PropagateFrontier(
-    Index source, const FrontierChain& chain, double relative_threshold,
-    const QueryContext& ctx);
+    Index source, const std::vector<SparseMatrix>& steps,
+    double relative_threshold, const QueryContext& ctx);
 
 /// Dot product of two sorted sparse vectors (two-pointer merge, ascending
 /// index order — the same term order as the dense accumulation).

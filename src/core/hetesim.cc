@@ -71,13 +71,6 @@ void RecordQueryOutcome(TraceSpan& span, const Status& status,
   }
 }
 
-/// The cache-less propagation chain over one half's per-step transitions.
-FrontierChain StepsChain(const std::vector<SparseMatrix>& steps) {
-  FrontierChain chain;
-  chain.steps = &steps;
-  return chain;
-}
-
 /// Equation 7 on two propagated frontiers: their dot, cosine-normalized
 /// when `normalized` (0 when either side reaches nothing).
 double CombineFrontiers(const SparseVector& u, const SparseVector& v,
@@ -244,10 +237,10 @@ Result<std::vector<double>> HeteSimEngine::ComputeSingleSource(
                       options_.normalized, ctx);
   }
   PathDecomposition decomposition = DecomposePath(graph_, path);
-  const FrontierChain left_chain = StepsChain(decomposition.left_transitions);
   HETESIM_ASSIGN_OR_RETURN(
       SparseVector frontier,
-      PropagateFrontier(source, left_chain, options_.truncation, ctx));
+      PropagateFrontier(source, decomposition.left_transitions,
+                        options_.truncation, ctx));
   HETESIM_ASSIGN_OR_RETURN(
       SparseMatrix right,
       RightReachMatrix(decomposition, options_.num_threads, ctx));
@@ -257,6 +250,9 @@ Result<std::vector<double>> HeteSimEngine::ComputeSingleSource(
     u[static_cast<size_t>(frontier.indices[i])] = frontier.values[i];
   }
   // scores[t] = u . PM_R(t,:), then cosine-normalize per Definition 10.
+  HETESIM_ASSIGN_OR_RETURN(
+      MemoryReservation reservation,
+      ctx.Reserve(static_cast<size_t>(right.rows()) * sizeof(double)));
   std::vector<double> scores = right.MultiplyVector(u);
   if (options_.normalized) {
     const double nu = Norm2(u);
@@ -299,14 +295,12 @@ Result<double> HeteSimEngine::ComputePair(const MetaPath& path, Index source,
   // Cache-less path: propagate both indicators to the middle type as sparse
   // frontiers; no matrix products at all (Equation 7 evaluated directly).
   PathDecomposition decomposition = DecomposePath(graph_, path);
-  const FrontierChain left_chain = StepsChain(decomposition.left_transitions);
-  const FrontierChain right_chain = StepsChain(decomposition.right_transitions);
   HETESIM_ASSIGN_OR_RETURN(
-      SparseVector u,
-      PropagateFrontier(source, left_chain, options_.truncation, ctx));
+      SparseVector u, PropagateFrontier(source, decomposition.left_transitions,
+                                        options_.truncation, ctx));
   HETESIM_ASSIGN_OR_RETURN(
-      SparseVector v,
-      PropagateFrontier(target, right_chain, options_.truncation, ctx));
+      SparseVector v, PropagateFrontier(target, decomposition.right_transitions,
+                                        options_.truncation, ctx));
   return CombineFrontiers(u, v, options_.normalized);
 }
 
@@ -380,18 +374,16 @@ Result<std::vector<double>> HeteSimEngine::ComputePairsTraced(
   // once and reused by every pair that repeats it.
   if (span.active()) span.Annotate("mode", "uncached");
   PathDecomposition decomposition = DecomposePath(graph_, path);
-  const FrontierChain left_chain = StepsChain(decomposition.left_transitions);
-  const FrontierChain right_chain = StepsChain(decomposition.right_transitions);
   std::unordered_map<Index, SparseVector> source_frontiers;
   std::unordered_map<Index, SparseVector> target_frontiers;
-  auto frontier_of = [&](Index id, const FrontierChain& chain,
+  auto frontier_of = [&](Index id, const std::vector<SparseMatrix>& steps,
                          std::unordered_map<Index, SparseVector>& memo)
       -> Result<const SparseVector*> {
     auto it = memo.find(id);
     if (it != memo.end()) return &it->second;
     HETESIM_ASSIGN_OR_RETURN(
         SparseVector propagated,
-        PropagateFrontier(id, chain, options_.truncation, ctx));
+        PropagateFrontier(id, steps, options_.truncation, ctx));
     return &memo.emplace(id, std::move(propagated)).first->second;
   };
   std::vector<double> scores;
@@ -401,10 +393,12 @@ Result<std::vector<double>> HeteSimEngine::ComputePairsTraced(
     // work, so per-pair polling keeps cancellation prompt without
     // measurable cost.
     HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
-    HETESIM_ASSIGN_OR_RETURN(const SparseVector* u,
-                             frontier_of(source, left_chain, source_frontiers));
-    HETESIM_ASSIGN_OR_RETURN(const SparseVector* v,
-                             frontier_of(target, right_chain, target_frontiers));
+    HETESIM_ASSIGN_OR_RETURN(
+        const SparseVector* u,
+        frontier_of(source, decomposition.left_transitions, source_frontiers));
+    HETESIM_ASSIGN_OR_RETURN(
+        const SparseVector* v,
+        frontier_of(target, decomposition.right_transitions, target_frontiers));
     scores.push_back(CombineFrontiers(*u, *v, options_.normalized));
   }
   return scores;

@@ -31,9 +31,9 @@ struct HeteSimOptions {
   /// accuracy"): after each hop, entries below `truncation` times the hop's
   /// largest entry are dropped and their L1 mass recorded, keeping the
   /// frontier sparse on hub-heavy networks. It applies wherever a query
-  /// propagates a frontier: every `TopKSearcher::Query` and the cache-less
-  /// pair and single-source queries; cached queries read materialized
-  /// halves and ignore it. 0 (the default) is exact.
+  /// propagates a frontier, which only the cache-less engine's pair and
+  /// single-source queries do; cached queries and `TopKSearcher` read
+  /// materialized halves and ignore it. 0 (the default) is exact.
   double truncation = 0.0;
 
   /// Threads used by the full-matrix `Compute` (the SpGEMM of the two

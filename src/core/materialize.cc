@@ -116,14 +116,22 @@ std::string PathMatrixCache::RightKey(const MetaPath& path) {
          path.schema().StepToString(path.StepAt(l / 2));
 }
 
+PathMatrixCache::~PathMatrixCache() {
+  // The entries' budget reservations release themselves; the process-wide
+  // gauge has to be told.
+  MutexLock lock(mutex_);
+  if (MetricsEnabled()) {
+    GlobalCacheMetrics().accounted_bytes.Add(
+        -static_cast<int64_t>(accounted_bytes_));
+  }
+}
+
 Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetLeft(
     const HinGraph& graph, const MetaPath& path, const QueryContext& ctx,
     int num_threads) {
   return GetOrCompute<SparseMatrix>(
-      LeftKey(path), ctx,
-      [&graph, &path, &ctx, num_threads]() -> Result<SparseMatrix> {
-        return MultiplyChain(DecomposeHalf(graph, path, /*left_side=*/true),
-                             num_threads, ctx);
+      LeftKey(path), ctx, [this, &graph, &path, &ctx, num_threads]() {
+        return ComputeHalf(graph, path, /*left_side=*/true, ctx, num_threads);
       });
 }
 
@@ -131,71 +139,63 @@ Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetRight(
     const HinGraph& graph, const MetaPath& path, const QueryContext& ctx,
     int num_threads) {
   return GetOrCompute<SparseMatrix>(
-      RightKey(path), ctx,
-      [&graph, &path, &ctx, num_threads]() -> Result<SparseMatrix> {
-        return MultiplyChain(DecomposeHalf(graph, path, /*left_side=*/false),
-                             num_threads, ctx);
+      RightKey(path), ctx, [this, &graph, &path, &ctx, num_threads]() {
+        return ComputeHalf(graph, path, /*left_side=*/false, ctx, num_threads);
       });
 }
 
-Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetRightWithReuse(
-    const HinGraph& graph, const MetaPath& path, const QueryContext& ctx,
-    int num_threads) {
-  // The ad-hoc planning happens inside the compute callback, so a resident
-  // key stays a plain O(1) hit and probes are only counted when a
-  // never-seen path actually has to be materialized. The callback runs
-  // outside the cache lock (GetOrCompute's contract), so the re-entrant
-  // `ProbePartials` call is safe.
-  return GetOrCompute<SparseMatrix>(
-      RightKey(path), ctx,
-      [this, &graph, &path, &ctx, num_threads]() -> Result<SparseMatrix> {
-        const std::vector<SparseMatrix> chain =
-            DecomposeHalf(graph, path, /*left_side=*/false);
-        std::vector<PartialHit> hits = ProbePartials(
-            path, /*left_side=*/false, static_cast<int>(chain.size()));
-        // Score each candidate plan: estimated Gustavson flops of folding
-        // the hops it leaves uncovered, left-to-right.
-        auto plan_flops = [&chain](MatrixEstimate acc, size_t next) {
-          double flops = 0.0;
-          // Planning loop over the meta-path length (a handful of hops).
-          for (size_t s = next; s < chain.size(); ++s) {  // hetesim-lint: allow(cancel-poll)
-            const MatrixEstimate step = EstimateOf(chain[s]);
-            flops += EstimateProductFlops(acc, step);
-            acc = EstimateProduct(acc, step);
-          }
-          return flops;
-        };
-        PartialHit best;
-        if (!chain.empty()) {
-          double best_flops = plan_flops(EstimateOf(chain[0]), 1);
-          // One candidate plan per cached partial — at most chain-length
-          // entries.
-          for (const PartialHit& hit : hits) {  // hetesim-lint: allow(cancel-poll)
-            if (hit.matrix == nullptr || hit.steps_covered < 1 ||
-                static_cast<size_t>(hit.steps_covered) > chain.size()) {
-              continue;
-            }
-            const double flops =
-                plan_flops(EstimateOf(*hit.matrix),
-                           static_cast<size_t>(hit.steps_covered));
-            if (flops < best_flops) {
-              best_flops = flops;
-              best = hit;
-            }
-          }
-        }
-        if (best.matrix == nullptr) {
-          return MultiplyChain(chain, num_threads, ctx);
-        }
-        SparseMatrix folded = *best.matrix;
-        for (size_t s = static_cast<size_t>(best.steps_covered);
-             s < chain.size(); ++s) {
-          HETESIM_ASSIGN_OR_RETURN(
-              folded, MultiplySparseAdaptive(folded, chain[s], num_threads, ctx));
-        }
-        RecordPartialReuse(/*left_side=*/false, best.matrix->ApproxBytes());
-        return folded;
-      });
+Result<SparseMatrix> PathMatrixCache::ComputeHalf(const HinGraph& graph,
+                                                  const MetaPath& path,
+                                                  bool left_side,
+                                                  const QueryContext& ctx,
+                                                  int num_threads) {
+  // The ad-hoc planning happens on a miss only, so a resident key stays a
+  // plain O(1) hit and probes are only counted when a never-seen half
+  // actually has to be materialized. `GetOrCompute` runs this outside the
+  // cache lock, so the re-entrant `ProbePartials` call is safe.
+  const std::vector<SparseMatrix> chain = DecomposeHalf(graph, path, left_side);
+  std::vector<PartialHit> hits =
+      ProbePartials(path, left_side, static_cast<int>(chain.size()));
+  // Score each candidate plan: estimated Gustavson flops of folding the
+  // hops it leaves uncovered, left-to-right. A 1-step partial is that
+  // step's own transition matrix and ties the plain product, so only a
+  // partial of two or more steps can win.
+  auto plan_flops = [&chain](MatrixEstimate acc, size_t next) {
+    double flops = 0.0;
+    // Planning loop over the meta-path length (a handful of hops).
+    for (size_t s = next; s < chain.size(); ++s) {  // hetesim-lint: allow(cancel-poll)
+      const MatrixEstimate step = EstimateOf(chain[s]);
+      flops += EstimateProductFlops(acc, step);
+      acc = EstimateProduct(acc, step);
+    }
+    return flops;
+  };
+  PartialHit best;
+  if (!chain.empty()) {
+    double best_flops = plan_flops(EstimateOf(chain[0]), 1);
+    // One candidate plan per cached partial — at most chain-length entries.
+    for (const PartialHit& hit : hits) {  // hetesim-lint: allow(cancel-poll)
+      if (hit.matrix == nullptr || hit.steps_covered < 1 ||
+          static_cast<size_t>(hit.steps_covered) > chain.size()) {
+        continue;
+      }
+      const double flops = plan_flops(EstimateOf(*hit.matrix),
+                                      static_cast<size_t>(hit.steps_covered));
+      if (flops < best_flops) {
+        best_flops = flops;
+        best = hit;
+      }
+    }
+  }
+  if (best.matrix == nullptr) return MultiplyChain(chain, num_threads, ctx);
+  SparseMatrix folded = *best.matrix;
+  for (size_t s = static_cast<size_t>(best.steps_covered); s < chain.size();
+       ++s) {
+    HETESIM_ASSIGN_OR_RETURN(
+        folded, MultiplySparseAdaptive(folded, chain[s], num_threads, ctx));
+  }
+  RecordPartialReuse(left_side, best.matrix->ApproxBytes());
+  return folded;
 }
 
 Result<std::shared_ptr<const TargetIndex>> PathMatrixCache::GetTargetIndex(
@@ -207,7 +207,7 @@ Result<std::shared_ptr<const TargetIndex>> PathMatrixCache::GetTargetIndex(
       "IX:" + RightKey(path), ctx,
       [this, &graph, &path, &ctx, num_threads]() -> Result<TargetIndex> {
         HETESIM_ASSIGN_OR_RETURN(std::shared_ptr<const SparseMatrix> right,
-                                 GetRightWithReuse(graph, path, ctx, num_threads));
+                                 GetRight(graph, path, ctx, num_threads));
         return TargetIndex::Build(*right);
       });
 }

@@ -92,6 +92,9 @@ struct TargetIndex;  // frontier.h
 class PathMatrixCache {
  public:
   PathMatrixCache() = default;
+  /// Releases the entries' accounted bytes from the process-wide bytes
+  /// gauge, as `Clear()` does.
+  ~PathMatrixCache();
   PathMatrixCache(const PathMatrixCache&) = delete;
   PathMatrixCache& operator=(const PathMatrixCache&) = delete;
 
@@ -104,23 +107,28 @@ class PathMatrixCache {
   static std::string ReachKey(const MetaPath& path);
 
   /// Left reachable matrix `PM_PL` of the decomposition of `path`
-  /// (|source type| x |middle|), computed on first use. A computation polls
-  /// `ctx` at chunk granularity and waiters wait no longer than `ctx`'s
-  /// deadline. `num_threads` parallelizes a cache-miss computation (library
-  /// convention: 1 sequential, 0 = all hardware threads).
+  /// (|source type| x |middle|), computed on first use. A miss probes for
+  /// cached partial products covering a prefix of the half, scores each
+  /// candidate plan with the cost model's product-flops estimate, and folds
+  /// the cheapest one in, computing only the uncovered tail hops; with no
+  /// profitable partial it multiplies the half's whole chain. A computation
+  /// polls `ctx` at chunk granularity and waiters wait no longer than
+  /// `ctx`'s deadline. `num_threads` parallelizes a cache-miss computation
+  /// (library convention: 1 sequential, 0 = all hardware threads).
   [[nodiscard]] Result<std::shared_ptr<const SparseMatrix>> GetLeft(
       const HinGraph& graph, const MetaPath& path,
       const QueryContext& ctx = QueryContext::Background(), int num_threads = 1);
 
   /// Right reachable matrix `PM_(PR^-1)` of the decomposition of `path`
-  /// (|target type| x |middle|), computed on first use like `GetLeft`.
+  /// (|target type| x |middle|), computed on first use like `GetLeft`
+  /// (folding cached suffix partials).
   [[nodiscard]] Result<std::shared_ptr<const SparseMatrix>> GetRight(
       const HinGraph& graph, const MetaPath& path,
       const QueryContext& ctx = QueryContext::Background(), int num_threads = 1);
 
   /// The inverted index and target norms of `path`'s right half, keyed
   /// `"IX:" + RightKey(path)`, so every path ending in the same half shares
-  /// one. Built on first use from `GetRightWithReuse`'s half and charged to
+  /// one. Built on first use from `GetRight`'s half and charged to
   /// the memory budget like a matrix; waiters, failures and eviction behave
   /// as in `GetLeft`. A searcher holding the index keeps it alive after
   /// eviction or `Clear()`.
@@ -158,16 +166,6 @@ class PathMatrixCache {
   /// plan, saving roughly `bytes_saved` of recomputed intermediates
   /// (accumulated into `Stats::partial_bytes_saved`).
   void RecordPartialReuse(bool left_side, size_t bytes_saved) EXCLUDES(mutex_);
-
-  /// `GetRight` for ad-hoc paths: on a miss, instead of recomputing the
-  /// whole right chain, probes for cached partial products covering a
-  /// prefix of it, scores each candidate plan with the cost model's
-  /// product-flops estimate, and folds the cheapest partial in — computing
-  /// only the uncovered tail hops. The result is cached under
-  /// `RightKey(path)` either way, so later callers take the plain hit path.
-  [[nodiscard]] Result<std::shared_ptr<const SparseMatrix>> GetRightWithReuse(
-      const HinGraph& graph, const MetaPath& path,
-      const QueryContext& ctx = QueryContext::Background(), int num_threads = 1);
 
   /// Attaches the byte budget charged by every subsequent admission
   /// (nullptr = unlimited, the default). Existing entries are *not*
@@ -247,6 +245,16 @@ class PathMatrixCache {
     double priority = 0;       ///< GreedyDual-Size eviction priority
     MemoryReservation reservation;  ///< budget charge (empty if unbudgeted)
   };
+
+  /// Computes one half of `path` on a miss (`left_side` = the source half):
+  /// the cheapest cached prefix partial folded with the uncovered tail hops,
+  /// or the half's whole chain (see `GetLeft`). Runs outside the lock.
+  [[nodiscard]] Result<SparseMatrix> ComputeHalf(const HinGraph& graph,
+                                                 const MetaPath& path,
+                                                 bool left_side,
+                                                 const QueryContext& ctx,
+                                                 int num_threads)
+      EXCLUDES(mutex_);
 
   /// Claims, waits on or serves `key`, running `compute` outside the lock
   /// on a miss. `T` is `SparseMatrix` (probed in and demoted to the store)

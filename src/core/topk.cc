@@ -101,29 +101,18 @@ Result<TopKSearcher> TopKSearcher::Prepare(const HinGraph& graph,
                                            const QueryContext& ctx,
                                            PathMatrixCache* cache) {
   TraceSpan span(ctx.trace(), "topk.prepare");
-  TopKSearcher searcher(graph, options, graph.NumNodes(path.SourceType()));
-  if (cache != nullptr) {
-    // Ad-hoc path: share (and retain) the right half's index through the
-    // cache, folding the cheapest cached partial products on a miss.
-    searcher.left_transitions_ = DecomposeHalf(graph, path, /*left_side=*/true);
-    HETESIM_ASSIGN_OR_RETURN(
-        searcher.index_,
-        cache->GetTargetIndex(graph, path, ctx, options.num_threads));
-    FrontierChain plan = PlanFrontierChain(searcher.left_transitions_, path,
-                                           /*left_side=*/true, cache);
-    searcher.left_head_ = plan.head;
-    searcher.left_head_steps_ = plan.head_steps;
-  } else {
-    PathDecomposition decomposition = DecomposePath(graph, path);
-    searcher.left_transitions_ = std::move(decomposition.left_transitions);
-    HETESIM_ASSIGN_OR_RETURN(
-        SparseMatrix right,
-        MultiplyChain(decomposition.right_transitions, options.num_threads, ctx));
-    searcher.index_ =
-        std::make_shared<const TargetIndex>(TargetIndex::Build(right));
-  }
+  // Without a caller's cache the halves go through a private one, which
+  // computes a symmetric path's identical halves once; the searcher keeps
+  // them after it is gone.
+  PathMatrixCache private_cache;
+  if (cache == nullptr) cache = &private_cache;
+  HETESIM_ASSIGN_OR_RETURN(std::shared_ptr<const SparseMatrix> left,
+                           cache->GetLeft(graph, path, ctx, options.num_threads));
+  HETESIM_ASSIGN_OR_RETURN(
+      std::shared_ptr<const TargetIndex> index,
+      cache->GetTargetIndex(graph, path, ctx, options.num_threads));
   HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
-  return searcher;
+  return TopKSearcher(options.normalized, std::move(left), std::move(index));
 }
 
 Result<TopKResult> TopKSearcher::Query(Index source, int k,
@@ -154,41 +143,29 @@ Result<TopKResult> TopKSearcher::Query(Index source, int k,
 
 Result<TopKResult> TopKSearcher::QueryTraced(Index source, int k,
                                              const QueryContext& ctx) const {
-  if (source < 0 || source >= num_sources_) {
+  if (source < 0 || source >= left_->rows()) {
     return Status::OutOfRange("source id out of range");
   }
   TopKResult result;
-  // 1. Propagate the source frontier through the left chain, from the
-  // cached head when preparation found one. Deliberately no up-front
-  // CheckAlive: a query whose deadline has already passed still completes
-  // a propagation shorter than one poll stride and returns a well-formed
-  // *partial* ranking. A deadline or cancellation inside the propagation
-  // maps to an empty truncated ranking, not an error; real failures
-  // (budget exhaustion, injected faults) still propagate.
-  const FrontierChain left{&left_transitions_, left_head_, left_head_steps_};
-  Result<SparseVector> propagated =
-      PropagateFrontier(source, left, options_.truncation, ctx);
-  if (!propagated.ok()) {
-    const Status status = propagated.status();
-    if (status.IsDeadlineExceeded() || status.IsCancelled()) {
-      result.truncated = true;
-      return result;
-    }
-    return status;
-  }
-  const SparseVector u = *std::move(propagated);
-  result.error_bound = u.dropped_mass;
-  result.middle_total = static_cast<Index>(u.nnz());
-  const double nu = SparseNorm2(u);
+  // 1. The source's row of the left half: the middle objects it reaches.
+  // Deliberately no up-front CheckAlive: a query whose deadline has already
+  // passed still scatters the first poll stride and returns a well-formed
+  // *partial* ranking.
+  const auto middles = left_->RowIndices(source);
+  const auto reach = left_->RowValues(source);
+  result.middle_total = static_cast<Index>(middles.size());
+  const double nu = left_->RowNorm(source);
   if (nu == 0.0) {
     // Source reaches nothing: the empty answer is complete, not truncated.
     result.middle_processed = result.middle_total;
     return result;
   }
-  // 2. Scatter the frontier through the inverted index in ascending middle
-  // order — the term order of a dense row-times-matrix product, so scores
-  // are bitwise reproducible. On expiry the partial scores are ranked and
-  // returned with the truncation marker set.
+  // 2. Scatter the row through the inverted index in ascending middle
+  // order — the term order of a dense row-times-matrix product and of
+  // `ScatterRow`, so scores are bitwise reproducible. A target is
+  // registered on its first nonzero contribution; skipping an exact +0.0
+  // (a store may keep quantized zeros) changes no score bit. On expiry the
+  // partial scores are ranked and returned with the truncation marker set.
   const size_t num_targets = static_cast<size_t>(index_->num_targets());
   HETESIM_ASSIGN_OR_RETURN(
       MemoryReservation reservation,
@@ -196,20 +173,22 @@ Result<TopKResult> TopKSearcher::QueryTraced(Index source, int k,
   std::vector<double> scores(num_targets, 0.0);
   std::vector<Index> touched;
   PollStrideController poller;
-  size_t processed = u.nnz();
-  for (size_t j = 0; j < u.nnz(); ++j) {
+  size_t processed = middles.size();
+  for (size_t j = 0; j < middles.size(); ++j) {
     if (j > 0 && poller.ShouldPoll(j) && ctx.Expired()) {
       result.truncated = true;
       processed = j;
       break;
     }
-    const double um = u.values[j];
-    const auto targets = index_->by_middle.RowIndices(u.indices[j]);
-    const auto weights = index_->by_middle.RowValues(u.indices[j]);
+    const double um = reach[j];
+    const auto targets = index_->by_middle.RowIndices(middles[j]);
+    const auto weights = index_->by_middle.RowValues(middles[j]);
     for (size_t i = 0; i < targets.size(); ++i) {
+      const double contribution = um * weights[i];
+      if (contribution == 0.0) continue;
       double& slot = scores[static_cast<size_t>(targets[i])];
       if (slot == 0.0) touched.push_back(targets[i]);
-      slot += um * weights[i];
+      slot += contribution;
     }
   }
   result.middle_processed = static_cast<Index>(processed);
@@ -220,7 +199,7 @@ Result<TopKResult> TopKSearcher::QueryTraced(Index source, int k,
   // Bounded normalize-and-collect pass; the scatter above polls.
   for (Index t : touched) {  // hetesim-lint: allow(cancel-poll)
     double s = scores[static_cast<size_t>(t)];
-    if (options_.normalized) {
+    if (normalized_) {
       const double nt = index_->norms[static_cast<size_t>(t)];
       if (nt != 0.0) s /= nu * nt;
     }
@@ -240,15 +219,13 @@ Result<TopKResult> TopKSearcher::QueryTraced(Index source, int k,
 }
 
 Result<TopKResult> TopKSearcher::QueryExhaustive(Index source, int k) const {
-  if (source < 0 || source >= num_sources_) {
+  if (source < 0 || source >= left_->rows()) {
     return Status::OutOfRange("source id out of range");
   }
-  std::vector<double> u(static_cast<size_t>(num_sources_), 0.0);
-  u[static_cast<size_t>(source)] = 1.0;
-  u = VectorThroughChain(std::move(u), left_transitions_);
+  const std::vector<double> u = left_->RowDense(source);
   const double nu = Norm2(u);
   std::vector<double> scores = index_->by_middle.LeftMultiplyVector(u);
-  if (options_.normalized && nu != 0.0) {
+  if (normalized_ && nu != 0.0) {
     for (size_t t = 0; t < scores.size(); ++t) {
       const double nt = index_->norms[t];
       if (nt != 0.0) scores[t] /= nu * nt;

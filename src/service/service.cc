@@ -169,9 +169,9 @@ double QueryService::EstimateFlops(const PathState& state,
                       2.0 * state.row_flops +
                           8.0 * static_cast<double>(state.num_targets));
     case QueryKind::kTopK:
-      // After preparation a query is one propagation over the candidate
-      // set; the one-time Prepare cost is charged via the ladder's
-      // calibration, not per query.
+      // After preparation a query is one scatter over the candidate set;
+      // the one-time Prepare cost is charged via the ladder's calibration,
+      // not per query.
       return std::max(kMinFlops, 2.0 * state.row_flops);
   }
   return kMinFlops;
@@ -179,24 +179,19 @@ double QueryService::EstimateFlops(const PathState& state,
 
 size_t QueryService::EstimateBytes(const PathState& state,
                                    const QueryRequest& request) {
-  // Transient per-query working set: response buffers plus propagation
-  // scratch. Deliberately coarse — the point is that thousands of queued
-  // single-source queries visibly pressure the budget.
+  // Transient per-query working set held for the whole run: response
+  // buffers and scratch. Deliberately coarse — the point is that thousands
+  // of queued queries visibly pressure the budget. A single-source or top-k
+  // query's dense score row is not included: the query reserves it on the
+  // same budget while it runs (`ScatterRow`, `TopKSearcher::Query`).
   constexpr size_t kBaseBytes = 16 << 10;
-  switch (request.kind) {
-    case QueryKind::kPair:
-      return kBaseBytes;
-    case QueryKind::kSingleSource:
-      return kBaseBytes + static_cast<size_t>(state.num_targets) * sizeof(double);
-    case QueryKind::kTopK:
-      // A response never holds more items than there are targets, whatever
-      // `k` the wire carried.
-      return kBaseBytes + static_cast<size_t>(state.num_targets) * sizeof(double) +
-             static_cast<size_t>(std::min<Index>(std::max(0, request.k),
-                                                 state.num_targets)) *
-                 sizeof(Scored);
-  }
-  return kBaseBytes;
+  if (request.kind != QueryKind::kTopK) return kBaseBytes;
+  // A response never holds more items than there are targets, whatever `k`
+  // the wire carried.
+  return kBaseBytes +
+         static_cast<size_t>(std::min<Index>(std::max(0, request.k),
+                                             state.num_targets)) *
+             sizeof(Scored);
 }
 
 std::shared_ptr<PendingQuery> QueryService::CompleteNow(QueryResponse response) {
@@ -389,34 +384,19 @@ QueryResponse QueryService::Run(const QueryRequest& request, PathState& state,
     }
     case QueryKind::kTopK: {
       const TopKSearcher* searcher = nullptr;
-      Status prepare_status = Status::OK();
       {
-        // Lazy one-time preparation, serialized per path. A failed
-        // preparation is remembered so an unpreparable path (e.g. budget
-        // too small for its right half) degrades to per-query errors, not
-        // a retry storm of huge SpGEMMs.
+        // Lazy one-time preparation, serialized per path. A failure is this
+        // query's alone: the next top-k on the path prepares again, as a
+        // pair or single-source query recomputes a half that failed.
         MutexLock lock(state.searcher_mutex);
-        if (state.searcher == nullptr && !state.searcher_failed) {
+        if (state.searcher == nullptr) {
           Result<TopKSearcher> prepared = TopKSearcher::Prepare(
               graph_, state.path, options_.engine, ctx, cache_.get());
-          if (prepared.ok()) {
-            state.searcher = std::make_unique<TopKSearcher>(std::move(*prepared));
-          } else {
-            // Deadline/cancel failures are this query's, not the path's:
-            // leave the slot empty for the next query to prepare.
-            if (!prepared.status().IsDeadlineExceeded() &&
-                !prepared.status().IsCancelled()) {
-              state.searcher_failed = true;
-            }
-            prepare_status = prepared.status();
-          }
-        } else if (state.searcher_failed) {
-          prepare_status =
-              Status::InvalidArgument("top-k preparation failed for path");
+          if (!prepared.ok()) return FailureResponse(request, prepared.status());
+          state.searcher = std::make_unique<TopKSearcher>(std::move(*prepared));
         }
-        if (prepare_status.ok()) searcher = state.searcher.get();
+        searcher = state.searcher.get();
       }
-      if (!prepare_status.ok()) return FailureResponse(request, prepare_status);
 
       QueryContext query_ctx = ctx;
       if (level == DegradationLevel::kTruncatedTopK &&

@@ -130,9 +130,9 @@ class QueryService {
     double row_flops = 0;
     Index num_targets = 0;
     Mutex searcher_mutex;
-    /// Lazily prepared on the first top-k query.
+    /// Prepared by the first top-k query that succeeds; a failed
+    /// preparation leaves it empty for the next top-k query to retry.
     std::unique_ptr<TopKSearcher> searcher GUARDED_BY(searcher_mutex);
-    bool searcher_failed GUARDED_BY(searcher_mutex) = false;
   };
 
   QueryService(const HinGraph& graph, const ServiceOptions& options);

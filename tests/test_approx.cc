@@ -23,10 +23,8 @@ namespace {
 std::vector<double> Propagated(Index source,
                                const std::vector<SparseMatrix>& chain,
                                double threshold, double* dropped = nullptr) {
-  FrontierChain frontier_chain;
-  frontier_chain.steps = &chain;
-  const SparseVector u = *PropagateFrontier(source, frontier_chain, threshold,
-                                            QueryContext::Background());
+  const SparseVector u =
+      *PropagateFrontier(source, chain, threshold, QueryContext::Background());
   EXPECT_EQ(std::adjacent_find(u.indices.begin(), u.indices.end(),
                                std::greater_equal<Index>()),
             u.indices.end());

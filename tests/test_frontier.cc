@@ -1,13 +1,15 @@
-// Property suite for frontier propagation and the top-k search built on it
-// (DESIGN.md §14): `TopKSearcher::Query` must agree with the exhaustive
+// Property suite for the sparse single-source primitives (DESIGN.md §14).
+// `TopKSearcher::Query` scatters the source's row of the cached left half
+// through the shared `TargetIndex`: it must agree with the exhaustive
 // oracle to 1e-12 on generated DBLP/ACM networks, examine exactly the
 // targets with a positive score, reproduce the dense pruned accumulation
-// bitwise, degrade to a marked partial result under cancellation, surface
-// injected allocation failures at the `frontier.alloc` fault point, and
-// fold cached partial products into never-seen paths (ad-hoc meta-path
-// reuse). The cached single-source scatter through the shared
-// `TargetIndex` must reproduce the dense row product bitwise, share one
-// index per right half, and honour its context's budget and cancellation.
+// and the cached single-source row bitwise, and degrade to a marked
+// partial result under cancellation. A half computed on a cache miss folds
+// a cached prefix partial (ad-hoc meta-path reuse). The cached
+// single-source scatter must reproduce the dense row product bitwise,
+// share one index per right half, and honour its context's budget and
+// cancellation. The cache-less engine's frontier propagation surfaces
+// injected allocation failures at the `frontier.alloc` fault point.
 
 #include "core/frontier.h"
 
@@ -280,28 +282,49 @@ TEST_P(FrontierPropertyTest, CachedSingleSourceBitwiseEqualsDenseProduct) {
   }
 }
 
+TEST_P(FrontierPropertyTest, CachedTopKBitwiseEqualsCachedSingleSource) {
+  // Top-k and single-source read the same cached halves: ranking every
+  // target, top-k lists exactly the positive entries of the single-source
+  // row, bitwise, by descending score then ascending id.
+  const MetaPath path = this->path();
+  auto cache = std::make_shared<PathMatrixCache>();
+  const HeteSimEngine engine(graph(), HeteSimOptions{}, cache);
+  TopKSearcher searcher = PrepareSearcher(graph(), path, cache.get());
+  const int all = static_cast<int>(searcher.num_targets());
+  const Index num_sources = graph().NumNodes(path.SourceType());
+  for (Index s = 0; s < num_sources; ++s) {
+    const std::vector<double> row = *engine.ComputeSingleSource(path, s);
+    std::vector<Scored> want;
+    for (size_t t = 0; t < row.size(); ++t) {
+      if (row[t] > 0.0) want.push_back({static_cast<Index>(t), row[t]});
+    }
+    std::sort(want.begin(), want.end(), [](const Scored& a, const Scored& b) {
+      return a.score != b.score ? a.score > b.score : a.id < b.id;
+    });
+    const TopKResult got = *searcher.Query(s, all);
+    ASSERT_EQ(got.items, want) << GetParam().path << " source " << s;
+    EXPECT_EQ(got.candidates_examined, static_cast<Index>(want.size()))
+        << GetParam().path << " source " << s;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(GeneratedNets, FrontierPropertyTest,
                          ::testing::ValuesIn(AllCases()), CaseName);
 
-TEST(Frontier, TruncationThresholdTracksErrorBound) {
+TEST(Frontier, TruncationLeavesTopKExact) {
+  // `truncation` only thins propagated frontiers; top-k reads the
+  // materialized left half, so a truncating searcher answers bitwise like
+  // an exact one.
   const HinGraph& graph = DatasetGraph("dblp");
   const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-C-P-A");
   HeteSimOptions options;
-  options.truncation = 1e-3;  // relative per-hop threshold
+  options.truncation = 0.5;  // drops most of every propagated hop
   TopKSearcher truncated = *TopKSearcher::Prepare(
       graph, path, options, QueryContext::Background());
   TopKSearcher exact = PrepareSearcher(graph, path);
   for (Index s = 0; s < 40; ++s) {
-    const TopKResult t = *truncated.Query(s, 5);
-    const TopKResult e = *exact.Query(s, 5);
-    EXPECT_GE(t.error_bound, 0.0);
-    EXPECT_EQ(e.error_bound, 0.0) << "exact runs drop no mass";
-    // Dropped mass is tiny relative mass per hop; scores stay close.
-    ASSERT_LE(t.items.size(), e.items.size());
-    for (size_t i = 0; i < t.items.size(); ++i) {
-      EXPECT_NEAR(t.items[i].score, e.items[i].score, 1e-2)
-          << "source " << s << " rank " << i;
-    }
+    EXPECT_EQ(truncated.Query(s, 5)->items, exact.Query(s, 5)->items)
+        << "source " << s;
   }
 }
 
@@ -314,7 +337,7 @@ TEST(Frontier, CancellationTruncatesInsteadOfErroring) {
   const QueryContext expired =
       QueryContext::Background().WithDeadlineAfterMs(0);
   for (const QueryContext& dead : {cancelled, expired}) {
-    // Cut mid-scatter: ABC's frontier is source 0's B-neighbours, so the
+    // Cut mid-scatter: ABC's left row is source 0's B-neighbours, so the
     // scatter stops after its first stride with a marked partial ranking.
     const MetaPath abc = *MetaPath::Parse(graph.schema(), "ABC");
     TopKSearcher scatter = PrepareSearcher(graph, abc);
@@ -323,14 +346,6 @@ TEST(Frontier, CancellationTruncatesInsteadOfErroring) {
     EXPECT_TRUE(partial->truncated);
     EXPECT_FALSE(partial->items.empty());
     EXPECT_LT(partial->middle_processed, partial->middle_total);
-    // Cut mid-propagation: ABCBA's second hop gathers those same ~80
-    // entries and polls inside the gather; the answer is empty and marked.
-    const MetaPath abcba = *MetaPath::Parse(graph.schema(), "ABCBA");
-    TopKSearcher propagate = PrepareSearcher(graph, abcba);
-    Result<TopKResult> cut = propagate.Query(0, 5, dead);
-    ASSERT_TRUE(cut.ok()) << cut.status().ToString();
-    EXPECT_TRUE(cut->truncated);
-    EXPECT_TRUE(cut->items.empty());
   }
   // A query shorter than one poll stride runs to completion: its answer is
   // exact and carries no truncation marker.
@@ -365,38 +380,65 @@ TEST(Frontier, AllocFaultInjectionSurfacesResourceExhausted) {
   FaultInjector::Global().Reset();
   const HinGraph& graph = DatasetGraph("dblp");
   const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-C-P-A");
-  TopKSearcher searcher = PrepareSearcher(graph, path);
+  // Without a cache, a pair query propagates both ends' frontiers.
+  const HeteSimEngine engine(graph);
   FaultInjector::Global().Arm("frontier.alloc", 1.0, /*max_failures=*/1);
-  Result<TopKResult> faulted = searcher.Query(0, 5);
+  Result<double> faulted = engine.ComputePair(path, 0, 1);
   EXPECT_TRUE(faulted.status().IsResourceExhausted())
       << faulted.status().ToString();
   EXPECT_GE(FaultInjector::Global().StatsFor("frontier.alloc").failures, 1u);
   // The single allotted fault is spent; the retry succeeds.
-  Result<TopKResult> retried = searcher.Query(0, 5);
+  Result<double> retried = engine.ComputePair(path, 0, 1);
   EXPECT_TRUE(retried.ok()) << retried.status().ToString();
   FaultInjector::Global().Reset();
 }
 
 TEST(Frontier, AdHocReuseFoldsCachedPartials) {
-  const HinGraph& graph = DatasetGraph("dblp");
-  // Warm the cache with the reach matrix of the shared A-P prefix — its
-  // key doubles as both the left-prefix and (inverted) right-suffix
-  // partial of the longer symmetric path.
+  // A never-seen path whose 3-step left half A-P-V-C starts with a cached
+  // 2-step half, A-P-V: the miss folds that product with the V-C tail
+  // instead of multiplying the whole chain.
+  const HinGraph& graph = DatasetGraph("acm");
   PathMatrixCache cache;
-  const MetaPath prefix = *MetaPath::Parse(graph.schema(), "A-P");
-  cache.GetReach(graph, prefix).value();
-  const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-C-P-A");
+  cache.GetLeft(graph, *MetaPath::Parse(graph.schema(), "A-P-V-P-A")).value();
+  const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-V-C-V-P-A");
   TopKSearcher with_cache = PrepareSearcher(graph, path, &cache);
-  TopKSearcher without = PrepareSearcher(graph, path);
   const PathMatrixCache::Stats stats = cache.stats();
-  EXPECT_GE(stats.prefix_probes, 1u);
-  EXPECT_GE(stats.suffix_probes, 1u);
-  EXPECT_GE(stats.prefix_probe_hits + stats.suffix_probe_hits, 1u)
-      << "warm A-P partial was never found by the decomposition planner";
-  EXPECT_GT(stats.partial_bytes_saved, 0u);
+  EXPECT_GE(stats.prefix_probe_hits, 1u);
+  EXPECT_GT(stats.partial_bytes_saved, 0u)
+      << "the cached A-P-V half was not folded into A-P-V-C";
+  // A fresh cache multiplies the whole chain; both agree to 1e-12.
+  PathMatrixCache fresh;
+  TopKSearcher without = PrepareSearcher(graph, path, &fresh);
+  EXPECT_EQ(fresh.stats().partial_bytes_saved, 0u);
+  EXPECT_TRUE(cache.GetLeft(graph, path).value()->ApproxEquals(
+      *fresh.GetLeft(graph, path).value(), 1e-12));
   for (Index s = 0; s < 40; ++s) {
     ExpectSameRanking(*with_cache.Query(s, 5), *without.Query(s, 5), 1e-12,
                       "source " + std::to_string(s));
+  }
+}
+
+TEST(Frontier, CachedPrepareSharesTheCachedLeftHalf) {
+  // Top-k alone on an asymmetric path takes its left half from the cache,
+  // computed once, and keeps it after the cache lets go of it.
+  const HinGraph& graph = DatasetGraph("dblp");
+  const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-T-P-C");
+  ASSERT_NE(PathMatrixCache::LeftKey(path), PathMatrixCache::RightKey(path));
+  PathMatrixCache cache;
+  TopKSearcher searcher = PrepareSearcher(graph, path, &cache);
+  EXPECT_EQ(cache.ComputeCount(PathMatrixCache::LeftKey(path)), 1u);
+  TopKSearcher private_halves = PrepareSearcher(graph, path);
+  std::vector<TopKResult> before;
+  for (Index s = 0; s < 40; ++s) {
+    before.push_back(*searcher.Query(s, 10));
+    EXPECT_EQ(before.back().items, private_halves.Query(s, 10)->items)
+        << "source " << s;
+  }
+  cache.Clear();
+  for (Index s = 0; s < 40; ++s) {
+    EXPECT_EQ(searcher.Query(s, 10)->items,
+              before[static_cast<size_t>(s)].items)
+        << "source " << s;
   }
 }
 
@@ -462,6 +504,25 @@ TEST(TargetIndex, SingleSourceReservesItsRowAndPollsTheScatter) {
   EXPECT_EQ(*ScatterRow(*index, left->RowIndices(0), left->RowValues(0), true,
                         QueryContext::Background()),
             want);
+}
+
+TEST(Frontier, UncachedSingleSourceReservesItsRow) {
+  // Without a cache, single-source reserves its dense answer row on the
+  // context's budget too: one byte short refuses the query and keeps
+  // nothing reserved, and the row's own size is enough.
+  const HinGraph graph = testing::RandomTripartite(10, 20, 4000, 0.05, 7);
+  const MetaPath path = *MetaPath::Parse(graph.schema(), "ABC");
+  const HeteSimEngine engine(graph);
+  const size_t row_bytes = 4000 * sizeof(double);
+  MemoryBudget short_by_one(row_bytes - 1);
+  const Result<std::vector<double>> refused = engine.ComputeSingleSource(
+      path, 0, QueryContext::Background().WithBudget(&short_by_one));
+  EXPECT_TRUE(refused.status().IsResourceExhausted()) << refused.status().ToString();
+  EXPECT_EQ(short_by_one.used_bytes(), 0u);
+  MemoryBudget enough(row_bytes);
+  EXPECT_EQ(*engine.ComputeSingleSource(
+                path, 0, QueryContext::Background().WithBudget(&enough)),
+            *engine.ComputeSingleSource(path, 0));
 }
 
 TEST(Frontier, UncachedEnginePairsMatchCached) {

@@ -277,6 +277,24 @@ TEST(CacheCounters, AccountedBytesGaugeReturnsToZeroOnClear) {
   }
 }
 
+TEST(CacheCounters, AccountedBytesGaugeReturnsToPriorOnDestruction) {
+  // A cache that goes out of scope with entries still admitted, like the
+  // private one a cache-less `TopKSearcher::Prepare` uses, takes its bytes
+  // out of the process-wide gauge.
+  Gauge& bytes =
+      MetricsRegistry::Global().GetGauge("hetesim_cache_accounted_bytes");
+  const int64_t before = bytes.value();
+  const HinGraph graph = testing::BuildFig4Graph();
+  const MetaPath path = *MetaPath::Parse(graph.schema(), "APCPA");
+  {
+    PathMatrixCache cache;
+    cache.GetLeft(graph, path).value();
+    cache.GetTargetIndex(graph, path).value();
+    EXPECT_GT(bytes.value(), before);
+  }
+  EXPECT_EQ(bytes.value(), before);
+}
+
 /// Total SpGEMM row-kernel work recorded in the registry, summed over the
 /// three sparse-output kernels and the dense-output driver.
 uint64_t TotalKernelRows() {

@@ -440,11 +440,11 @@ TEST_F(QueryServiceTest, InjectedSpgemmFaultFailsSingleSourceCleanly) {
   }
 }
 
-TEST_F(QueryServiceTest, InjectedFrontierFaultFailsTopKCleanly) {
-  // Chaos case: every top-k query propagates its source frontier, so an
-  // injected allocation failure there answers ResourceExhausted instead of
-  // taking the server down. The prepared searcher is untouched — the path
-  // is not latched as failed — and the next request is served.
+TEST_F(QueryServiceTest, InjectedSpgemmFaultFailsOnlyItsOwnTopK) {
+  // Chaos case: the first top-k on a path prepares its searcher, and an
+  // injected allocation failure in a half product answers that query
+  // ResourceExhausted instead of taking the server down. The failure is not
+  // latched on the path: the next top-k prepares again and is served.
   if (!FaultInjector::CompiledIn()) {
     GTEST_SKIP() << "built without HETESIM_FAULT_INJECTION";
   }
@@ -454,8 +454,9 @@ TEST_F(QueryServiceTest, InjectedFrontierFaultFailsTopKCleanly) {
   request.source = 0;
   request.k = 3;
   FaultInjector::Global().Reset();
-  FaultInjector::Global().Arm("frontier.alloc", 1.0);
+  FaultInjector::Global().Arm("spgemm.alloc", 1.0, /*max_failures=*/1);
   const QueryResponse faulted = service_->Execute(request);
+  EXPECT_GE(FaultInjector::Global().StatsFor("spgemm.alloc").failures, 1u);
   FaultInjector::Global().Reset();
   EXPECT_FALSE(faulted.served());
   EXPECT_EQ(faulted.status_code, StatusCode::kResourceExhausted) << faulted.message;
@@ -527,6 +528,43 @@ TEST_F(QueryServiceTest, TopKChargesAtMostEveryTarget) {
   for (size_t i = 0; i < every_target.items.size(); ++i) {
     EXPECT_EQ(huge_k.items[i].id, every_target.items[i].id);
     EXPECT_EQ(huge_k.items[i].score, every_target.items[i].score);
+  }
+}
+
+TEST(QueryServiceMemory, ChargesAScoreRowOnce) {
+  // A 1 MiB service over 60,000 targets: a dense score row (480,000 B) fits
+  // once beside the cache, and a top-k's row plus its touched list (960,000
+  // B) fits alone. The admission reservation must not hold a second copy of
+  // the row while the query reserves its own.
+  const HinGraph graph = testing::RandomTripartite(50, 200, 60000, 0.0005, 5);
+  ServiceOptions options;
+  options.admission.workers = 1;
+  options.memory_mb = 1;
+  std::unique_ptr<QueryService> service = QueryService::Create(graph, options);
+  QueryRequest topk;
+  topk.kind = QueryKind::kTopK;
+  topk.path = "ABC";
+  topk.source = 0;
+  topk.k = 10;
+  const QueryResponse ranked = service->Execute(topk);
+  ASSERT_TRUE(ranked.served()) << ranked.message;
+  QueryRequest single;
+  single.kind = QueryKind::kSingleSource;
+  single.path = "ABC";
+  single.source = 0;
+  const QueryResponse row = service->Execute(single);
+  ASSERT_TRUE(row.served()) << row.message;
+  ASSERT_EQ(row.scores.size(), 60000u);
+
+  const MetaPath path = *MetaPath::Parse(graph.schema(), "ABC");
+  const TopKResult direct = TopKSearcher::Prepare(graph, path).value().Query(0, 10).value();
+  ASSERT_FALSE(direct.items.empty());
+  ASSERT_EQ(ranked.items.size(), direct.items.size());
+  for (size_t i = 0; i < direct.items.size(); ++i) {
+    EXPECT_EQ(ranked.items[i].id, direct.items[i].id);
+    EXPECT_NEAR(ranked.items[i].score, direct.items[i].score, 1e-12);
+    EXPECT_NEAR(row.scores[static_cast<size_t>(direct.items[i].id)],
+                direct.items[i].score, 1e-12);
   }
 }
 

@@ -975,6 +975,53 @@ TEST_F(TwoTierTest, FlushWritesEachEntryOnce) {
   EXPECT_EQ(store->stats().entries, 2u);
 }
 
+TEST(QuantizedStoreTopK, ZeroEntryNeverListsATargetTwice) {
+  // a0-b0 carries 1e-12 of a0's weight, which the quantized codec rounds to
+  // an explicit 0.0. Scattering a1's row through the promoted index then
+  // meets a0 first with a zero contribution (through b0), then with a real
+  // one (through b1): a0 must be registered, and listed, once.
+  HinGraphBuilder builder;
+  const TypeId a = builder.AddObjectType("alpha", 'A').value();
+  const TypeId b = builder.AddObjectType("beta", 'B').value();
+  const RelationId ab = builder.AddRelation("ab", a, b).value();
+  builder.AddNodes(a, 2);
+  builder.AddNodes(b, 2);
+  ASSERT_TRUE(builder.AddEdge(ab, 0, 0, 1e-12).ok());
+  ASSERT_TRUE(builder.AddEdge(ab, 0, 1).ok());
+  ASSERT_TRUE(builder.AddEdge(ab, 1, 0).ok());
+  ASSERT_TRUE(builder.AddEdge(ab, 1, 1).ok());
+  const HinGraph graph = std::move(builder).Build();
+  const MetaPath path = Parse(graph, "ABA");
+
+  StoreOptions options;
+  options.directory = FreshDir("zero").string();
+  options.graph_digest = 42;
+  options.codec = StoreCodec::kQuantized;
+  auto store = std::shared_ptr<MatrixStore>(MatrixStore::Open(options).value());
+  {
+    PathMatrixCache flushed;
+    flushed.AttachStore(store);
+    flushed.GetLeft(graph, path).value();
+    flushed.GetRight(graph, path).value();
+    ASSERT_TRUE(flushed.FlushToStore().ok());
+  }
+  PathMatrixCache promoted;
+  promoted.AttachStore(store);
+  const TopKSearcher searcher =
+      TopKSearcher::Prepare(graph, path, {}, QueryContext(), &promoted).value();
+  EXPECT_EQ(promoted.stats().store_hits, 1u);  // ABA's halves share one key
+  const std::shared_ptr<const SparseMatrix> left = promoted.GetLeft(graph, path).value();
+  ASSERT_EQ(left->RowNnz(0), 2) << "the quantized zero is an explicit entry";
+  ASSERT_EQ(left->RowValues(0)[0], 0.0);
+
+  const TopKResult result = searcher.Query(1, 10).value();
+  ASSERT_EQ(result.items.size(), 2u);
+  EXPECT_EQ(result.candidates_examined, 2);
+  EXPECT_EQ(result.items[0].id, 1);
+  EXPECT_EQ(result.items[1].id, 0);
+  EXPECT_NEAR(result.items[1].score, std::sqrt(0.5), 1e-9);
+}
+
 // ---------------------------------------------------------------------------
 // Deterministic store faults (registered in tools/lint/fault_sites.txt).
 // ---------------------------------------------------------------------------

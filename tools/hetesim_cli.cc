@@ -36,8 +36,8 @@
 // --threads follows the library convention: 1 (default) is sequential,
 // 0 uses every hardware thread via the shared pool.
 //
-// `topk` propagates the source's sparse frontier and scatters it through
-// the path's inverted index (DESIGN.md §14); `pair` without a cache
+// `topk` scatters the source's row of the path's left half through the
+// right half's inverted index (DESIGN.md §14); `pair` without a cache
 // propagates both ends' frontiers and combines them.
 //
 // --deadline-ms bounds a query's wall-clock time. `topk` degrades
