@@ -2,12 +2,109 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/fault_injection.h"
+#include "common/metrics.h"
+#include "common/stopwatch.h"
+#include "common/trace.h"
 
 namespace hetesim {
 
 namespace {
+
+/// Top-k query instruments (DESIGN.md §12). `truncated` counts best-effort
+/// answers cut short by a deadline/cancellation — the ranked scatter's
+/// documented partial-result contract, surfaced so dashboards can tell
+/// truncation pressure from plain load.
+struct TopKMetrics {
+  Counter& queries;
+  Counter& truncated;
+  Histogram& latency;
+};
+
+TopKMetrics& GlobalTopKMetrics() {
+  static TopKMetrics metrics{
+      MetricsRegistry::Global().GetCounter("hetesim_topk_queries_total"),
+      MetricsRegistry::Global().GetCounter("hetesim_topk_truncated_total"),
+      MetricsRegistry::Global().GetHistogram(
+          "hetesim_topk_query_latency_seconds",
+          DefaultLatencyBoundariesSeconds()),
+  };
+  return metrics;
+}
+
+/// `ScatterTopK` body, separated so the entry point can bracket it with the
+/// query span, the latency observation and the truncation counter.
+Result<TopKResult> ScatterTopKTraced(const TargetIndex& index,
+                                     std::span<const Index> middles,
+                                     std::span<const double> weights, int k,
+                                     bool normalized, const QueryContext& ctx) {
+  TopKResult result;
+  result.middle_total = static_cast<Index>(middles.size());
+  double norm_squared = 0.0;
+  for (double w : weights) norm_squared += w * w;
+  const double nu = std::sqrt(norm_squared);
+  if (nu == 0.0) {
+    // Source reaches nothing: the empty answer is complete, not truncated.
+    result.middle_processed = result.middle_total;
+    return result;
+  }
+  // Scatter the row in ascending middle order — the term order of a dense
+  // row-times-matrix product and of `ScatterRow`, so scores are bitwise
+  // reproducible. Skipping an exact +0.0 contribution changes no score bit.
+  // On expiry the partial scores are ranked and returned with the
+  // truncation marker set.
+  const size_t num_targets = static_cast<size_t>(index.num_targets());
+  HETESIM_ASSIGN_OR_RETURN(
+      MemoryReservation reservation,
+      ctx.Reserve(num_targets * (sizeof(double) + sizeof(Index))));
+  std::vector<double> scores(num_targets, 0.0);
+  std::vector<Index> touched;
+  PollStrideController poller;
+  size_t processed = middles.size();
+  for (size_t j = 0; j < middles.size(); ++j) {
+    if (j > 0 && poller.ShouldPoll(j) && ctx.Expired()) {
+      result.truncated = true;
+      processed = j;
+      break;
+    }
+    const double um = weights[j];
+    const auto targets = index.by_middle.RowIndices(middles[j]);
+    const auto reach = index.by_middle.RowValues(middles[j]);
+    for (size_t i = 0; i < targets.size(); ++i) {
+      const double contribution = um * reach[i];
+      if (contribution == 0.0) continue;
+      double& slot = scores[static_cast<size_t>(targets[i])];
+      if (slot == 0.0) touched.push_back(targets[i]);
+      slot += contribution;
+    }
+  }
+  result.middle_processed = static_cast<Index>(processed);
+  result.candidates_examined = static_cast<Index>(touched.size());
+  std::vector<Scored> candidates;
+  candidates.reserve(touched.size());
+  // Bounded normalize-and-collect pass; the scatter above polls.
+  for (Index t : touched) {  // hetesim-lint: allow(cancel-poll)
+    double s = scores[static_cast<size_t>(t)];
+    if (normalized) {
+      const double nt = index.norms[static_cast<size_t>(t)];
+      if (nt != 0.0) s /= nu * nt;
+    }
+    if (s != 0.0) candidates.push_back({t, s});
+  }
+  auto by_score_desc = [](const Scored& a, const Scored& b) {
+    return a.score != b.score ? a.score > b.score : a.id < b.id;
+  };
+  const size_t keep =
+      std::min(static_cast<size_t>(std::max(k, 0)), candidates.size());
+  std::partial_sort(candidates.begin(),
+                    candidates.begin() + static_cast<ptrdiff_t>(keep),
+                    candidates.end(), by_score_desc);
+  candidates.resize(keep);
+  result.items = std::move(candidates);
+  return result;
+}
 
 /// One hop of frontier propagation: `y = x^T * m`, touching only the rows
 /// `x` reaches. Contributions accumulate into a dense array of the hop's
@@ -147,6 +244,32 @@ Result<std::vector<double>> ScatterRow(const TargetIndex& index,
     if (nt != 0.0) scores[t] /= nu * nt;
   }
   return scores;
+}
+
+Result<TopKResult> ScatterTopK(const TargetIndex& index,
+                               std::span<const Index> middles,
+                               std::span<const double> weights, int k,
+                               bool normalized, const QueryContext& ctx) {
+  TraceSpan span(ctx.trace(), "topk.query");
+  if (span.active()) span.Annotate("k", std::to_string(k));
+  Stopwatch stopwatch;
+  Result<TopKResult> result =
+      ScatterTopKTraced(index, middles, weights, k, normalized, ctx);
+  if (MetricsEnabled()) {
+    TopKMetrics& metrics = GlobalTopKMetrics();
+    metrics.queries.Increment();
+    metrics.latency.Observe(stopwatch.ElapsedSeconds());
+    if (result.ok() && result->truncated) metrics.truncated.Increment();
+  }
+  if (span.active()) {
+    if (!result.ok()) {
+      span.Annotate("status",
+                    std::string(StatusCodeToString(result.status().code())));
+    } else if (result->truncated) {
+      span.Annotate("truncated", "true");
+    }
+  }
+  return result;
 }
 
 double SparseDot(const SparseVector& a, const SparseVector& b) {

@@ -17,8 +17,8 @@ namespace hetesim {
 ///
 /// A source's row of a path's left reachable matrix is scattered through
 /// the right half's `TargetIndex`: `TopKSearcher::Query` and the cached
-/// single-source query both read that row from the cached left half. The
-/// cache-less engine's pair and single-source queries instead propagate one
+/// engine's single-source and top-k queries read that row from the cached
+/// left half. The cache-less engine's queries instead propagate one
 /// *sparse* row vector from the source end of the decomposed path (and, for
 /// pair queries, one from the target end): each hop is a vector×CSR
 /// product over only the reached rows, optionally dropping mass below a
@@ -90,7 +90,8 @@ struct SparseVector {
 /// middle->target inverted index and every target's norm (DESIGN.md §14).
 /// One is built per right half and shared: `PathMatrixCache::GetTargetIndex`
 /// caches it under its half's key, so every `TopKSearcher` and cached
-/// single-source query whose path ends in that half reads the same one.
+/// single-source or top-k query whose path ends in that half reads the same
+/// one.
 struct TargetIndex {
   /// The right reachable matrix transposed, |middle| x |targets|: row `m`
   /// lists the targets middle object `m` reaches, ascending, with their
@@ -122,6 +123,55 @@ struct TargetIndex {
 [[nodiscard]] Result<std::vector<double>> ScatterRow(
     const TargetIndex& index, std::span<const Index> middles,
     std::span<const double> weights, bool normalized, const QueryContext& ctx);
+
+/// A ranked object: per-type node id plus its relevance score.
+struct Scored {
+  Index id = -1;
+  double score = 0.0;
+
+  friend bool operator==(const Scored& a, const Scored& b) {
+    return a.id == b.id && a.score == b.score;
+  }
+};
+
+/// Result of a top-k query, with the work counters used by the pruning
+/// bench.
+struct TopKResult {
+  std::vector<Scored> items;
+  /// Number of candidate targets actually scored. Exhaustive search scores
+  /// every object of the target type; `ScatterTopK` only those sharing a
+  /// middle object with the source (Section 4.6: "the related objects to a
+  /// searched object are a very small percentage ... pruning techniques can
+  /// be used").
+  Index candidates_examined = 0;
+  /// True when a deadline (or cancellation) cut the query short: `items`
+  /// then ranks only the candidates reached through the first
+  /// `middle_processed` of `middle_total` middle objects — every reported
+  /// score is a valid partial lower bound, but objects may be missing or
+  /// under-scored. Always false for queries run without a context.
+  bool truncated = false;
+  /// Middle objects of the source's row scattered into the scores before
+  /// stopping.
+  Index middle_processed = 0;
+  /// The entries of the source's row of the left reachable matrix: the
+  /// middle objects it reaches.
+  Index middle_total = 0;
+};
+
+/// The `k` best targets of a source whose left-half row is (`middles`,
+/// `weights`) (DESIGN.md §14): `ScatterRow`'s ascending scatter, with
+/// bitwise-equal scores, over only the targets a nonzero contribution
+/// reaches (a store's quantized +0.0 registers none), ranked by descending
+/// score, ties by ascending id. The dense scores and touched list are
+/// reserved on `ctx`'s budget. There is no up-front liveness check: the
+/// scatter polls `ctx` at an adaptive stride and, on expiry, ranks what it
+/// accumulated with `truncated = true` instead of failing. Traced as
+/// `topk.query`; counted in the `hetesim_topk_*` metrics.
+[[nodiscard]] Result<TopKResult> ScatterTopK(const TargetIndex& index,
+                                             std::span<const Index> middles,
+                                             std::span<const double> weights,
+                                             int k, bool normalized,
+                                             const QueryContext& ctx);
 
 /// Propagates the indicator vector of `source` through `steps`, one half's
 /// per-step transitions, keeping the frontier sparse. Each hop accumulates

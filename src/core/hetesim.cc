@@ -82,13 +82,58 @@ double CombineFrontiers(const SparseVector& u, const SparseVector& v,
   return (nu == 0.0 || nv == 0.0) ? 0.0 : dot / (nu * nv);
 }
 
+/// `InvalidArgument` for a path parsed against another schema than
+/// `graph`'s, or `OutOfRange` when `source` is not a node of the path's
+/// source type.
+Status CheckSource(const HinGraph& graph, const MetaPath& path, Index source) {
+  if (&path.schema() != &graph.schema()) {
+    return Status::InvalidArgument(
+        "meta-path was parsed against a different schema object");
+  }
+  const Index num_sources = graph.NumNodes(path.SourceType());
+  if (source < 0 || source >= num_sources) {
+    return Status::OutOfRange(StrFormat(
+        "source id %lld out of range [0, %lld) for type '%s'",
+        static_cast<long long>(source), static_cast<long long>(num_sources),
+        graph.schema().TypeName(path.SourceType()).c_str()));
+  }
+  return Status::OK();
+}
+
+/// The cache-less single-source plan: `source`'s frontier propagated
+/// through the left half's transitions and the right half's product. A
+/// symmetric path (its own reverse) walks one chain on both sides, so only
+/// the right half is decomposed and the source propagates through it.
+Status PropagateSource(const HinGraph& graph, const HeteSimOptions& options,
+                       const MetaPath& path, Index source,
+                       const QueryContext& ctx, SparseVector* frontier,
+                       SparseMatrix* right) {
+  const bool symmetric = path == path.Reverse();
+  PathDecomposition decomposition;
+  if (symmetric) {
+    decomposition.right_transitions =
+        DecomposeHalf(graph, path, /*left_side=*/false);
+  } else {
+    decomposition = DecomposePath(graph, path);
+  }
+  HETESIM_ASSIGN_OR_RETURN(
+      *frontier,
+      PropagateFrontier(source,
+                        symmetric ? decomposition.right_transitions
+                                  : decomposition.left_transitions,
+                        options.truncation, ctx));
+  HETESIM_ASSIGN_OR_RETURN(
+      *right, RightReachMatrix(decomposition, options.num_threads, ctx));
+  return Status::OK();
+}
+
 }  // namespace
 
 HeteSimEngine::HeteSimEngine(const HinGraph& graph, HeteSimOptions options,
                              std::shared_ptr<PathMatrixCache> cache)
     : graph_(graph), options_(options), cache_(std::move(cache)) {}
 
-Status HeteSimEngine::GetReachMatrices(
+Status HeteSimEngine::GetHalves(
     const MetaPath& path, const QueryContext& ctx,
     std::shared_ptr<const SparseMatrix>* left,
     std::shared_ptr<const SparseMatrix>* right) const {
@@ -131,7 +176,7 @@ Result<DenseMatrix> HeteSimEngine::ComputeTraced(const MetaPath& path,
   std::shared_ptr<const SparseMatrix> right_half;
   {
     TraceSpan reach_span(ctx.trace(), "engine.reach_matrices");
-    HETESIM_RETURN_NOT_OK(GetReachMatrices(path, ctx, &left_half, &right_half));
+    HETESIM_RETURN_NOT_OK(GetHalves(path, ctx, &left_half, &right_half));
   }
   const SparseMatrix& left = *left_half;
   const SparseMatrix& right = *right_half;
@@ -214,17 +259,7 @@ Result<DenseMatrix> HeteSimEngine::ComputeTraced(const MetaPath& path,
 
 Result<std::vector<double>> HeteSimEngine::ComputeSingleSource(
     const MetaPath& path, Index source, const QueryContext& ctx) const {
-  if (&path.schema() != &graph_.schema()) {
-    return Status::InvalidArgument(
-        "meta-path was parsed against a different schema object");
-  }
-  const Index num_sources = graph_.NumNodes(path.SourceType());
-  if (source < 0 || source >= num_sources) {
-    return Status::OutOfRange(StrFormat(
-        "source id %lld out of range [0, %lld) for type '%s'",
-        static_cast<long long>(source), static_cast<long long>(num_sources),
-        graph_.schema().TypeName(path.SourceType()).c_str()));
-  }
+  HETESIM_RETURN_NOT_OK(CheckSource(graph_, path, source));
   if (cache_ != nullptr) {
     // Scatter the source's cached left-half row through the right half's
     // shared index (DESIGN.md §14).
@@ -236,16 +271,17 @@ Result<std::vector<double>> HeteSimEngine::ComputeSingleSource(
     return ScatterRow(*index, left->RowIndices(source), left->RowValues(source),
                       options_.normalized, ctx);
   }
-  PathDecomposition decomposition = DecomposePath(graph_, path);
-  HETESIM_ASSIGN_OR_RETURN(
-      SparseVector frontier,
-      PropagateFrontier(source, decomposition.left_transitions,
-                        options_.truncation, ctx));
-  HETESIM_ASSIGN_OR_RETURN(
-      SparseMatrix right,
-      RightReachMatrix(decomposition, options_.num_threads, ctx));
-  // Densify the frontier for the row product below.
-  std::vector<double> u(static_cast<size_t>(right.cols()), 0.0);
+  SparseVector frontier;
+  SparseMatrix right;
+  HETESIM_RETURN_NOT_OK(PropagateSource(graph_, options_, path, source, ctx,
+                                        &frontier, &right));
+  // Densify the frontier over the whole middle type for the row product
+  // below, reserved on the budget before it is allocated like the answer
+  // row.
+  const size_t num_middle = static_cast<size_t>(right.cols());
+  HETESIM_ASSIGN_OR_RETURN(MemoryReservation frontier_reservation,
+                           ctx.Reserve(num_middle * sizeof(double)));
+  std::vector<double> u(num_middle, 0.0);
   for (size_t i = 0; i < frontier.nnz(); ++i) {
     u[static_cast<size_t>(frontier.indices[i])] = frontier.values[i];
   }
@@ -269,39 +305,35 @@ Result<std::vector<double>> HeteSimEngine::ComputeSingleSource(
   return scores;
 }
 
-Result<double> HeteSimEngine::ComputePair(const MetaPath& path, Index source,
-                                          Index target, const QueryContext& ctx) const {
-  if (&path.schema() != &graph_.schema()) {
-    return Status::InvalidArgument(
-        "meta-path was parsed against a different schema object");
-  }
-  const Index num_sources = graph_.NumNodes(path.SourceType());
-  const Index num_targets = graph_.NumNodes(path.TargetType());
-  if (source < 0 || source >= num_sources) {
-    return Status::OutOfRange("source id out of range");
-  }
-  if (target < 0 || target >= num_targets) {
-    return Status::OutOfRange("target id out of range");
-  }
-  HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
+Result<TopKResult> HeteSimEngine::ComputeTopK(const MetaPath& path,
+                                              Index source, int k,
+                                              const QueryContext& ctx) const {
+  HETESIM_RETURN_NOT_OK(CheckSource(graph_, path, source));
   if (cache_ != nullptr) {
     HETESIM_ASSIGN_OR_RETURN(std::shared_ptr<const SparseMatrix> left,
                              cache_->GetLeft(graph_, path, ctx, options_.num_threads));
-    HETESIM_ASSIGN_OR_RETURN(std::shared_ptr<const SparseMatrix> right,
-                             cache_->GetRight(graph_, path, ctx, options_.num_threads));
-    return options_.normalized ? left->RowCosine(source, *right, target)
-                               : left->RowDot(source, *right, target);
+    HETESIM_ASSIGN_OR_RETURN(
+        std::shared_ptr<const TargetIndex> index,
+        cache_->GetTargetIndex(graph_, path, ctx, options_.num_threads));
+    return ScatterTopK(*index, left->RowIndices(source), left->RowValues(source),
+                       k, options_.normalized, ctx);
   }
-  // Cache-less path: propagate both indicators to the middle type as sparse
-  // frontiers; no matrix products at all (Equation 7 evaluated directly).
-  PathDecomposition decomposition = DecomposePath(graph_, path);
-  HETESIM_ASSIGN_OR_RETURN(
-      SparseVector u, PropagateFrontier(source, decomposition.left_transitions,
-                                        options_.truncation, ctx));
-  HETESIM_ASSIGN_OR_RETURN(
-      SparseVector v, PropagateFrontier(target, decomposition.right_transitions,
-                                        options_.truncation, ctx));
-  return CombineFrontiers(u, v, options_.normalized);
+  // One-shot: the propagated frontier stands in for the left half's row, so
+  // only the right half is multiplied.
+  SparseVector frontier;
+  SparseMatrix right;
+  HETESIM_RETURN_NOT_OK(PropagateSource(graph_, options_, path, source, ctx,
+                                        &frontier, &right));
+  const TargetIndex index = TargetIndex::Build(right);
+  return ScatterTopK(index, frontier.indices, frontier.values, k,
+                     options_.normalized, ctx);
+}
+
+Result<double> HeteSimEngine::ComputePair(const MetaPath& path, Index source,
+                                          Index target, const QueryContext& ctx) const {
+  HETESIM_ASSIGN_OR_RETURN(std::vector<double> scores,
+                           ComputePairs(path, {{source, target}}, ctx));
+  return scores[0];
 }
 
 Result<std::vector<double>> HeteSimEngine::ComputePairs(

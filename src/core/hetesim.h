@@ -7,6 +7,7 @@
 
 #include "common/context.h"
 #include "common/result.h"
+#include "core/frontier.h"
 #include "core/path_matrix.h"
 #include "hin/graph.h"
 #include "hin/metapath.h"
@@ -31,9 +32,9 @@ struct HeteSimOptions {
   /// accuracy"): after each hop, entries below `truncation` times the hop's
   /// largest entry are dropped and their L1 mass recorded, keeping the
   /// frontier sparse on hub-heavy networks. It applies wherever a query
-  /// propagates a frontier, which only the cache-less engine's pair and
-  /// single-source queries do; cached queries and `TopKSearcher` read
-  /// materialized halves and ignore it. 0 (the default) is exact.
+  /// propagates a frontier, which only the cache-less engine's pair,
+  /// single-source and top-k queries do; cached queries and `TopKSearcher`
+  /// read materialized halves and ignore it. 0 (the default) is exact.
   double truncation = 0.0;
 
   /// Threads used by the full-matrix `Compute` (the SpGEMM of the two
@@ -60,7 +61,8 @@ struct HeteSimOptions {
 /// same-typed or different-typed — along a user-chosen relevance path.
 /// It implements:
 ///  * full relevance matrices `HeteSim(A1, A(l+1) | P)` (Equation 6),
-///  * single-source queries (one row of the matrix, computed lazily),
+///  * single-source queries (one row of the matrix, computed lazily) and
+///    their ranked form, single-source top-k,
 ///  * single-pair queries (one dot product given materialized halves),
 /// with an optional `PathMatrixCache` for cross-query reuse of partial
 /// reachable-probability products (the Section 4.6 acceleration).
@@ -93,15 +95,26 @@ class HeteSimEngine {
   /// dense row product); without one, the source's frontier is propagated
   /// (`PropagateFrontier`) and multiplied into the computed right half.
   /// Cache misses, the propagation and the scatter run under `ctx`, and
-  /// the dense answer row is reserved on its budget.
+  /// the dense frontier and answer row are reserved on its budget.
   [[nodiscard]] Result<std::vector<double>> ComputeSingleSource(
       const MetaPath& path, Index source,
       const QueryContext& ctx = QueryContext::Background()) const;
 
-  /// Relevance of the single pair (`source`, `target`). With a cache it
-  /// combines the cached halves' rows; without one it propagates both
-  /// ends' frontiers and combines them (Equation 7). Either runs under
-  /// `ctx`.
+  /// The `k` targets most relevant to `source`, ranked by `ScatterTopK`
+  /// (DESIGN.md §14). With a cache, the source's cached left-half row is
+  /// scattered through the right half's shared `TargetIndex`, both looked
+  /// up on every call as in `ComputeSingleSource`; without one, the
+  /// source's frontier is propagated (honouring `truncation`) and scattered
+  /// through an index of the freshly computed right half, so only that half
+  /// is multiplied. Cache reads, the propagation and the half run under
+  /// `ctx` and fail on its expiry; the scatter itself returns a marked
+  /// partial ranking instead (`TopKResult::truncated`).
+  [[nodiscard]] Result<TopKResult> ComputeTopK(
+      const MetaPath& path, Index source, int k,
+      const QueryContext& ctx = QueryContext::Background()) const;
+
+  /// Relevance of the single pair (`source`, `target`): the one score of
+  /// `ComputePairs(path, {{source, target}}, ctx)`.
   [[nodiscard]] Result<double> ComputePair(
       const MetaPath& path, Index source, Index target,
       const QueryContext& ctx = QueryContext::Background()) const;
@@ -142,7 +155,7 @@ class HeteSimEngine {
       const QueryContext& ctx, TraceSpan& span) const;
   /// Left/right reachable matrices for `path` under `ctx`, via the cache
   /// when present. Cached halves are shared, not copied.
-  [[nodiscard]] Status GetReachMatrices(
+  [[nodiscard]] Status GetHalves(
       const MetaPath& path, const QueryContext& ctx,
       std::shared_ptr<const SparseMatrix>* left,
       std::shared_ptr<const SparseMatrix>* right) const;

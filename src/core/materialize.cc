@@ -89,16 +89,12 @@ constexpr std::chrono::milliseconds kWaiterPollInterval{5};
 
 }  // namespace
 
-std::string PathMatrixCache::ReachKey(const MetaPath& path) {
-  return "PM:" + path.ToRelationString();
-}
-
 std::string PathMatrixCache::LeftKey(const MetaPath& path) {
   const int l = path.length();
   if (l % 2 == 0) {
     // Even: the left half is the plain reachable matrix of the prefix, so
-    // it shares its entry with GetReach of that prefix and with the left
-    // half of ANY path starting with the same steps.
+    // it shares its entry with the left half of ANY path starting with the
+    // same steps.
     return "PM:" + StepRangeString(path, 0, l / 2);
   }
   // Odd: prefix transitions followed by the source half of the decomposed
@@ -212,16 +208,6 @@ Result<std::shared_ptr<const TargetIndex>> PathMatrixCache::GetTargetIndex(
       });
 }
 
-Result<std::shared_ptr<const SparseMatrix>> PathMatrixCache::GetReach(
-    const HinGraph& graph, const MetaPath& path, const QueryContext& ctx,
-    int num_threads) {
-  return GetOrCompute<SparseMatrix>(
-      ReachKey(path), ctx,
-      [&graph, &path, &ctx, num_threads]() -> Result<SparseMatrix> {
-        return ReachProbability(graph, path, num_threads, ctx);
-      });
-}
-
 void PathMatrixCache::SetMemoryBudget(std::shared_ptr<MemoryBudget> budget) {
   MutexLock lock(mutex_);
   budget_ = std::move(budget);
@@ -293,9 +279,9 @@ std::vector<PathMatrixCache::PartialHit> PathMatrixCache::ProbePartials(
     const MetaPath& path, bool left_side, int max_steps) {
   // Candidate (key, chain matrices covered) pairs, longest cover first. The
   // full half key is listed explicitly only for odd paths — for even ones it
-  // coincides with the longest step-prefix key below. Step-prefix keys equal
-  // `ReachKey` of the corresponding sub-path, so offline `GetReach`
-  // materializations of popular short paths are found here automatically.
+  // coincides with the longest step-prefix key below. A step-prefix key is
+  // the even left half of the sub-path doubled, so the halves of popular
+  // short paths are found here automatically.
   const int l = path.length();
   const int half = l / 2;
   std::vector<std::pair<std::string, int>> candidates;

@@ -29,12 +29,12 @@ struct TargetIndex;  // frontier.h
 /// fasten the computation".
 ///
 /// Entries are keyed by the *half's* canonical step string (see `LeftKey`
-/// / `RightKey` / `ReachKey`), so partial products are shared across every
-/// full path whose decomposition produces them: the left half of A-P-C-P-A
-/// serves A-P-C-P-C, the reachable matrix of A-P serves as the left half
-/// of A-P-P'-style paths, and the right half of P equals the left half of
-/// P reversed. Thread-safe; share one cache across engines via
-/// `std::shared_ptr`.
+/// / `RightKey`), so partial products are shared across every full path
+/// whose decomposition produces them: the left half of A-P-C-P-A serves
+/// A-P-C-P-C, and the right half of P equals the left half of P reversed.
+/// An even half is the plain reachable matrix of its steps, keyed
+/// `"PM:" + steps`, so it also serves as a prefix partial of longer halves.
+/// Thread-safe; share one cache across engines via `std::shared_ptr`.
 ///
 /// Concurrency guarantees:
 ///  * Each key is computed **at most once per residency**, even under a
@@ -103,8 +103,6 @@ class PathMatrixCache {
   static std::string LeftKey(const MetaPath& path);
   /// Canonical key of the right reachable matrix `PM_(PR^-1)`.
   static std::string RightKey(const MetaPath& path);
-  /// Canonical key of the full reachable probability matrix `PM_P`.
-  static std::string ReachKey(const MetaPath& path);
 
   /// Left reachable matrix `PM_PL` of the decomposition of `path`
   /// (|source type| x |middle|), computed on first use. A miss probes for
@@ -133,12 +131,6 @@ class PathMatrixCache {
   /// as in `GetLeft`. A searcher holding the index keeps it alive after
   /// eviction or `Clear()`.
   [[nodiscard]] Result<std::shared_ptr<const TargetIndex>> GetTargetIndex(
-      const HinGraph& graph, const MetaPath& path,
-      const QueryContext& ctx = QueryContext::Background(), int num_threads = 1);
-
-  /// Full reachable probability matrix `PM_P` (Definition 9), used by PCRW
-  /// and the Fig-7 style distribution queries; computed like `GetLeft`.
-  [[nodiscard]] Result<std::shared_ptr<const SparseMatrix>> GetReach(
       const HinGraph& graph, const MetaPath& path,
       const QueryContext& ctx = QueryContext::Background(), int num_threads = 1);
 
@@ -220,8 +212,7 @@ class PathMatrixCache {
   /// served by promoting the key from the attached store does NOT count —
   /// reading back is not a computation — so with a store underneath, a
   /// demote/promote cycle leaves the count at 1. Keys come from
-  /// `LeftKey`/`RightKey`/`ReachKey`, and `"IX:" + RightKey(path)` for an
-  /// index.
+  /// `LeftKey`/`RightKey`, and `"IX:" + RightKey(path)` for an index.
   size_t ComputeCount(const std::string& key) const EXCLUDES(mutex_);
 
   /// Drops all entries and resets every counter in `Stats` (releasing any

@@ -1,42 +1,14 @@
 #include "core/topk.h"
 
 #include <algorithm>
-#include <string>
 
 #include "common/check.h"
-#include "common/metrics.h"
-#include "common/stopwatch.h"
 #include "common/trace.h"
 #include "core/frontier.h"
 #include "core/materialize.h"
 #include "matrix/ops.h"
 
 namespace hetesim {
-
-namespace {
-
-/// Top-k query instruments (DESIGN.md §12). `truncated` counts best-effort
-/// answers cut short by a deadline/cancellation — the searcher's documented
-/// partial-result contract, surfaced so dashboards can tell truncation
-/// pressure from plain load.
-struct TopKMetrics {
-  Counter& queries;
-  Counter& truncated;
-  Histogram& latency;
-};
-
-TopKMetrics& GlobalTopKMetrics() {
-  static TopKMetrics metrics{
-      MetricsRegistry::Global().GetCounter("hetesim_topk_queries_total"),
-      MetricsRegistry::Global().GetCounter("hetesim_topk_truncated_total"),
-      MetricsRegistry::Global().GetHistogram(
-          "hetesim_topk_query_latency_seconds",
-          DefaultLatencyBoundariesSeconds()),
-  };
-  return metrics;
-}
-
-}  // namespace
 
 std::vector<Scored> TopK(const std::vector<double>& scores, int k) {
   HETESIM_CHECK_GE(k, 0);
@@ -117,105 +89,11 @@ Result<TopKSearcher> TopKSearcher::Prepare(const HinGraph& graph,
 
 Result<TopKResult> TopKSearcher::Query(Index source, int k,
                                        const QueryContext& ctx) const {
-  TraceSpan span(ctx.trace(), "topk.query");
-  if (span.active()) {
-    span.Annotate("source", std::to_string(source));
-    span.Annotate("k", std::to_string(k));
-  }
-  Stopwatch stopwatch;
-  Result<TopKResult> result = QueryTraced(source, k, ctx);
-  if (MetricsEnabled()) {
-    TopKMetrics& metrics = GlobalTopKMetrics();
-    metrics.queries.Increment();
-    metrics.latency.Observe(stopwatch.ElapsedSeconds());
-    if (result.ok() && result->truncated) metrics.truncated.Increment();
-  }
-  if (span.active()) {
-    if (!result.ok()) {
-      span.Annotate("status",
-                    std::string(StatusCodeToString(result.status().code())));
-    } else if (result->truncated) {
-      span.Annotate("truncated", "true");
-    }
-  }
-  return result;
-}
-
-Result<TopKResult> TopKSearcher::QueryTraced(Index source, int k,
-                                             const QueryContext& ctx) const {
   if (source < 0 || source >= left_->rows()) {
     return Status::OutOfRange("source id out of range");
   }
-  TopKResult result;
-  // 1. The source's row of the left half: the middle objects it reaches.
-  // Deliberately no up-front CheckAlive: a query whose deadline has already
-  // passed still scatters the first poll stride and returns a well-formed
-  // *partial* ranking.
-  const auto middles = left_->RowIndices(source);
-  const auto reach = left_->RowValues(source);
-  result.middle_total = static_cast<Index>(middles.size());
-  const double nu = left_->RowNorm(source);
-  if (nu == 0.0) {
-    // Source reaches nothing: the empty answer is complete, not truncated.
-    result.middle_processed = result.middle_total;
-    return result;
-  }
-  // 2. Scatter the row through the inverted index in ascending middle
-  // order — the term order of a dense row-times-matrix product and of
-  // `ScatterRow`, so scores are bitwise reproducible. A target is
-  // registered on its first nonzero contribution; skipping an exact +0.0
-  // (a store may keep quantized zeros) changes no score bit. On expiry the
-  // partial scores are ranked and returned with the truncation marker set.
-  const size_t num_targets = static_cast<size_t>(index_->num_targets());
-  HETESIM_ASSIGN_OR_RETURN(
-      MemoryReservation reservation,
-      ctx.Reserve(num_targets * (sizeof(double) + sizeof(Index))));
-  std::vector<double> scores(num_targets, 0.0);
-  std::vector<Index> touched;
-  PollStrideController poller;
-  size_t processed = middles.size();
-  for (size_t j = 0; j < middles.size(); ++j) {
-    if (j > 0 && poller.ShouldPoll(j) && ctx.Expired()) {
-      result.truncated = true;
-      processed = j;
-      break;
-    }
-    const double um = reach[j];
-    const auto targets = index_->by_middle.RowIndices(middles[j]);
-    const auto weights = index_->by_middle.RowValues(middles[j]);
-    for (size_t i = 0; i < targets.size(); ++i) {
-      const double contribution = um * weights[i];
-      if (contribution == 0.0) continue;
-      double& slot = scores[static_cast<size_t>(targets[i])];
-      if (slot == 0.0) touched.push_back(targets[i]);
-      slot += contribution;
-    }
-  }
-  result.middle_processed = static_cast<Index>(processed);
-  result.candidates_examined = static_cast<Index>(touched.size());
-  // 3. Normalize (Definition 10) by the source and stored target norms.
-  std::vector<Scored> candidates;
-  candidates.reserve(touched.size());
-  // Bounded normalize-and-collect pass; the scatter above polls.
-  for (Index t : touched) {  // hetesim-lint: allow(cancel-poll)
-    double s = scores[static_cast<size_t>(t)];
-    if (normalized_) {
-      const double nt = index_->norms[static_cast<size_t>(t)];
-      if (nt != 0.0) s /= nu * nt;
-    }
-    if (s != 0.0) candidates.push_back({t, s});
-  }
-  // 4. Partial-sort the best k.
-  auto by_score_desc = [](const Scored& a, const Scored& b) {
-    return a.score != b.score ? a.score > b.score : a.id < b.id;
-  };
-  const size_t keep = std::min(static_cast<size_t>(std::max(k, 0)), candidates.size());
-  std::partial_sort(candidates.begin(),
-                    candidates.begin() + static_cast<ptrdiff_t>(keep),
-                    candidates.end(), by_score_desc);
-  candidates.resize(keep);
-  result.items = std::move(candidates);
-  return result;
+  return ScatterTopK(*index_, left_->RowIndices(source),
+                     left_->RowValues(source), k, normalized_, ctx);
 }
 
 Result<TopKResult> TopKSearcher::QueryExhaustive(Index source, int k) const {

@@ -16,44 +16,10 @@ namespace hetesim {
 
 class PathMatrixCache;  // materialize.h
 
-/// A ranked object: per-type node id plus its relevance score.
-struct Scored {
-  Index id = -1;
-  double score = 0.0;
-
-  friend bool operator==(const Scored& a, const Scored& b) {
-    return a.id == b.id && a.score == b.score;
-  }
-};
-
 /// The `k` highest-scoring entries of `scores`, descending, ties broken by
 /// ascending id (stable across platforms). `k` larger than the input size
 /// returns everything ranked.
 std::vector<Scored> TopK(const std::vector<double>& scores, int k);
-
-/// Result of a top-k query, with the work counters used by the pruning
-/// bench.
-struct TopKResult {
-  std::vector<Scored> items;
-  /// Number of candidate targets actually scored. Exhaustive search scores
-  /// every object of the target type; `TopKSearcher::Query` only those
-  /// sharing a middle object with the source (Section 4.6: "the related
-  /// objects to a searched object are a very small percentage ... pruning
-  /// techniques can be used").
-  Index candidates_examined = 0;
-  /// True when a deadline (or cancellation) cut the query short: `items`
-  /// then ranks only the candidates reached through the first
-  /// `middle_processed` of `middle_total` middle objects — every reported
-  /// score is a valid partial lower bound, but objects may be missing or
-  /// under-scored. Always false for queries run without a context.
-  bool truncated = false;
-  /// Middle objects of the source's row scattered into the scores before
-  /// stopping.
-  Index middle_processed = 0;
-  /// The entries of the source's row of the left reachable matrix: the
-  /// middle objects it reaches.
-  Index middle_total = 0;
-};
 
 /// A scored (source, target) pair for global top-k joins.
 struct ScoredPair {
@@ -84,7 +50,11 @@ struct ScoredPair {
 /// path's left reachable matrix and its right half's `TargetIndex` (the
 /// inverted index from middle objects to targets plus per-target norms), so
 /// each query reads one row of the left half and does work proportional to
-/// the candidate set. `Prepare` is the only way to build one.
+/// the candidate set. `Prepare` is the only way to build one. It serves
+/// callers that pin one path for many queries (`TopKPairs`, benches,
+/// replays); a one-off or served top-k is `HeteSimEngine::ComputeTopK`,
+/// which reads the cache on every call and, without one, propagates the
+/// source instead of multiplying the left half.
 class TopKSearcher {
  public:
   TopKSearcher(TopKSearcher&&) = default;
@@ -104,14 +74,9 @@ class TopKSearcher {
       const QueryContext& ctx = QueryContext::Background(),
       PathMatrixCache* cache = nullptr);
 
-  /// Single-source top-k (DESIGN.md §14): scatters the source's row of the
-  /// left half through the inverted index in ascending middle order,
-  /// normalizes and partial-sorts, like the cached
-  /// `HeteSimEngine::ComputeSingleSource`. Exact: targets outside the
-  /// candidate set provably score 0. The context is polled at an adaptive
-  /// stride; on expiry the scores accumulated so far are ranked and
-  /// returned with `truncated = true` instead of an error, so callers get a
-  /// best-effort partial answer within one poll stride of the deadline.
+  /// Single-source top-k (DESIGN.md §14): `ScatterTopK` of the source's row
+  /// of the left half through the index, so an expired `ctx` truncates the
+  /// ranking (`truncated = true`) instead of failing it.
   [[nodiscard]] Result<TopKResult> Query(
       Index source, int k,
       const QueryContext& ctx = QueryContext::Background()) const;
@@ -128,12 +93,6 @@ class TopKSearcher {
   TopKSearcher(bool normalized, std::shared_ptr<const SparseMatrix> left,
                std::shared_ptr<const TargetIndex> index)
       : normalized_(normalized), left_(std::move(left)), index_(std::move(index)) {}
-
-  /// `Query` body, separated so the public entry point can bracket it with
-  /// the query span, the latency observation, and the truncation counter
-  /// (DESIGN.md §12).
-  [[nodiscard]] Result<TopKResult> QueryTraced(Index source, int k,
-                                               const QueryContext& ctx) const;
 
   bool normalized_;
   /// The left reachable matrix (|sources| x |middle|) and the right half's

@@ -8,7 +8,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "core/topk.h"
+#include "core/frontier.h"
 
 namespace hetesim::service {
 

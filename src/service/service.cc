@@ -118,79 +118,60 @@ void QueryService::Shutdown() {
   pool_.reset();
 }
 
-Result<std::shared_ptr<QueryService::PathState>> QueryService::StateFor(
-    const std::string& spec) {
-  {
-    MutexLock lock(mutex_);
-    auto it = paths_.find(spec);
-    if (it != paths_.end()) return it->second;
-  }
-  // Parse and estimate outside the lock: path validation is pure and two
-  // racing builders of the same spec converge on identical state.
-  HETESIM_ASSIGN_OR_RETURN(MetaPath path, MetaPath::Parse(graph_.schema(), spec));
-  auto state = std::make_shared<PathState>(std::move(path));
-  state->num_targets = graph_.NumNodes(state->path.TargetType());
-
+double QueryService::EstimateFlops(const MetaPath& path,
+                                   const QueryRequest& request) const {
   // Fold the cost model over the path's steps the way the planner would
   // materialize the transition chain left-to-right: one row of the chain
   // cost approximates a single-source walk. Row normalization keeps a step
   // adjacency's shape and fill, so the adjacencies stand in for the
   // transitions.
-  if (state->path.length() > 0) {
-    const SparseMatrix& first = graph_.StepAdjacency(state->path.StepAt(0));
+  double row_flops = 0;
+  if (path.length() > 0) {
+    const SparseMatrix& first = graph_.StepAdjacency(path.StepAt(0));
     MatrixEstimate acc = EstimateOf(first);
     double flops = 0;
-    for (int i = 1; i < state->path.length(); ++i) {
-      const MatrixEstimate next =
-          EstimateOf(graph_.StepAdjacency(state->path.StepAt(i)));
+    for (int i = 1; i < path.length(); ++i) {
+      const MatrixEstimate next = EstimateOf(graph_.StepAdjacency(path.StepAt(i)));
       flops += EstimateProductFlops(acc, next);
       acc = EstimateProduct(acc, next);
     }
-    state->row_flops =
-        flops / static_cast<double>(std::max<Index>(1, first.rows()));
+    row_flops = flops / static_cast<double>(std::max<Index>(1, first.rows()));
   }
-  MutexLock lock(mutex_);
-  auto [it, inserted] = paths_.emplace(spec, std::move(state));
-  (void)inserted;  // loser of a race adopts the winner's state
-  return it->second;
-}
-
-double QueryService::EstimateFlops(const PathState& state,
-                                   const QueryRequest& request) {
   // Floor: even a trivial query costs dispatch + one propagation step.
   constexpr double kMinFlops = 1e3;
   switch (request.kind) {
     case QueryKind::kPair:
       // Left and right single-row propagations plus one dot product.
-      return std::max(kMinFlops, 2.0 * state.row_flops);
+      return std::max(kMinFlops, 2.0 * row_flops);
     case QueryKind::kSingleSource:
       // One left propagation paired against every target row.
       return std::max(kMinFlops,
-                      2.0 * state.row_flops +
-                          8.0 * static_cast<double>(state.num_targets));
+                      2.0 * row_flops +
+                          8.0 * static_cast<double>(
+                                    graph_.NumNodes(path.TargetType())));
     case QueryKind::kTopK:
-      // After preparation a query is one scatter over the candidate set;
-      // the one-time Prepare cost is charged via the ladder's calibration,
-      // not per query.
-      return std::max(kMinFlops, 2.0 * state.row_flops);
+      // On resident halves a query is one scatter over the candidate set;
+      // a first touch's materialization is charged via the ladder's
+      // calibration, not per query.
+      return std::max(kMinFlops, 2.0 * row_flops);
   }
   return kMinFlops;
 }
 
-size_t QueryService::EstimateBytes(const PathState& state,
-                                   const QueryRequest& request) {
+size_t QueryService::EstimateBytes(const MetaPath& path,
+                                   const QueryRequest& request) const {
   // Transient per-query working set held for the whole run: response
   // buffers and scratch. Deliberately coarse — the point is that thousands
   // of queued queries visibly pressure the budget. A single-source or top-k
   // query's dense score row is not included: the query reserves it on the
-  // same budget while it runs (`ScatterRow`, `TopKSearcher::Query`).
+  // same budget while it runs (`ScatterRow`, `ScatterTopK`).
   constexpr size_t kBaseBytes = 16 << 10;
   if (request.kind != QueryKind::kTopK) return kBaseBytes;
   // A response never holds more items than there are targets, whatever `k`
   // the wire carried.
   return kBaseBytes +
          static_cast<size_t>(std::min<Index>(std::max(0, request.k),
-                                             state.num_targets)) *
+                                             graph_.NumNodes(path.TargetType()))) *
              sizeof(Scored);
 }
 
@@ -226,19 +207,20 @@ std::shared_ptr<PendingQuery> QueryService::Submit(const QueryRequest& request) 
     return CompleteNow(std::move(response));
   }
 
-  // Validate the request shape before spending anything.
-  Result<std::shared_ptr<PathState>> state_or = StateFor(request.path);
-  if (!state_or.ok()) {
-    return CompleteNow(FailureResponse(request, state_or.status()));
+  // Validate the request shape before spending anything. The path is
+  // parsed per request: the shared cache is the service's only query state.
+  Result<MetaPath> path_or = MetaPath::Parse(graph_.schema(), request.path);
+  if (!path_or.ok()) {
+    return CompleteNow(FailureResponse(request, path_or.status()));
   }
-  std::shared_ptr<PathState> state = std::move(*state_or);
+  MetaPath path = std::move(*path_or);
   if (request.kind == QueryKind::kTopK && request.k <= 0) {
     return CompleteNow(FailureResponse(
         request, Status::InvalidArgument("top-k request needs k > 0")));
   }
 
   // Admission pipeline — synchronous, before any compute is queued.
-  const double flops = EstimateFlops(*state, request);
+  const double flops = EstimateFlops(path, request);
   const AdmissionDecision decision = admission_->Admit(
       request.tenant, flops, request.deadline_ms, submit_time);
   if (!decision.admitted) {
@@ -257,7 +239,7 @@ std::shared_ptr<PendingQuery> QueryService::Submit(const QueryRequest& request) 
   // path — both live in the completion closure below, which the pool is
   // guaranteed to run (Submit never drops tasks; shutdown drains).
   MemoryReservation reservation;
-  const size_t bytes = EstimateBytes(*state, request);
+  const size_t bytes = EstimateBytes(path, request);
   bool reserve_failed = HETESIM_FAULT_POINT("service.admit.alloc");
   if (!reserve_failed && budget_ != nullptr) {
     if (budget_->TryReserve(bytes)) {
@@ -317,11 +299,11 @@ std::shared_ptr<PendingQuery> QueryService::Submit(const QueryRequest& request) 
   // instance runs and releases it.
   auto shared_reservation =
       std::make_shared<MemoryReservation>(std::move(reservation));
-  pool_->Submit([this, request, state = std::move(state), pending,
+  pool_->Submit([this, request, path = std::move(path), pending,
                  reservation = std::move(shared_reservation), flops, ctx,
                  level = decision.level, submit_time]() mutable {
     const Clock::time_point start = Clock::now();
-    QueryResponse response = Run(request, *state, level, ctx);
+    QueryResponse response = Run(request, path, level, ctx);
     const Clock::time_point end = Clock::now();
     response.id = request.id;
     response.queue_ms = MsBetween(submit_time, start);
@@ -345,7 +327,7 @@ QueryResponse QueryService::Execute(const QueryRequest& request) {
   return Submit(request)->Wait();
 }
 
-QueryResponse QueryService::Run(const QueryRequest& request, PathState& state,
+QueryResponse QueryService::Run(const QueryRequest& request, const MetaPath& path,
                                 DegradationLevel level,
                                 const QueryContext& ctx) {
   QueryResponse response;
@@ -358,7 +340,8 @@ QueryResponse QueryService::Run(const QueryRequest& request, PathState& state,
 
   // The kUncached level routes pair/single-source queries around the
   // shared cache so an overloaded service stops churning (and growing) it;
-  // top-k queries keep their prepared state, which is read-only.
+  // top-k stays on the cached engine, whose resident halves make it a
+  // scatter instead of a fresh right-half product per query.
   const HeteSimEngine& engine =
       (level == DegradationLevel::kUncached && request.kind != QueryKind::kTopK)
           ? *engine_uncached_
@@ -367,14 +350,14 @@ QueryResponse QueryService::Run(const QueryRequest& request, PathState& state,
   switch (request.kind) {
     case QueryKind::kPair: {
       Result<std::vector<double>> scores = engine.ComputePairs(
-          state.path, {{request.source, request.target}}, ctx);
+          path, {{request.source, request.target}}, ctx);
       if (!scores.ok()) return FailureResponse(request, scores.status());
       response.scores = std::move(*scores);
       break;
     }
     case QueryKind::kSingleSource: {
       Result<std::vector<double>> scores =
-          engine.ComputeSingleSource(state.path, request.source, ctx);
+          engine.ComputeSingleSource(path, request.source, ctx);
       if (!scores.ok()) return FailureResponse(request, scores.status());
       if (Status alive = ctx.CheckAlive(); !alive.ok()) {
         return FailureResponse(request, alive);
@@ -383,21 +366,6 @@ QueryResponse QueryService::Run(const QueryRequest& request, PathState& state,
       break;
     }
     case QueryKind::kTopK: {
-      const TopKSearcher* searcher = nullptr;
-      {
-        // Lazy one-time preparation, serialized per path. A failure is this
-        // query's alone: the next top-k on the path prepares again, as a
-        // pair or single-source query recomputes a half that failed.
-        MutexLock lock(state.searcher_mutex);
-        if (state.searcher == nullptr) {
-          Result<TopKSearcher> prepared = TopKSearcher::Prepare(
-              graph_, state.path, options_.engine, ctx, cache_.get());
-          if (!prepared.ok()) return FailureResponse(request, prepared.status());
-          state.searcher = std::make_unique<TopKSearcher>(std::move(*prepared));
-        }
-        searcher = state.searcher.get();
-      }
-
       QueryContext query_ctx = ctx;
       if (level == DegradationLevel::kTruncatedTopK &&
           options_.truncate_slice_ms > 0) {
@@ -409,7 +377,10 @@ QueryResponse QueryService::Run(const QueryRequest& request, PathState& state,
         query_ctx = ctx.WithDeadline(
             deadline.has_value() ? std::min(*deadline, slice) : slice);
       }
-      Result<TopKResult> result = searcher->Query(request.source, request.k, query_ctx);
+      // The slice bounds the whole query, a first touch's half products
+      // included, not only the scatter.
+      Result<TopKResult> result =
+          engine.ComputeTopK(path, request.source, request.k, query_ctx);
       if (!result.ok()) return FailureResponse(request, result.status());
       response.truncated = result->truncated;
       response.items = std::move(result->items);

@@ -2,8 +2,6 @@
 #define HETESIM_SERVICE_SERVICE_H_
 
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/annotations.h"
@@ -13,8 +11,8 @@
 #include "common/thread_pool.h"
 #include "core/hetesim.h"
 #include "core/materialize.h"
-#include "core/topk.h"
 #include "hin/graph.h"
+#include "hin/metapath.h"
 #include "service/admission.h"
 #include "service/protocol.h"
 
@@ -41,7 +39,9 @@ struct ServiceOptions {
   HeteSimOptions engine;
   /// Deadline slice for the kTruncatedTopK degradation level: a degraded
   /// top-k runs under min(its own deadline, now + this), so overloaded
-  /// queries surrender their worker quickly and return a marked partial.
+  /// queries surrender their worker quickly and return a marked partial
+  /// (a deadline error when the slice ends before the scatter, while a
+  /// first touch computes the path's halves).
   double truncate_slice_ms = 10.0;
 };
 
@@ -90,8 +90,10 @@ struct ServiceStats {
 /// One instance serves one graph. `Submit` runs the full admission
 /// pipeline synchronously on the caller's thread (shed before compute) and
 /// either returns a completed rejection or enqueues the query on the owned
-/// worker pool. Used directly (in-process mode of the workload harness)
-/// or behind `SocketServer` (hetesim_serve).
+/// worker pool. It keeps no per-path state: every request parses its path,
+/// and the shared, budgeted, evictable cache is the only query state that
+/// outlives a request. Used directly (in-process mode of the workload
+/// harness) or behind `SocketServer` (hetesim_serve).
 class QueryService {
  public:
   /// `graph` must outlive the service.
@@ -121,34 +123,15 @@ class QueryService {
   const HinGraph& graph() const { return graph_; }
 
  private:
-  /// Per-meta-path prepared state, shared by all queries on that path.
-  struct PathState {
-    explicit PathState(MetaPath p) : path(std::move(p)) {}
-
-    MetaPath path;
-    /// Estimate of one single-source propagation along the chain.
-    double row_flops = 0;
-    Index num_targets = 0;
-    Mutex searcher_mutex;
-    /// Prepared by the first top-k query that succeeds; a failed
-    /// preparation leaves it empty for the next top-k query to retry.
-    std::unique_ptr<TopKSearcher> searcher GUARDED_BY(searcher_mutex);
-  };
-
   QueryService(const HinGraph& graph, const ServiceOptions& options);
 
-  /// Looks up (or builds) the prepared state for `spec`; InvalidArgument
-  /// on a malformed or schema-incompatible path.
-  [[nodiscard]] Result<std::shared_ptr<PathState>> StateFor(const std::string& spec)
-      EXCLUDES(mutex_);
-
-  /// Cost-model estimate for one request (flops) and its transient
-  /// working-set (bytes).
-  static double EstimateFlops(const PathState& state, const QueryRequest& request);
-  static size_t EstimateBytes(const PathState& state, const QueryRequest& request);
+  /// Cost-model estimate for one request along `path` (flops) and its
+  /// transient working-set (bytes).
+  double EstimateFlops(const MetaPath& path, const QueryRequest& request) const;
+  size_t EstimateBytes(const MetaPath& path, const QueryRequest& request) const;
 
   /// Worker-side execution of an admitted request.
-  QueryResponse Run(const QueryRequest& request, PathState& state,
+  QueryResponse Run(const QueryRequest& request, const MetaPath& path,
                     DegradationLevel level, const QueryContext& ctx);
 
   std::shared_ptr<PendingQuery> CompleteNow(QueryResponse response);
@@ -166,8 +149,6 @@ class QueryService {
 
   mutable Mutex mutex_;
   bool shutdown_ GUARDED_BY(mutex_) = false;
-  std::unordered_map<std::string, std::shared_ptr<PathState>> paths_
-      GUARDED_BY(mutex_);
   std::unordered_set<std::shared_ptr<PendingQuery>> inflight_
       GUARDED_BY(mutex_);
   uint64_t completed_ GUARDED_BY(mutex_) = 0;

@@ -153,8 +153,9 @@ Result<std::unique_ptr<WorkloadRunner>> WorkloadRunner::Create(
         runner->graph_->NumNodes(runtime.path.TargetType());
     if (cls.type == QueryType::kTopK && !config.service.enabled) {
       // Preparation is one-time serving setup (the paper's materialization
-      // step), deliberately outside per-query latency. In service mode the
-      // QueryService prepares its own searchers, so skip the direct-path one.
+      // step), deliberately outside per-query latency, and a pinned searcher
+      // truncates a storm's µs deadlines where the engine's cache reads
+      // would fail them. In service mode the engine answers instead.
       HETESIM_ASSIGN_OR_RETURN(
           TopKSearcher searcher,
           TopKSearcher::Prepare(*runner->graph_, runtime.path, options,

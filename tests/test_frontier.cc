@@ -8,8 +8,10 @@
 // a cached prefix partial (ad-hoc meta-path reuse). The cached
 // single-source scatter must reproduce the dense row product bitwise,
 // share one index per right half, and honour its context's budget and
-// cancellation. The cache-less engine's frontier propagation surfaces
-// injected allocation failures at the `frontier.alloc` fault point.
+// cancellation. The engine's top-k ranks like a searcher on its cache and,
+// without one, multiplies only the right half. The cache-less engine's
+// frontier propagation surfaces injected allocation failures at the
+// `frontier.alloc` fault point.
 
 #include "core/frontier.h"
 
@@ -22,6 +24,7 @@
 
 #include "common/context.h"
 #include "common/fault_injection.h"
+#include "common/trace.h"
 #include "core/hetesim.h"
 #include "core/materialize.h"
 #include "core/path_matrix.h"
@@ -308,6 +311,36 @@ TEST_P(FrontierPropertyTest, CachedTopKBitwiseEqualsCachedSingleSource) {
   }
 }
 
+TEST_P(FrontierPropertyTest, EngineTopKEqualsSearcherAndExhaustive) {
+  // On one cache, the engine's top-k reads the halves a searcher prepared
+  // on that cache holds and ranks every target bitwise like it. Without a
+  // cache it propagates the source instead of reading the left half and
+  // agrees with the exhaustive oracle's positive entries to 1e-12.
+  const MetaPath path = this->path();
+  auto cache = std::make_shared<PathMatrixCache>();
+  const HeteSimEngine cached(graph(), HeteSimOptions{}, cache);
+  const HeteSimEngine uncached(graph());
+  TopKSearcher searcher = PrepareSearcher(graph(), path, cache.get());
+  const int all = static_cast<int>(searcher.num_targets());
+  const Index num_sources = graph().NumNodes(path.SourceType());
+  for (Index s = 0; s < num_sources; ++s) {
+    const std::string label = GetParam().path + " source " + std::to_string(s);
+    const TopKResult want = *searcher.Query(s, all);
+    const TopKResult got = *cached.ComputeTopK(path, s, all);
+    ASSERT_EQ(got.items, want.items) << label;
+    EXPECT_EQ(got.candidates_examined, want.candidates_examined) << label;
+    EXPECT_EQ(got.middle_total, want.middle_total) << label;
+
+    TopKResult exhaustive = *searcher.QueryExhaustive(s, all);
+    const auto zero = std::find_if(
+        exhaustive.items.begin(), exhaustive.items.end(),
+        [](const Scored& item) { return item.score <= 0.0; });
+    exhaustive.items.erase(zero, exhaustive.items.end());
+    ExpectSameRanking(*uncached.ComputeTopK(path, s, all), exhaustive, 1e-12,
+                      label);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(GeneratedNets, FrontierPropertyTest,
                          ::testing::ValuesIn(AllCases()), CaseName);
 
@@ -509,7 +542,8 @@ TEST(TargetIndex, SingleSourceReservesItsRowAndPollsTheScatter) {
 TEST(Frontier, UncachedSingleSourceReservesItsRow) {
   // Without a cache, single-source reserves its dense answer row on the
   // context's budget too: one byte short refuses the query and keeps
-  // nothing reserved, and the row's own size is enough.
+  // nothing reserved, and the row beside the dense frontier over the 20
+  // middle objects is enough.
   const HinGraph graph = testing::RandomTripartite(10, 20, 4000, 0.05, 7);
   const MetaPath path = *MetaPath::Parse(graph.schema(), "ABC");
   const HeteSimEngine engine(graph);
@@ -519,10 +553,54 @@ TEST(Frontier, UncachedSingleSourceReservesItsRow) {
       path, 0, QueryContext::Background().WithBudget(&short_by_one));
   EXPECT_TRUE(refused.status().IsResourceExhausted()) << refused.status().ToString();
   EXPECT_EQ(short_by_one.used_bytes(), 0u);
-  MemoryBudget enough(row_bytes);
+  MemoryBudget enough(row_bytes + 20 * sizeof(double));
   EXPECT_EQ(*engine.ComputeSingleSource(
                 path, 0, QueryContext::Background().WithBudget(&enough)),
             *engine.ComputeSingleSource(path, 0));
+}
+
+TEST(Frontier, UncachedSingleSourceReservesItsDenseFrontier) {
+  // The propagated frontier is densified over the whole middle type for
+  // the row product, and that copy is charged too: a budget that admits
+  // each hop's accumulator and the answer row, but not the row beside the
+  // 20-entry dense frontier, refuses the query and keeps nothing reserved.
+  const HinGraph graph = testing::RandomTripartite(10, 20, 4000, 0.05, 7);
+  const MetaPath path = *MetaPath::Parse(graph.schema(), "ABC");
+  const HeteSimEngine engine(graph);
+  const size_t row_bytes = 4000 * sizeof(double);
+  const size_t frontier_bytes = 20 * sizeof(double);
+  MemoryBudget short_by_one(row_bytes + frontier_bytes - 1);
+  const Result<std::vector<double>> refused = engine.ComputeSingleSource(
+      path, 0, QueryContext::Background().WithBudget(&short_by_one));
+  EXPECT_TRUE(refused.status().IsResourceExhausted()) << refused.status().ToString();
+  EXPECT_EQ(short_by_one.used_bytes(), 0u);
+}
+
+TEST(Frontier, OneShotTopKMultipliesOnlyTheRightHalf) {
+  // Without a cache, top-k on an asymmetric 4-step path propagates the
+  // source through the left half instead of multiplying it: one chain
+  // product, the right half's, where a cache-less searcher multiplies
+  // both. The rankings are bitwise equal.
+  const HinGraph& graph = DatasetGraph("dblp");
+  const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-T-P-C");
+  ASSERT_NE(PathMatrixCache::LeftKey(path), PathMatrixCache::RightKey(path));
+  const HeteSimEngine engine(graph);
+  TopKSearcher searcher = PrepareSearcher(graph, path);
+  const int all = static_cast<int>(searcher.num_targets());
+  for (Index s = 0; s < 40; ++s) {
+    Trace trace;
+    const Result<TopKResult> got = engine.ComputeTopK(
+        path, s, all, QueryContext::Background().WithTrace(&trace));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const std::vector<Trace::Span> spans = trace.Spans();
+    EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                            [](const Trace::Span& span) {
+                              return span.name == "chain.step";
+                            }),
+              1)
+        << "source " << s;
+    EXPECT_EQ(got->items, searcher.Query(s, all)->items) << "source " << s;
+  }
 }
 
 TEST(Frontier, UncachedEnginePairsMatchCached) {

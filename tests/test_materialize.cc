@@ -50,13 +50,6 @@ TEST_F(MaterializeTest, SamePathDifferentObjectsShareEntry) {
   EXPECT_EQ(cache_.stats().hits, 1u);
 }
 
-TEST_F(MaterializeTest, LeftRightReachAreDistinctEntries) {
-  cache_.GetLeft(graph_, Path("APC")).value();
-  cache_.GetRight(graph_, Path("APC")).value();
-  cache_.GetReach(graph_, Path("APC")).value();
-  EXPECT_EQ(cache_.stats().entries, 3u);
-}
-
 TEST_F(MaterializeTest, CachedValuesMatchDirectComputation) {
   MetaPath apc = Path("APC");
   PathDecomposition d = DecomposePath(graph_, apc);
@@ -64,8 +57,6 @@ TEST_F(MaterializeTest, CachedValuesMatchDirectComputation) {
       cache_.GetLeft(graph_, apc).value()->ApproxEquals(LeftReachMatrix(d), 1e-12));
   EXPECT_TRUE(
       cache_.GetRight(graph_, apc).value()->ApproxEquals(RightReachMatrix(d), 1e-12));
-  EXPECT_TRUE(cache_.GetReach(graph_, apc).value()
-                  ->ApproxEquals(ReachProbability(graph_, apc).value(), 1e-12));
 }
 
 TEST_F(MaterializeTest, SharedPointerSurvivesClear) {
@@ -142,34 +133,12 @@ TEST_F(MaterializeTest, SharedLeftHalfAcrossDifferentFullPaths) {
   EXPECT_EQ(cache_.stats().hits, 1u);
 }
 
-TEST_F(MaterializeTest, ReachOfPrefixSharesWithLeftHalf) {
-  // The left half of the even path A-P-C-P-A is exactly the reachable
-  // matrix of A-P-C: the cache serves both from one entry.
-  std::shared_ptr<const SparseMatrix> reach =
-      cache_.GetReach(graph_, Path("APC")).value();
-  std::shared_ptr<const SparseMatrix> left =
-      cache_.GetLeft(graph_, Path("APCPA")).value();
-  EXPECT_EQ(reach.get(), left.get());
-  EXPECT_EQ(cache_.stats().entries, 1u);
-}
-
 TEST_F(MaterializeTest, KeysAreCanonical) {
   MetaPath apcpa = Path("APCPA");
-  EXPECT_EQ(PathMatrixCache::LeftKey(apcpa), PathMatrixCache::ReachKey(Path("APC")));
   EXPECT_EQ(PathMatrixCache::LeftKey(apcpa), PathMatrixCache::RightKey(apcpa));
   // Odd paths embed the decomposed middle step in the key, on both sides.
   MetaPath ap = Path("AP");
   EXPECT_NE(PathMatrixCache::LeftKey(ap), PathMatrixCache::RightKey(ap));
-  EXPECT_NE(PathMatrixCache::LeftKey(ap), PathMatrixCache::ReachKey(ap));
-}
-
-TEST_F(MaterializeTest, OddPathHalvesDistinctFromPlainReach) {
-  // A-P is odd: its halves involve edge objects and must not be conflated
-  // with the plain A-P reachable matrix.
-  cache_.GetLeft(graph_, Path("AP")).value();
-  cache_.GetRight(graph_, Path("AP")).value();
-  cache_.GetReach(graph_, Path("AP")).value();
-  EXPECT_EQ(cache_.stats().entries, 3u);
 }
 
 TEST_F(MaterializeTest, ConcurrentAccessIsSafeAndConsistent) {

@@ -219,9 +219,9 @@ void ExpectRanksPositiveEntries(const std::vector<Scored>& items,
 
 TEST_P(RandomGraphProperties, EveryEntryPointAgreesWithCompute) {
   // Differential check of every query entry point against the full matrix:
-  // the engine without and with a cache, top-k over that cache, a fresh
-  // cache reading a store the first one was flushed to, and an in-process
-  // service.
+  // the engine (pair, single-source and top-k) without and with a cache,
+  // a searcher over that cache, a fresh cache reading a store the first one
+  // was flushed to, and an in-process service.
   HeteSimEngine uncached(graph_);
   const DenseMatrix expected = uncached.Compute(path_).value();
   const Index num_sources = expected.rows();
@@ -243,6 +243,9 @@ TEST_P(RandomGraphProperties, EveryEntryPointAgreesWithCompute) {
         EXPECT_NEAR(pairs[at], expected(s, t), 1e-12);
         EXPECT_NEAR(row[static_cast<size_t>(t)], expected(s, t), 1e-12);
       }
+      const TopKResult top =
+          engine.ComputeTopK(path_, s, static_cast<int>(num_targets)).value();
+      ExpectRanksPositiveEntries(top.items, expected.Row(s));
     }
   };
   expect_engine_agrees(uncached, "uncached");

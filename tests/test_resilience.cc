@@ -467,13 +467,14 @@ TEST_F(CacheBudgetTest, ExpiredCallerDoesNotPoisonResidentEntry) {
 
 TEST_F(CacheBudgetTest, TargetIndexIsChargedEvictableAndOutlivesClear) {
   const MetaPath path = Path("ABC");
-  const MetaPath bulky = Path("ABCBA");
-  // Size the budget to the bulky full reach matrix: the half and its index
-  // fit beside each other, but admitting the reach matrix evicts both.
+  // The left half of ABCBA doubled is ABCBA's bulky full reach matrix.
+  // Size the budget to it: the half and its index fit beside each other,
+  // but admitting the reach matrix evicts both.
+  const MetaPath bulky = Path("ABCBABCBA");
   size_t reach_bytes = 0;
   {
     PathMatrixCache sizing;
-    reach_bytes = sizing.GetReach(graph_, bulky).value()->ApproxBytes();
+    reach_bytes = sizing.GetLeft(graph_, bulky).value()->ApproxBytes();
   }
   auto budget = std::make_shared<MemoryBudget>(reach_bytes);
   PathMatrixCache cache;
@@ -486,7 +487,7 @@ TEST_F(CacheBudgetTest, TargetIndexIsChargedEvictableAndOutlivesClear) {
   EXPECT_EQ(cache.stats().accounted_bytes, right_bytes + index->ApproxBytes());
   EXPECT_EQ(budget->used_bytes(), right_bytes + index->ApproxBytes());
 
-  cache.GetReach(graph_, bulky).value();
+  cache.GetLeft(graph_, bulky).value();
   PathMatrixCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 2u);
   EXPECT_EQ(stats.accounted_bytes, reach_bytes);

@@ -24,6 +24,7 @@
 
 #include "common/context.h"
 #include "common/fault_injection.h"
+#include "common/metrics.h"
 #include "core/hetesim.h"
 #include "core/topk.h"
 #include "hin/metapath.h"
@@ -441,10 +442,11 @@ TEST_F(QueryServiceTest, InjectedSpgemmFaultFailsSingleSourceCleanly) {
 }
 
 TEST_F(QueryServiceTest, InjectedSpgemmFaultFailsOnlyItsOwnTopK) {
-  // Chaos case: the first top-k on a path prepares its searcher, and an
+  // Chaos case: the first top-k on a path computes its halves, and an
   // injected allocation failure in a half product answers that query
   // ResourceExhausted instead of taking the server down. The failure is not
-  // latched on the path: the next top-k prepares again and is served.
+  // latched on the path: the next top-k computes the halves again and is
+  // served.
   if (!FaultInjector::CompiledIn()) {
     GTEST_SKIP() << "built without HETESIM_FAULT_INJECTION";
   }
@@ -566,6 +568,53 @@ TEST(QueryServiceMemory, ChargesAScoreRowOnce) {
     EXPECT_NEAR(row.scores[static_cast<size_t>(direct.items[i].id)],
                 direct.items[i].score, 1e-12);
   }
+}
+
+TEST(QueryServiceMemory, TopKReadsTheCacheAfterEviction) {
+  // A 1 MiB service. A top-k on A-B-A caches the path's one half (A-B,
+  // about 35% of the budget) and that half's index (about as much); a
+  // single-source query on C-B-C then caches a half of about 72%, which
+  // fits beside neither, so admitting it evicts both. The next top-k on
+  // A-B-A finds them gone and computes them again (two cache misses)
+  // instead of answering from state held outside the budget, and still
+  // ranks like a direct searcher. Between requests the cache stays below
+  // the soft memory-pressure threshold, so no request is shed or degraded.
+  const HinGraph graph = testing::RandomTripartite(4200, 100, 8600, 0.05, 5);
+  ServiceOptions options;
+  options.admission.workers = 1;
+  options.memory_mb = 1;
+  std::unique_ptr<QueryService> service = QueryService::Create(graph, options);
+  const size_t soft_bytes = static_cast<size_t>(
+      options.admission.memory_soft_fraction * static_cast<double>(1 << 20));
+  QueryRequest topk;
+  topk.kind = QueryKind::kTopK;
+  topk.path = "ABA";
+  topk.source = 0;
+  topk.k = 10;
+  QueryRequest single;
+  single.kind = QueryKind::kSingleSource;
+  single.path = "CBC";
+  single.source = 0;
+  const Counter& misses =
+      MetricsRegistry::Global().GetCounter("hetesim_cache_misses_total");
+
+  const QueryResponse first = service->Execute(topk);
+  ASSERT_EQ(first.outcome, ResponseOutcome::kOk) << first.message;
+  ASSERT_LT(service->MemoryUsedBytes(), soft_bytes);
+  const QueryResponse row = service->Execute(single);
+  ASSERT_EQ(row.outcome, ResponseOutcome::kOk) << row.message;
+  ASSERT_LT(service->MemoryUsedBytes(), soft_bytes);
+  const uint64_t misses_before = misses.value();
+  const QueryResponse again = service->Execute(topk);
+  ASSERT_EQ(again.outcome, ResponseOutcome::kOk) << again.message;
+  EXPECT_EQ(misses.value() - misses_before, 2u)
+      << "the evicted half and index were not looked up again";
+
+  const MetaPath path = *MetaPath::Parse(graph.schema(), "ABA");
+  const TopKResult direct = TopKSearcher::Prepare(graph, path).value().Query(0, 10).value();
+  ASSERT_FALSE(direct.items.empty());
+  EXPECT_EQ(first.items, direct.items);
+  EXPECT_EQ(again.items, direct.items);
 }
 
 TEST_F(QueryServiceTest, MalformedPathIsAWellFormedErrorResponse) {

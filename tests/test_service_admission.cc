@@ -62,7 +62,7 @@ size_t DriveMixedBatch(QueryService& service, int rounds) {
             request.path = "A-P-A";
             request.source = i % 3;
             break;
-          case 2:  // top-k (lazily prepares per-path state)
+          case 2:  // top-k (reads or fills the path's cached halves)
             request.kind = QueryKind::kTopK;
             request.path = "C-P-A";
             request.source = i % 2;

@@ -103,11 +103,18 @@ std::vector<SparseMatrix> SamplePartials() {
   std::vector<SparseMatrix> out;
   HinGraph fig4 = testing::BuildFig4Graph();
   PathMatrixCache fig4_cache;
-  for (const char* spec : {"APC", "APA", "APCPA", "CPC", "AP"}) {
+  // Each path's full reachable matrix is the left half of the path
+  // followed by its reverse.
+  for (const auto& [spec, doubled] :
+       std::vector<std::pair<const char*, const char*>>{{"APC", "APCPA"},
+                                                        {"APA", "APAPA"},
+                                                        {"APCPA", "APCPAPCPA"},
+                                                        {"CPC", "CPCPC"},
+                                                        {"AP", "APA"}}) {
     const MetaPath path = Parse(fig4, spec);
     out.push_back(*fig4_cache.GetLeft(fig4, path).value());
     out.push_back(*fig4_cache.GetRight(fig4, path).value());
-    out.push_back(*fig4_cache.GetReach(fig4, path).value());
+    out.push_back(*fig4_cache.GetLeft(fig4, Parse(fig4, doubled)).value());
   }
   DblpConfig config;
   config.num_papers = 120;
@@ -880,12 +887,14 @@ TEST_F(TwoTierTest, GoldenScoresSurviveOnDiskCorruption) {
 
 TEST_F(TwoTierTest, FlushedLeftRightAndReachEntriesSurviveRestart) {
   // Every kind of cached matrix reaches disk through FlushToStore and is
-  // served back to a restarted process without computing.
+  // served back to a restarted process without computing: A-P-C's left
+  // and right halves, and the plain reachable matrix of A-P-A (the left
+  // half of A-P-A-P-A).
   const MetaPath apc = Path("APC");
-  const MetaPath apa = Path("APA");
+  const MetaPath apapa = Path("APAPA");
   const std::vector<std::string> keys = {PathMatrixCache::LeftKey(apc),
                                          PathMatrixCache::RightKey(apc),
-                                         PathMatrixCache::ReachKey(apa)};
+                                         PathMatrixCache::LeftKey(apapa)};
   const fs::path dir = FreshDir("kinds");
   std::vector<std::shared_ptr<const SparseMatrix>> originals;
   {
@@ -893,7 +902,7 @@ TEST_F(TwoTierTest, FlushedLeftRightAndReachEntriesSurviveRestart) {
     PathMatrixCache warm;
     warm.AttachStore(store);
     originals = {warm.GetLeft(graph_, apc).value(), warm.GetRight(graph_, apc).value(),
-                 warm.GetReach(graph_, apa).value()};
+                 warm.GetLeft(graph_, apapa).value()};
     ASSERT_TRUE(warm.FlushToStore().ok());
     EXPECT_EQ(store->stats().entries, warm.stats().entries);
     for (const std::string& key : keys) EXPECT_TRUE(store->Contains(key)) << key;
@@ -903,7 +912,7 @@ TEST_F(TwoTierTest, FlushedLeftRightAndReachEntriesSurviveRestart) {
   cold.AttachStore(store);
   const std::vector<std::shared_ptr<const SparseMatrix>> served = {
       cold.GetLeft(graph_, apc).value(), cold.GetRight(graph_, apc).value(),
-      cold.GetReach(graph_, apa).value()};
+      cold.GetLeft(graph_, apapa).value()};
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(cold.ComputeCount(keys[i]), 0u) << keys[i];
     ExpectBitwiseEqual(*originals[i], *served[i]);

@@ -37,8 +37,9 @@
 // 0 uses every hardware thread via the shared pool.
 //
 // `topk` scatters the source's row of the path's left half through the
-// right half's inverted index (DESIGN.md §14); `pair` without a cache
-// propagates both ends' frontiers and combines them.
+// right half's inverted index (DESIGN.md §14); without a cache that row is
+// the source's propagated frontier, so only the right half is multiplied.
+// `pair` without a cache propagates both ends' frontiers and combines them.
 //
 // --deadline-ms bounds a query's wall-clock time. `topk` degrades
 // gracefully: on expiry it prints whatever partial ranking was accumulated
@@ -355,19 +356,18 @@ Status RunTopK(const Args& args) {
                            graph.FindNode(path.SourceType(), *source_name));
   HETESIM_ASSIGN_OR_RETURN(const int k, GetKArg(args, 10));
   HETESIM_ASSIGN_OR_RETURN(const QueryBounds bounds, MakeQueryBounds(args, graph));
-  Result<TopKSearcher> searcher = TopKSearcher::Prepare(
-      graph, path, HeteSimOptions{}, bounds.ctx, bounds.cache.get());
-  if (searcher.status().IsDeadlineExceeded()) {
-    // The deadline died during the one-time path materialization: an empty
-    // partial answer, reported as such rather than as a failure.
+  const HeteSimEngine engine(graph, HeteSimOptions{}, bounds.cache);
+  Result<TopKResult> ranked = engine.ComputeTopK(path, source, k, bounds.ctx);
+  if (ranked.status().IsDeadlineExceeded()) {
+    // The deadline died before the scatter, while the path's halves were
+    // being propagated or multiplied: an empty partial answer, reported as
+    // such rather than as a failure.
     std::printf(
         "[truncated: deadline exceeded while materializing %s; no results]\n",
         path.ToString().c_str());
     return Status::OK();
   }
-  HETESIM_RETURN_NOT_OK(searcher.status());
-  HETESIM_ASSIGN_OR_RETURN(TopKResult result,
-                           searcher->Query(source, k, bounds.ctx));
+  HETESIM_ASSIGN_OR_RETURN(const TopKResult result, std::move(ranked));
   int rank = 1;
   for (const Scored& item : result.items) {
     std::printf("%3d. %-24s %.6f\n", rank++,
@@ -375,7 +375,7 @@ Status RunTopK(const Args& args) {
   }
   std::printf("(%lld of %lld candidates examined)\n",
               static_cast<long long>(result.candidates_examined),
-              static_cast<long long>(searcher->num_targets()));
+              static_cast<long long>(graph.NumNodes(path.TargetType())));
   if (result.truncated) {
     std::printf(
         "[truncated: deadline exceeded after %lld of %lld middle objects; "

@@ -5,7 +5,9 @@
 //       [--workers N]            executor threads draining admitted queries (2)
 //       [--queue-depth N]        admission queue capacity (64)
 //       [--memory-mb N]          service memory budget, 0 = unlimited (0)
-//       [--no-cache]             disable the shared path-matrix cache
+//       [--no-cache]             disable the shared path-matrix cache: the
+//                                server keeps no query state, and every
+//                                query, top-k included, computes its halves
 //       [--store-dir DIR]        persistent tier under the cache: misses
 //                                read from it, evictions demote into it,
 //                                so restarts are warm (DESIGN.md §16)
