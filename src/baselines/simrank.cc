@@ -38,11 +38,6 @@ DenseMatrix SimRankFixedPoint(const SparseMatrix& adjacency,
 
 }  // namespace
 
-DenseMatrix SimRankHomogeneous(const SparseMatrix& adjacency,
-                               const SimRankOptions& options) {
-  return SimRankFixedPoint(adjacency, options);
-}
-
 DenseMatrix SimRankHeterogeneous(const HomogeneousView& view,
                                  const SimRankOptions& options) {
   return SimRankFixedPoint(view.adjacency, options);

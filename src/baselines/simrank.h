@@ -19,20 +19,16 @@ struct SimRankOptions {
   double tolerance = 1e-6;
 };
 
-/// \brief Classic SimRank over a homogeneous directed graph.
+/// \brief Classic SimRank over an entire heterogeneous network collapsed to
+/// its homogeneous view (all (T n)^2 pairs at once — the O(k d n^2 T^4)
+/// regime of Section 4.6). Entry lookup via `view.GlobalId(type, id)`.
 ///
-/// `adjacency(i, j) != 0` means an edge i -> j; the recurrence averages
-/// over *in*-neighbors as in the original paper:
+/// `view.adjacency(i, j) != 0` means an edge i -> j; the recurrence
+/// averages over *in*-neighbors as in the original paper:
 ///   s(a, b) = C / (|I(a)| |I(b)|) * sum_{i,j} s(I_i(a), I_j(b)),
 /// with s(a, a) = 1 pinned every iteration. Runs in O(iterations * d * n^2)
 /// time and O(n^2) space — the complexity HeteSim's Section 4.6 analysis
 /// compares against.
-DenseMatrix SimRankHomogeneous(const SparseMatrix& adjacency,
-                               const SimRankOptions& options = {});
-
-/// SimRank over an entire heterogeneous network collapsed to its
-/// homogeneous view (all (T n)^2 pairs at once — the O(k d n^2 T^4) regime
-/// of Section 4.6). Entry lookup via `view.GlobalId(type, id)`.
 DenseMatrix SimRankHeterogeneous(const HomogeneousView& view,
                                  const SimRankOptions& options = {});
 

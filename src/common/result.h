@@ -66,11 +66,6 @@ class [[nodiscard]] Result {
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 
-  /// Returns the value, or `fallback` if this result is an error.
-  T ValueOr(T fallback) const {
-    return ok() ? std::get<0>(repr_) : std::move(fallback);
-  }
-
  private:
   std::variant<T, Status> repr_;
 };

@@ -77,9 +77,6 @@ Status Status::FailedPrecondition(std::string message) {
 Status Status::IOError(std::string message) {
   return Status(StatusCode::kIOError, std::move(message));
 }
-Status Status::NotImplemented(std::string message) {
-  return Status(StatusCode::kNotImplemented, std::move(message));
-}
 Status Status::Internal(std::string message) {
   return Status(StatusCode::kInternal, std::move(message));
 }

@@ -13,6 +13,8 @@ namespace hetesim {
 /// The set mirrors the categories used by Arrow/RocksDB-style database
 /// libraries: the public API never throws; every fallible operation returns
 /// a `Status` (or a `Result<T>`, see result.h) carrying one of these codes.
+/// The values travel in the status field of HSQ1 (service/protocol.h), so
+/// no code is renumbered or removed, even one no factory below produces.
 enum class StatusCode : int {
   kOk = 0,
   kInvalidArgument = 1,
@@ -72,7 +74,6 @@ class [[nodiscard]] Status {
   [[nodiscard]] static Status OutOfRange(std::string message);
   [[nodiscard]] static Status FailedPrecondition(std::string message);
   [[nodiscard]] static Status IOError(std::string message);
-  [[nodiscard]] static Status NotImplemented(std::string message);
   [[nodiscard]] static Status Internal(std::string message);
   [[nodiscard]] static Status DeadlineExceeded(std::string message);
   [[nodiscard]] static Status ResourceExhausted(std::string message);
@@ -91,7 +92,6 @@ class [[nodiscard]] Status {
   bool IsOutOfRange() const { return code() == StatusCode::kOutOfRange; }
   bool IsFailedPrecondition() const { return code() == StatusCode::kFailedPrecondition; }
   bool IsIOError() const { return code() == StatusCode::kIOError; }
-  bool IsNotImplemented() const { return code() == StatusCode::kNotImplemented; }
   bool IsInternal() const { return code() == StatusCode::kInternal; }
   bool IsDeadlineExceeded() const { return code() == StatusCode::kDeadlineExceeded; }
   bool IsResourceExhausted() const { return code() == StatusCode::kResourceExhausted; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "core/path_matrix.h"
 #include "matrix/ops.h"
@@ -89,35 +88,6 @@ Result<MaterializationPlan> AdviseMaterialization(
     plan.total_benefit += choice.benefit;
   }
   return plan;
-}
-
-Status ApplyMaterializationPlan(const HinGraph& graph,
-                                const std::vector<WorkloadEntry>& workload,
-                                const MaterializationPlan& plan,
-                                PathMatrixCache* cache) {
-  if (cache == nullptr) {
-    return Status::InvalidArgument("cache must be non-null");
-  }
-  std::set<std::string> chosen;
-  for (const MaterializationChoice& choice : plan.choices) chosen.insert(choice.key);
-  std::set<std::string> touched;
-  for (const WorkloadEntry& entry : workload) {
-    const std::string left_key = PathMatrixCache::LeftKey(entry.path);
-    if (chosen.count(left_key) != 0) {
-      HETESIM_RETURN_NOT_OK(cache->GetLeft(graph, entry.path).status());
-      touched.insert(left_key);
-    }
-    const std::string right_key = PathMatrixCache::RightKey(entry.path);
-    if (chosen.count(right_key) != 0) {
-      HETESIM_RETURN_NOT_OK(cache->GetRight(graph, entry.path).status());
-      touched.insert(right_key);
-    }
-  }
-  if (touched.size() < chosen.size()) {
-    return Status::InvalidArgument(
-        "plan references halves not derivable from this workload");
-  }
-  return Status::OK();
 }
 
 }  // namespace hetesim

@@ -64,14 +64,6 @@ struct MaterializationPlan {
                                                   const std::vector<WorkloadEntry>& workload,
                                                   const AdvisorOptions& options = {});
 
-/// Materializes the plan's choices into `cache` by running the matching
-/// half computations (subsequent engine queries on those paths are then
-/// pure cache hits).
-[[nodiscard]] Status ApplyMaterializationPlan(const HinGraph& graph,
-                                const std::vector<WorkloadEntry>& workload,
-                                const MaterializationPlan& plan,
-                                PathMatrixCache* cache);
-
 // The advisor's exact flop counters (`ProductFlops`, `ChainProductFlops`)
 // live in the shared cost-model module, `matrix/cost_model.h`, which also
 // prices the chain-association planner — one source of truth for multiply

@@ -144,13 +144,25 @@ Status HeteSimEngine::GetHalves(
                              cache_->GetRight(graph_, path, ctx, options_.num_threads));
     return Status::OK();
   }
-  PathDecomposition decomposition = DecomposePath(graph_, path);
-  HETESIM_ASSIGN_OR_RETURN(SparseMatrix computed_left,
-                           LeftReachMatrix(decomposition, options_.num_threads, ctx));
+  // A symmetric path (its own reverse) has equal halves: the right one is
+  // multiplied once and serves as both, as in `PropagateSource`.
+  const bool symmetric = path == path.Reverse();
+  PathDecomposition decomposition;
+  if (symmetric) {
+    decomposition.right_transitions = DecomposeHalf(graph_, path, /*left_side=*/false);
+  } else {
+    decomposition = DecomposePath(graph_, path);
+  }
   HETESIM_ASSIGN_OR_RETURN(SparseMatrix computed_right,
                            RightReachMatrix(decomposition, options_.num_threads, ctx));
-  *left = std::make_shared<const SparseMatrix>(std::move(computed_left));
   *right = std::make_shared<const SparseMatrix>(std::move(computed_right));
+  if (symmetric) {
+    *left = *right;
+    return Status::OK();
+  }
+  HETESIM_ASSIGN_OR_RETURN(SparseMatrix computed_left,
+                           LeftReachMatrix(decomposition, options_.num_threads, ctx));
+  *left = std::make_shared<const SparseMatrix>(std::move(computed_left));
   return Status::OK();
 }
 

@@ -208,9 +208,11 @@ Result<std::shared_ptr<const TargetIndex>> PathMatrixCache::GetTargetIndex(
       });
 }
 
-void PathMatrixCache::SetMemoryBudget(std::shared_ptr<MemoryBudget> budget) {
+void PathMatrixCache::SetMemoryBudget(std::shared_ptr<MemoryBudget> budget,
+                                      size_t max_bytes) {
   MutexLock lock(mutex_);
   budget_ = std::move(budget);
+  max_bytes_ = max_bytes;
 }
 
 void PathMatrixCache::AttachStore(std::shared_ptr<MatrixStore> store) {
@@ -539,6 +541,9 @@ bool PathMatrixCache::AdmitLocked(Slot& slot) {
   if (HETESIM_FAULT_POINT("cache.insert")) return false;
   TouchLocked(slot);
   if (budget_ != nullptr) {
+    while (accounted_bytes_ + slot.bytes > max_bytes_) {
+      if (!EvictOneLocked()) return false;
+    }
     while (!budget_->TryReserve(slot.bytes)) {
       if (!EvictOneLocked()) return false;
     }

@@ -163,8 +163,11 @@ class PathMatrixCache {
   /// (nullptr = unlimited, the default). Existing entries are *not*
   /// retroactively charged; attach before populating. The budget may be
   /// shared with other consumers — the cache releases exactly what it
-  /// reserved.
-  void SetMemoryBudget(std::shared_ptr<MemoryBudget> budget) EXCLUDES(mutex_);
+  /// reserved — and the cache holds at most `max_bytes` of it: an admission
+  /// first evicts down to that share, so the rest of a shared budget never
+  /// fills with evictable entries.
+  void SetMemoryBudget(std::shared_ptr<MemoryBudget> budget,
+                       size_t max_bytes = MemoryBudget::kUnlimited) EXCLUDES(mutex_);
 
   /// Attaches the persistent demotion/promotion tier (nullptr detaches).
   /// Attach before populating: existing entries are not retroactively
@@ -266,7 +269,8 @@ class PathMatrixCache {
   static std::shared_ptr<const SparseMatrix> MatrixOf(const Slot& slot);
 
   /// Admission bookkeeping for a freshly computed `slot` (locked): charges
-  /// the budget, evicting in priority order as needed. Returns false when
+  /// the budget, evicting in priority order down to `max_bytes_` and then
+  /// until the budget has room. Returns false when
   /// the matrix cannot fit even after eviction — the caller then removes
   /// the entry and the matrix is served uncached.
   bool AdmitLocked(Slot& slot) REQUIRES(mutex_);
@@ -291,6 +295,8 @@ class PathMatrixCache {
   // waiters; every other Slot field is only touched under mutex_ (see the
   // DESIGN.md §11 lock table).
   std::shared_ptr<MemoryBudget> budget_ GUARDED_BY(mutex_);
+  /// The cache's share of `budget_` (`accounted_bytes_` never exceeds it).
+  size_t max_bytes_ GUARDED_BY(mutex_) = MemoryBudget::kUnlimited;
   /// The persistent tier; copied out under the lock, IO'd without it.
   std::shared_ptr<MatrixStore> store_ GUARDED_BY(mutex_);
   /// Eviction victims awaiting their demotion write (key, matrix).

@@ -101,15 +101,6 @@ Status ValidateConfig(const AcmConfig& config) {
 
 }  // namespace
 
-const std::vector<std::string>& AcmConferenceNames() {
-  static const std::vector<std::string>* const kNames = [] {
-    auto* names = new std::vector<std::string>();  // hetesim-lint: allow(no-naked-new)
-    for (const ConferenceSpec& spec : kConferences) names->emplace_back(spec.name);
-    return names;
-  }();
-  return *kNames;
-}
-
 DenseMatrix AcmDataset::PaperCounts() const {
   // counts = W_writes * W_published_in * W_venue_of over raw adjacencies.
   return graph.Adjacency(writes)

@@ -97,9 +97,6 @@ struct AcmDataset {
 /// than exist, ...).
 [[nodiscard]] Result<AcmDataset> GenerateAcm(const AcmConfig& config);
 
-/// The 14 conference names used by the generator (the paper's list).
-const std::vector<std::string>& AcmConferenceNames();
-
 }  // namespace hetesim
 
 #endif  // HETESIM_DATAGEN_ACM_GENERATOR_H_

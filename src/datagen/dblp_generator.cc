@@ -99,15 +99,6 @@ const std::vector<std::string>& DblpConferenceNames() {
   return *kNames;
 }
 
-const std::vector<int>& DblpConferenceAreas() {
-  static const std::vector<int>* const kAreas = [] {
-    auto* areas = new std::vector<int>();  // hetesim-lint: allow(no-naked-new)
-    for (const ConferenceSpec& spec : kConferences) areas->push_back(spec.area);
-    return areas;
-  }();
-  return *kAreas;
-}
-
 Result<DblpDataset> GenerateDblp(const DblpConfig& config) {
   HETESIM_RETURN_NOT_OK(ValidateConfig(config));
   Rng rng(config.seed);

@@ -62,8 +62,6 @@ struct DblpDataset {
 
 /// The 20 conference names used by the generator (5 per area).
 const std::vector<std::string>& DblpConferenceNames();
-/// Area label of each conference in `DblpConferenceNames()` order.
-const std::vector<int>& DblpConferenceAreas();
 
 }  // namespace hetesim
 

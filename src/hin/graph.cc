@@ -93,14 +93,6 @@ SparseMatrix HinGraph::StepTransition(const RelationStep& step) const {
   return StepAdjacency(step).RowNormalized();
 }
 
-Index HinGraph::OutDegree(RelationId relation, Index id) const {
-  return Adjacency(relation).RowNnz(id);
-}
-
-Index HinGraph::InDegree(RelationId relation, Index id) const {
-  return AdjacencyTranspose(relation).RowNnz(id);
-}
-
 std::string HinGraph::Summary() const {
   std::ostringstream out;
   out << "HinGraph: " << TotalNodes() << " nodes, " << TotalEdges() << " edges\n";

@@ -65,11 +65,6 @@ class HinGraph {
   /// Property 2 of the paper.
   SparseMatrix StepTransition(const RelationStep& step) const;
 
-  /// Out-degree of node `id` under `relation` (number of stored targets).
-  Index OutDegree(RelationId relation, Index id) const;
-  /// In-degree of node `id` under `relation`.
-  Index InDegree(RelationId relation, Index id) const;
-
   /// Multi-line summary (types, counts, relations, edge counts).
   std::string Summary() const;
 

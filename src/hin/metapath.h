@@ -41,8 +41,6 @@ class MetaPath {
 
   /// Number of relations `l` (the path length of Definition 2, >= 1).
   int length() const { return static_cast<int>(steps_.size()); }
-  /// Number of types on the path (`length() + 1`).
-  int NumTypes() const { return length() + 1; }
 
   /// The i-th object type on the path, `0 <= i <= length()`.
   TypeId TypeAt(int i) const;

@@ -143,59 +143,6 @@ Result<PathWeightModel> LearnPathWeights(const HinGraph& graph,
   return model;
 }
 
-Result<std::vector<PathFit>> RankPathsByFit(const HinGraph& graph,
-                                            const std::vector<MetaPath>& paths,
-                                            const std::vector<LabeledPair>& labels,
-                                            const HeteSimOptions& options) {
-  HETESIM_RETURN_NOT_OK(ValidateInputs(graph, paths, labels));
-  auto cache = std::make_shared<PathMatrixCache>();
-  HeteSimEngine engine(graph, options, cache);
-  std::vector<PathFit> fits;
-  fits.reserve(paths.size());
-  const double n = static_cast<double>(labels.size());
-  for (size_t k = 0; k < paths.size(); ++k) {
-    // Optimal scale for the single-feature least squares y ~ w * f, with w
-    // clamped to [0, 1] to stay a valid convex-combination weight.
-    double ff = 0.0;
-    double fy = 0.0;
-    std::vector<double> feature(labels.size());
-    for (size_t i = 0; i < labels.size(); ++i) {
-      HETESIM_ASSIGN_OR_RETURN(
-          feature[i],
-          engine.ComputePair(paths[k], labels[i].source, labels[i].target));
-      ff += feature[i] * feature[i];
-      fy += feature[i] * labels[i].relatedness;
-    }
-    const double w = ff > 0.0 ? std::clamp(fy / ff, 0.0, 1.0) : 0.0;
-    double mse = 0.0;
-    for (size_t i = 0; i < labels.size(); ++i) {
-      const double residual = w * feature[i] - labels[i].relatedness;
-      mse += residual * residual;
-    }
-    fits.push_back({k, mse / n});
-  }
-  std::sort(fits.begin(), fits.end(), [](const PathFit& a, const PathFit& b) {
-    return a.mse != b.mse ? a.mse < b.mse : a.path_index < b.path_index;
-  });
-  return fits;
-}
-
-Result<double> CombinedRelevance(const HinGraph& graph, const PathWeightModel& model,
-                                 Index source, Index target,
-                                 const HeteSimOptions& options) {
-  if (model.paths.size() != model.weights.size() || model.paths.empty()) {
-    return Status::InvalidArgument("malformed path-weight model");
-  }
-  HeteSimEngine engine(graph, options);
-  double total = 0.0;
-  for (size_t k = 0; k < model.paths.size(); ++k) {
-    HETESIM_ASSIGN_OR_RETURN(double score,
-                             engine.ComputePair(model.paths[k], source, target));
-    total += model.weights[k] * score;
-  }
-  return total;
-}
-
 Result<std::vector<double>> CombinedSingleSource(const HinGraph& graph,
                                                  const PathWeightModel& model,
                                                  Index source,

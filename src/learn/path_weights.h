@@ -63,30 +63,6 @@ struct PathWeightModel {
                                          const std::vector<LabeledPair>& labels,
                                          const PathWeightOptions& options = {});
 
-/// Per-path goodness of fit against labeled pairs.
-struct PathFit {
-  /// Index into the candidate list handed to `RankPathsByFit`.
-  size_t path_index = 0;
-  /// Mean squared error of the single best-scaled predictor
-  /// `w * HeteSim(.|path)` with `w` in [0, 1] chosen optimally.
-  double mse = 0.0;
-};
-
-/// \brief Ranks candidate paths by how well each one alone explains the
-/// labels (ascending MSE) — a cheap single-path selection pass, useful to
-/// shortlist candidates before `LearnPathWeights` or when one relevance
-/// path must be chosen for interpretability (the paper's "users can try
-/// multiple relevance paths, then make a choice").
-[[nodiscard]] Result<std::vector<PathFit>> RankPathsByFit(const HinGraph& graph,
-                                            const std::vector<MetaPath>& paths,
-                                            const std::vector<LabeledPair>& labels,
-                                            const HeteSimOptions& options = {});
-
-/// Combined relevance of one pair under a learned model.
-[[nodiscard]] Result<double> CombinedRelevance(const HinGraph& graph, const PathWeightModel& model,
-                                 Index source, Index target,
-                                 const HeteSimOptions& options = {});
-
 /// Combined relevance of `source` to every target object under a model.
 [[nodiscard]] Result<std::vector<double>> CombinedSingleSource(const HinGraph& graph,
                                                  const PathWeightModel& model,

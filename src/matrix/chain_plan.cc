@@ -109,19 +109,6 @@ int EmitSteps(const std::vector<std::vector<Interval>>& best, int i, int j,
   return num_inputs + static_cast<int>(steps->size()) - 1;
 }
 
-void RenderSlot(const ChainPlan& plan, int slot, std::string* out) {
-  if (slot < plan.num_inputs) {
-    out->append(std::to_string(slot));
-    return;
-  }
-  const ChainPlanStep& step = plan.steps[static_cast<size_t>(slot - plan.num_inputs)];
-  out->push_back(step.dense_output ? '[' : '(');
-  RenderSlot(plan, step.left, out);
-  out->push_back('.');
-  RenderSlot(plan, step.right, out);
-  out->push_back(step.dense_output ? ']' : ')');
-}
-
 /// One operand of a planned product: a view of either an input matrix or a
 /// previously produced intermediate. Exactly one pointer is set.
 struct Operand {
@@ -137,14 +124,6 @@ struct Intermediate {
 };
 
 }  // namespace
-
-std::string ChainPlan::Parenthesization() const {
-  HETESIM_CHECK_GT(num_inputs, 0);
-  std::string out;
-  const int root = steps.empty() ? 0 : num_inputs + static_cast<int>(steps.size()) - 1;
-  RenderSlot(*this, root, &out);
-  return out;
-}
 
 ChainPlan PlanChain(const std::vector<MatrixEstimate>& inputs,
                     const ChainPlanOptions& options) {

@@ -1,7 +1,6 @@
 #ifndef HETESIM_MATRIX_CHAIN_PLAN_H_
 #define HETESIM_MATRIX_CHAIN_PLAN_H_
 
-#include <string>
 #include <vector>
 
 #include "common/context.h"
@@ -70,11 +69,6 @@ struct ChainPlan {
   std::vector<ChainPlanStep> steps;
   /// Total model cost of the plan, in dense-flop units.
   double predicted_cost = 0.0;
-
-  /// Human/test-readable association, e.g. `"((0.1).(2.3))"`; a lone input
-  /// renders as `"0"`. Dense products are bracketed as `[l.r]` instead of
-  /// `(l.r)`.
-  std::string Parenthesization() const;
 };
 
 /// Plans the cheapest association for inputs with the given shapes/fills.

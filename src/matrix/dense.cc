@@ -22,12 +22,6 @@ std::vector<double> DenseMatrix::Row(Index r) const {
   return std::vector<double>(RowData(r), RowData(r) + cols_);
 }
 
-std::vector<double> DenseMatrix::Col(Index c) const {
-  std::vector<double> out(static_cast<size_t>(rows_));
-  for (Index r = 0; r < rows_; ++r) out[static_cast<size_t>(r)] = (*this)(r, c);
-  return out;
-}
-
 void DenseMatrix::Fill(double value) {
   for (double& v : data_) v = value;
 }

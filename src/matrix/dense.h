@@ -67,8 +67,6 @@ class DenseMatrix {
 
   /// Copy of row `r` as a vector.
   std::vector<double> Row(Index r) const;
-  /// Copy of column `c` as a vector.
-  std::vector<double> Col(Index c) const;
 
   /// Sets every entry to `value`.
   void Fill(double value);

@@ -20,12 +20,6 @@ double Norm2(const std::vector<double>& a) {
   return std::sqrt(acc);
 }
 
-double Sum(const std::vector<double>& a) {
-  double acc = 0.0;
-  for (double v : a) acc += v;
-  return acc;
-}
-
 void NormalizeL2(std::vector<double>& a) {
   const double norm = Norm2(a);
   if (norm == 0.0) return;

@@ -15,9 +15,6 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b);
 /// Euclidean (L2) norm.
 double Norm2(const std::vector<double>& a);
 
-/// Sum of entries (L1 norm for non-negative vectors).
-double Sum(const std::vector<double>& a);
-
 /// Scales `a` in place to unit L2 norm; no-op for an all-zero vector.
 void NormalizeL2(std::vector<double>& a);
 

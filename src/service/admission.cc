@@ -12,7 +12,7 @@ namespace {
 // (cold cache, page faults) cannot swing the admission threshold.
 constexpr double kCalibrationAlpha = 0.2;
 // Calibration samples outside this band are measurement noise (timer
-// granularity on tiny queries, a stalled worker) and are clamped.
+// granularity on tiny queries, a stalled thread) and are clamped.
 constexpr double kMinFlopsPerSecond = 1e6;
 constexpr double kMaxFlopsPerSecond = 1e12;
 
@@ -124,8 +124,8 @@ AdmissionDecision AdmissionController::Admit(uint32_t tenant, double flops,
   }
 
   // 2. Deadline feasibility: estimated wait + estimated cost (with
-  //    headroom) past the remaining budget means the query would burn a
-  //    worker only to miss — reject before compute.
+  //    headroom) past the remaining budget means the query would hold an
+  //    execution slot only to miss — reject before compute.
   if (remaining_deadline_ms > 0 && options_.deadline_headroom > 0) {
     const double predicted_ms =
         (wait_seconds + cost_seconds) * 1e3 * options_.deadline_headroom;

@@ -15,7 +15,7 @@ namespace hetesim::service {
 
 /// \file
 /// The admission pipeline (DESIGN.md §13): every query passes through one
-/// synchronous `Admit` call *before* any compute is queued. The controller
+/// synchronous `Admit` call *before* any compute. The controller
 /// decides, in order:
 ///
 ///   1. queue bound      — is there room at all?
@@ -60,13 +60,13 @@ class TokenBucket {
 /// Tuning knobs. Defaults target an interactive service on a few cores;
 /// docs/performance.md §10 covers how to size them.
 struct AdmissionOptions {
-  /// Executor threads draining the admitted queue (used to convert queued
-  /// cost into an estimated wait).
+  /// Queries executing at once; an admitted query beyond it waits for a
+  /// free slot (used to convert queued cost into an estimated wait).
   int workers = 2;
   /// Admitted-but-not-finished query cap. Beyond it, reject outright.
   int queue_capacity = 64;
   /// Initial cost-model calibration: estimated flops per second of one
-  /// worker. Recalibrated online (EWMA) from measured executions.
+  /// executing query. Recalibrated online (EWMA) from measured executions.
   double flops_per_second = 2e8;
   /// Per-tenant sustained budget in cost-seconds per second. <= 0 disables
   /// quota enforcement.

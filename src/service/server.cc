@@ -17,6 +17,20 @@
 namespace hetesim::service {
 namespace {
 
+// How often the accept loop refreshes its watch list of executing
+// connections; with a query's cancellation latency it bounds how fast a
+// client disconnect turns into a cancelled query.
+constexpr int kWatchPeriodMs = 20;
+
+// Beyond POLLHUP and POLLERR (always reported): the peer shut down its
+// writing side. A lockstep peer owes nothing while its request executes,
+// so either means the answer has no recipient.
+#ifdef POLLRDHUP
+constexpr short kHangUpEvents = POLLRDHUP;
+#else
+constexpr short kHangUpEvents = 0;
+#endif
+
 /// poll() one fd for `events`, retrying on EINTR, honoring an absolute
 /// deadline. Returns the revents (0 on timeout, -1 on poll failure).
 int PollFd(int fd, short events, Clock::time_point deadline) {
@@ -101,10 +115,12 @@ void SocketServer::Stop() {
     stopped_ = true;
   }
   stopping_.store(true, std::memory_order_release);
-  // Wake the accept loop and every blocked handler IO.
+  // Wake the accept loop, cancel every executing query (TrackExecution
+  // cancels a later one itself), and wake every blocked handler IO.
   if (listen_fd_ >= 0) shutdown(listen_fd_, SHUT_RDWR);
   {
     MutexLock lock(mutex_);
+    for (const auto& [fd, cancel] : executing_) cancel.Cancel();
     for (int fd : connection_fds_) shutdown(fd, SHUT_RDWR);
   }
   // Joining the pools guarantees no handler touches a fd after this.
@@ -128,13 +144,48 @@ void SocketServer::TrackConnection(int fd, bool add) {
   }
 }
 
+void SocketServer::TrackExecution(int fd, const CancelToken* cancel) {
+  MutexLock lock(mutex_);
+  if (cancel == nullptr) {
+    executing_.erase(fd);
+    return;
+  }
+  if (stopped_) cancel->Cancel();
+  executing_.emplace(fd, *cancel);
+}
+
 void SocketServer::AcceptLoop() {
+  std::vector<struct pollfd> watched;
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int revents = PollFd(listen_fd_, POLLIN,
-                               Clock::now() + std::chrono::milliseconds(100));
+    watched.assign(1, {listen_fd_, POLLIN, 0});
+    {
+      MutexLock lock(mutex_);
+      for (const auto& entry : executing_) {
+        watched.push_back({entry.first, kHangUpEvents, 0});
+      }
+    }
+    const int rc = poll(watched.data(), watched.size(), kWatchPeriodMs);
     if (stopping_.load(std::memory_order_acquire)) break;
-    if (revents == 0) continue;       // timeout: re-check the stop flag
-    if (revents < 0) break;           // poll failure: shutting down
+    if (rc < 0 && errno == EINTR) continue;
+    if (rc < 0) break;  // poll failure: shutting down
+    if (rc == 0) continue;
+    {
+      MutexLock lock(mutex_);
+      for (size_t i = 1; i < watched.size(); ++i) {
+        if ((watched[i].revents & (POLLHUP | POLLERR | kHangUpEvents)) == 0) continue;
+        // Only this loop accepts, so a registered fd is still the polled
+        // connection; a missing one has finished its request meanwhile.
+        auto it = executing_.find(watched[i].fd);
+        if (it == executing_.end()) continue;
+        it->second.Cancel();
+        // Unwatched from here on, so the hang-up is counted once and does
+        // not spin this loop while the query winds down.
+        executing_.erase(it);
+        disconnect_cancels_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    const short revents = watched[0].revents;
+    if (revents == 0) continue;
     if ((revents & POLLIN) == 0) break;
     const int conn = accept(listen_fd_, nullptr, nullptr);
     if (conn < 0) {
@@ -212,32 +263,6 @@ bool SocketServer::WriteFully(int fd, const uint8_t* data, size_t bytes) {
   return true;
 }
 
-bool SocketServer::PeerGone(int fd) {
-  struct pollfd pfd;
-  pfd.fd = fd;
-  pfd.events = POLLIN
-#ifdef POLLRDHUP
-               | POLLRDHUP
-#endif
-      ;
-  pfd.revents = 0;
-  const int rc = poll(&pfd, 1, 0);
-  if (rc < 0) return errno != EINTR;
-  if (rc == 0) return false;
-  if ((pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) return true;
-#ifdef POLLRDHUP
-  if ((pfd.revents & POLLRDHUP) != 0) return true;
-#endif
-  if ((pfd.revents & POLLIN) != 0) {
-    // Lockstep protocol: the peer owes us nothing right now, so readable
-    // means EOF (orderly close) or a protocol violation. Peek to tell.
-    char probe;
-    const ssize_t n = recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-    if (n == 0) return true;
-  }
-  return false;
-}
-
 bool SocketServer::ServeOne(int fd) {
   uint8_t header_bytes[kFrameHeaderBytes];
   if (!ReadFully(fd, header_bytes, sizeof(header_bytes))) return false;
@@ -282,20 +307,13 @@ bool SocketServer::ServeOne(int fd) {
     response.status_code = StatusCode::kInvalidArgument;
     response.message = std::string(request.status().message());
   } else {
-    std::shared_ptr<PendingQuery> pending = service_->Submit(*request);
-    // Chaos hook: cancel mid-flight, as a client crash would.
-    if (HETESIM_FAULT_POINT("service.conn.cancel")) pending->Cancel();
-    while (!pending->WaitForMs(options_.poll_interval_ms)) {
-      if (stopping_.load(std::memory_order_acquire) || PeerGone(fd)) {
-        // The answer has no recipient: stop the work, then drain the
-        // handle so the reservation-release path still runs to completion.
-        disconnect_cancels_.fetch_add(1, std::memory_order_relaxed);
-        pending->Cancel();
-        pending->Wait();
-        return false;
-      }
-    }
-    response = pending->Wait();
+    const CancelToken cancel;
+    // Chaos hook: cancel the request as it enters the service, as a client
+    // crash would.
+    if (HETESIM_FAULT_POINT("service.conn.cancel")) cancel.Cancel();
+    TrackExecution(fd, &cancel);
+    response = service_->Execute(*request, cancel);
+    TrackExecution(fd, nullptr);
   }
 
   const std::string frame =

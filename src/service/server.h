@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/annotations.h"
+#include "common/context.h"
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
@@ -26,24 +28,22 @@ struct ServerOptions {
   /// longer than this is disconnected — one stalled client must never pin
   /// a connection handler forever.
   int io_timeout_ms = 5000;
-  /// Granularity of the pending-query wait loop; bounds how fast a client
-  /// disconnect turns into a query cancellation.
-  int poll_interval_ms = 20;
 };
 
 /// \brief Unix-socket front end for a `QueryService`.
 ///
 /// One handler per connection (bounded by `max_connections`), running on
 /// an owned `ThreadPool`; the protocol is lockstep request/response
-/// (service/protocol.h). While a query runs, the handler watches the
-/// socket: a client that disconnects mid-query cancels it (via
-/// `PendingQuery::Cancel`), so abandoned work stops consuming workers.
+/// (service/protocol.h). A handler runs each decoded request through
+/// `QueryService::Execute` itself. While it is inside `Execute`, the accept
+/// loop watches its socket: a client that disconnects mid-query cancels the
+/// request's token, so abandoned work stops holding an execution slot.
 ///
 /// Fault points (compiled out unless HETESIM_FAULT_INJECTION):
 ///   service.frame.corrupt — flips a payload byte after read, exercising
 ///                           the decode-reject path against a live peer
-///   service.conn.cancel   — cancels a pending query mid-flight, as a
-///                           vanished client would
+///   service.conn.cancel   — cancels a request's token as it enters the
+///                           service, as a vanished client would
 class SocketServer {
  public:
   /// Binds, listens, and starts accepting. `service` must outlive the
@@ -51,8 +51,8 @@ class SocketServer {
   [[nodiscard]] static Result<std::unique_ptr<SocketServer>> Start(
       QueryService* service, const ServerOptions& options);
 
-  /// Stops accepting, disconnects all clients (cancelling their in-flight
-  /// queries), joins the handler pool, and removes the socket file.
+  /// Stops accepting, cancels every executing query, disconnects all
+  /// clients, joins the handler pool, and removes the socket file.
   /// Idempotent; also run by the destructor.
   void Stop();
   ~SocketServer();
@@ -67,7 +67,7 @@ class SocketServer {
     uint64_t rejected_capacity = 0;
     uint64_t closed_stall = 0;
     uint64_t closed_protocol = 0;
-    uint64_t disconnect_cancels = 0;
+    uint64_t disconnect_cancels = 0;  ///< queries cancelled by a hang-up
     uint64_t requests = 0;
   };
   Stats stats() const;
@@ -75,6 +75,8 @@ class SocketServer {
  private:
   SocketServer(QueryService* service, const ServerOptions& options);
 
+  /// Accepts connections and cancels the executing request of every
+  /// connection whose peer hung up.
   void AcceptLoop();
   void HandleConnection(int fd);
   /// One request/response exchange; false = close the connection.
@@ -83,10 +85,10 @@ class SocketServer {
   /// poll()-guarded exact-length IO; false on timeout/EOF/error.
   bool ReadFully(int fd, uint8_t* buffer, size_t bytes);
   bool WriteFully(int fd, const uint8_t* data, size_t bytes);
-  /// True when the peer hung up or errored (non-blocking probe).
-  static bool PeerGone(int fd);
 
   void TrackConnection(int fd, bool add) EXCLUDES(mutex_);
+  /// Registers `fd`'s executing request under `cancel` (null unregisters).
+  void TrackExecution(int fd, const CancelToken* cancel) EXCLUDES(mutex_);
 
   QueryService* const service_;
   const ServerOptions options_;
@@ -104,6 +106,9 @@ class SocketServer {
 
   mutable Mutex mutex_;
   std::vector<int> connection_fds_ GUARDED_BY(mutex_);
+  /// The connections whose handler is inside `Execute`, with the token of
+  /// the request it runs; the accept loop polls them for a hang-up.
+  std::unordered_map<int, CancelToken> executing_ GUARDED_BY(mutex_);
   bool stopped_ GUARDED_BY(mutex_) = false;
 
   /// Declared last so their destructors join before members vanish.

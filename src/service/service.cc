@@ -13,6 +13,11 @@
 namespace hetesim::service {
 namespace {
 
+// How often a caller waiting for an execution slot re-checks its token:
+// cancelling a token wakes no one, so this bounds how long a cancelled
+// waiter lingers.
+constexpr std::chrono::milliseconds kSlotPollInterval{5};
+
 double MsBetween(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
@@ -24,53 +29,54 @@ ResponseOutcome OutcomeFromStatus(const Status& status) {
   return ResponseOutcome::kError;
 }
 
-QueryResponse FailureResponse(const QueryRequest& request, const Status& status) {
+QueryResponse FailureResponse(const Status& status) {
   QueryResponse response;
-  response.id = request.id;
   response.outcome = OutcomeFromStatus(status);
   response.status_code = status.code();
   response.message = std::string(status.message());
   return response;
 }
 
+/// A request turned away before it ran.
+QueryResponse Refusal(ResponseOutcome outcome, StatusCode code, std::string message,
+                      double retry_after_ms = 0) {
+  QueryResponse response;
+  response.outcome = outcome;
+  response.degradation = DegradationLevel::kFastReject;
+  response.status_code = code;
+  response.message = std::move(message);
+  response.retry_after_ms = retry_after_ms;
+  return response;
+}
+
+/// An admitted query's charge on the admission controller, returned when
+/// it goes out of scope. A served query also feeds its execution time into
+/// the controller's calibration.
+class AdmissionCharge {
+ public:
+  AdmissionCharge(AdmissionController& admission, double flops)
+      : admission_(admission), flops_(flops) {}
+  ~AdmissionCharge() { admission_.Finish(flops_, exec_seconds_, Clock::now()); }
+  AdmissionCharge(const AdmissionCharge&) = delete;
+  AdmissionCharge& operator=(const AdmissionCharge&) = delete;
+
+  void set_exec_seconds(double seconds) { exec_seconds_ = seconds; }
+
+ private:
+  AdmissionController& admission_;
+  const double flops_;
+  double exec_seconds_ = 0;
+};
+
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// PendingQuery
-
-const QueryResponse& PendingQuery::Wait() const {
-  MutexLock lock(mutex_);
-  while (!done_) cond_.Wait(mutex_);
-  return response_;
-}
-
-bool PendingQuery::WaitForMs(int64_t ms) const {
-  const auto deadline = Clock::now() + std::chrono::milliseconds(ms);
-  MutexLock lock(mutex_);
-  while (!done_) {
-    if (!cond_.WaitUntil(mutex_, deadline)) return done_;
-  }
-  return true;
-}
-
-bool PendingQuery::done() const {
-  MutexLock lock(mutex_);
-  return done_;
-}
-
-void PendingQuery::Complete(QueryResponse response) {
-  MutexLock lock(mutex_);
-  if (done_) return;
-  response_ = std::move(response);
-  done_ = true;
-  cond_.NotifyAll();
-}
 
 // ---------------------------------------------------------------------------
 // QueryService
 
 QueryService::QueryService(const HinGraph& graph, const ServiceOptions& options)
-    : graph_(graph), options_(options) {}
+    : graph_(graph),
+      options_(options),
+      slots_(static_cast<size_t>(std::max(1, options.admission.workers))) {}
 
 std::unique_ptr<QueryService> QueryService::Create(const HinGraph& graph,
                                                    const ServiceOptions& options) {
@@ -85,7 +91,14 @@ std::unique_ptr<QueryService> QueryService::Create(const HinGraph& graph,
   if (options.cache_enabled) {
     service->cache_ = std::make_shared<PathMatrixCache>();
     if (service->budget_ != nullptr) {
-      service->cache_->SetMemoryBudget(service->budget_);
+      // The cache stays below the soft memory-pressure threshold, so its
+      // entries alone never degrade or shed a request, and the rest of the
+      // budget stays free for the queries' working sets.
+      const double share = std::clamp(options.admission.memory_soft_fraction, 0.0, 1.0);
+      service->cache_->SetMemoryBudget(
+          service->budget_,
+          static_cast<size_t>(share *
+                              static_cast<double>(service->budget_->limit_bytes())));
     }
     if (options.store != nullptr) {
       service->cache_->AttachStore(options.store);
@@ -97,25 +110,16 @@ std::unique_ptr<QueryService> QueryService::Create(const HinGraph& graph,
       std::make_unique<HeteSimEngine>(graph, options.engine, nullptr);
   service->admission_ = std::make_unique<AdmissionController>(
       options.admission, service->budget_.get());
-  const int workers = std::max(1, options.admission.workers);
-  service->pool_ = std::make_unique<ThreadPool>(workers);
   return service;
 }
 
 QueryService::~QueryService() { Shutdown(); }
 
 void QueryService::Shutdown() {
-  std::vector<std::shared_ptr<PendingQuery>> inflight;
-  {
-    MutexLock lock(mutex_);
-    if (shutdown_) return;
-    shutdown_ = true;
-    inflight.assign(inflight_.begin(), inflight_.end());
-  }
-  for (const auto& pending : inflight) pending->Cancel();
-  // Destroying the pool drains remaining tasks; each completes its
-  // PendingQuery (as cancelled) on the way out, so no client wedges.
-  pool_.reset();
+  MutexLock lock(mutex_);
+  shutdown_ = true;
+  for (const CancelToken* token : executing_) token->Cancel();
+  slot_freed_.NotifyAll();
 }
 
 double QueryService::EstimateFlops(const MetaPath& path,
@@ -175,71 +179,51 @@ size_t QueryService::EstimateBytes(const MetaPath& path,
              sizeof(Scored);
 }
 
-std::shared_ptr<PendingQuery> QueryService::CompleteNow(QueryResponse response) {
-  auto pending = std::make_shared<PendingQuery>();
-  RecordCompletion(response);
-  pending->Complete(std::move(response));
-  return pending;
-}
-
-void QueryService::RecordCompletion(const QueryResponse& response) {
+QueryResponse QueryService::Execute(const QueryRequest& request,
+                                    const CancelToken& cancel) {
+  QueryResponse response = Serve(request, cancel);
+  response.id = request.id;
   MutexLock lock(mutex_);
   ++completed_;
   if (response.served()) ++served_;
   if (response.outcome == ResponseOutcome::kDegraded) ++degraded_;
+  return response;
 }
 
-std::shared_ptr<PendingQuery> QueryService::Submit(const QueryRequest& request) {
-  const Clock::time_point submit_time = Clock::now();
-
-  bool shutting_down = false;
+QueryResponse QueryService::Serve(const QueryRequest& request,
+                                  const CancelToken& cancel) {
+  const Clock::time_point arrival = Clock::now();
   {
     MutexLock lock(mutex_);
-    shutting_down = shutdown_;
-  }
-  if (shutting_down) {
-    QueryResponse response;
-    response.id = request.id;
-    response.outcome = ResponseOutcome::kShed;
-    response.degradation = DegradationLevel::kFastReject;
-    response.status_code = StatusCode::kFailedPrecondition;
-    response.message = "service shutting down";
-    return CompleteNow(std::move(response));
+    if (shutdown_) {
+      return Refusal(ResponseOutcome::kShed, StatusCode::kFailedPrecondition,
+                     "service shutting down");
+    }
   }
 
   // Validate the request shape before spending anything. The path is
   // parsed per request: the shared cache is the service's only query state.
-  Result<MetaPath> path_or = MetaPath::Parse(graph_.schema(), request.path);
-  if (!path_or.ok()) {
-    return CompleteNow(FailureResponse(request, path_or.status()));
-  }
-  MetaPath path = std::move(*path_or);
+  Result<MetaPath> path = MetaPath::Parse(graph_.schema(), request.path);
+  if (!path.ok()) return FailureResponse(path.status());
   if (request.kind == QueryKind::kTopK && request.k <= 0) {
-    return CompleteNow(FailureResponse(
-        request, Status::InvalidArgument("top-k request needs k > 0")));
+    return FailureResponse(Status::InvalidArgument("top-k request needs k > 0"));
   }
 
-  // Admission pipeline — synchronous, before any compute is queued.
-  const double flops = EstimateFlops(path, request);
-  const AdmissionDecision decision = admission_->Admit(
-      request.tenant, flops, request.deadline_ms, submit_time);
+  // Admission pipeline — synchronous, before any compute.
+  const double flops = EstimateFlops(*path, request);
+  const AdmissionDecision decision =
+      admission_->Admit(request.tenant, flops, request.deadline_ms, arrival);
   if (!decision.admitted) {
-    QueryResponse response;
-    response.id = request.id;
-    response.outcome = decision.reject_outcome;
-    response.degradation = DegradationLevel::kFastReject;
-    response.status_code = StatusCode::kResourceExhausted;
-    response.message = decision.reason;
-    response.retry_after_ms = decision.retry_after_ms;
-    return CompleteNow(std::move(response));
+    return Refusal(decision.reject_outcome, StatusCode::kResourceExhausted,
+                   decision.reason, decision.retry_after_ms);
   }
 
-  // Reserve the query's transient working set up front. From here on the
-  // admission charge and the reservation MUST be released on every exit
-  // path — both live in the completion closure below, which the pool is
-  // guaranteed to run (Submit never drops tasks; shutdown drains).
+  // From here the admission charge and the reservation are released by
+  // scope on every exit, the reservation first, so the controller's next
+  // memory-pressure reading sees it gone.
+  AdmissionCharge charge(*admission_, flops);
   MemoryReservation reservation;
-  const size_t bytes = EstimateBytes(path, request);
+  const size_t bytes = EstimateBytes(*path, request);
   bool reserve_failed = HETESIM_FAULT_POINT("service.admit.alloc");
   if (!reserve_failed && budget_ != nullptr) {
     if (budget_->TryReserve(bytes)) {
@@ -249,93 +233,75 @@ std::shared_ptr<PendingQuery> QueryService::Submit(const QueryRequest& request) 
     }
   }
   if (reserve_failed) {
-    admission_->Finish(flops, 0, Clock::now());
-    QueryResponse response;
-    response.id = request.id;
-    response.outcome = ResponseOutcome::kShed;
-    response.degradation = DegradationLevel::kFastReject;
-    response.status_code = StatusCode::kResourceExhausted;
-    response.message = "memory reservation failed";
-    response.retry_after_ms = std::max(1.0, decision.estimated_wait_ms);
-    return CompleteNow(std::move(response));
+    return Refusal(ResponseOutcome::kShed, StatusCode::kResourceExhausted,
+                   "memory reservation failed",
+                   std::max(1.0, decision.estimated_wait_ms));
   }
 
-  auto pending = std::make_shared<PendingQuery>();
-  bool lost_shutdown_race = false;
-  {
-    MutexLock lock(mutex_);
-    if (shutdown_) {
-      // Lost the race with Shutdown: the pool may already be draining, so
-      // refuse instead of enqueueing into a dying executor.
-      lost_shutdown_race = true;
-    } else {
-      inflight_.insert(pending);
-    }
-  }
-  if (lost_shutdown_race) {
-    admission_->Finish(flops, 0, Clock::now());
-    QueryResponse response;
-    response.id = request.id;
-    response.outcome = ResponseOutcome::kShed;
-    response.degradation = DegradationLevel::kFastReject;
-    response.status_code = StatusCode::kFailedPrecondition;
-    response.message = "service shutting down";
-    RecordCompletion(response);
-    pending->Complete(std::move(response));
-    return pending;
-  }
-
-  QueryContext ctx = QueryContext::Background().WithCancel(pending->token_);
+  QueryContext ctx = QueryContext::Background().WithCancel(cancel);
   if (request.deadline_ms > 0) {
-    ctx = ctx.WithDeadline(submit_time +
-                           std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double, std::milli>(
-                                   request.deadline_ms)));
+    ctx = ctx.WithDeadline(arrival + std::chrono::duration_cast<Clock::duration>(
+                                         std::chrono::duration<double, std::milli>(
+                                             request.deadline_ms)));
   }
   if (budget_ != nullptr) ctx = ctx.WithBudget(budget_.get());
 
-  // ThreadPool::Submit takes a copyable std::function; the move-only
-  // reservation rides in a shared_ptr. Either way exactly one closure
-  // instance runs and releases it.
-  auto shared_reservation =
-      std::make_shared<MemoryReservation>(std::move(reservation));
-  pool_->Submit([this, request, path = std::move(path), pending,
-                 reservation = std::move(shared_reservation), flops, ctx,
-                 level = decision.level, submit_time]() mutable {
-    const Clock::time_point start = Clock::now();
-    QueryResponse response = Run(request, path, level, ctx);
-    const Clock::time_point end = Clock::now();
-    response.id = request.id;
-    response.queue_ms = MsBetween(submit_time, start);
-    response.exec_ms = MsBetween(start, end);
-    // Order matters: release the reservation before Finish so the
-    // admission controller's next memory-pressure reading sees it gone.
-    reservation->reset();
-    admission_->Finish(flops, response.served() ? (response.exec_ms / 1e3) : 0,
-                       end);
-    RecordCompletion(response);
-    {
-      MutexLock lock(mutex_);
-      inflight_.erase(pending);
-    }
-    pending->Complete(std::move(response));
-  });
-  return pending;
+  // Waiting for a slot is the queue.
+  const Status slot = AcquireSlot(ctx);
+  const Clock::time_point start = Clock::now();
+  if (!slot.ok()) {
+    QueryResponse response = FailureResponse(slot);
+    response.queue_ms = MsBetween(arrival, start);
+    return response;
+  }
+  QueryResponse response = Run(request, *path, decision.level, ctx);
+  const Clock::time_point end = Clock::now();
+  ReleaseSlot(ctx.token());
+  response.queue_ms = MsBetween(arrival, start);
+  response.exec_ms = MsBetween(start, end);
+  if (response.served()) charge.set_exec_seconds(response.exec_ms / 1e3);
+  return response;
 }
 
-QueryResponse QueryService::Execute(const QueryRequest& request) {
-  return Submit(request)->Wait();
+Status QueryService::AcquireSlot(const QueryContext& ctx) {
+  const Clock::time_point deadline =
+      ctx.deadline().value_or(Clock::time_point::max());
+  MutexLock lock(mutex_);
+  for (;;) {
+    if (shutdown_) return Status::Cancelled("service shutting down");
+    if (Status alive = ctx.CheckAlive(); !alive.ok()) {
+      // Pass on a wake-up this caller may have taken from a freed slot.
+      if (executing_.size() < slots_) slot_freed_.NotifyOne();
+      return alive;
+    }
+    // Whoever finds a slot free takes it, waiter or newcomer: handing it to
+    // the oldest waiter instead would leave it idle until that sleeping
+    // thread is scheduled, which costs goodput under overload.
+    if (executing_.size() < slots_) {
+      executing_.push_back(&ctx.token());
+      return Status::OK();
+    }
+    slot_freed_.WaitUntil(mutex_,
+                          std::min(deadline, Clock::now() + kSlotPollInterval));
+  }
+}
+
+void QueryService::ReleaseSlot(const CancelToken& token) {
+  {
+    MutexLock lock(mutex_);
+    executing_.erase(std::find(executing_.begin(), executing_.end(), &token));
+  }
+  slot_freed_.NotifyOne();
 }
 
 QueryResponse QueryService::Run(const QueryRequest& request, const MetaPath& path,
                                 DegradationLevel level,
                                 const QueryContext& ctx) {
   QueryResponse response;
-  response.id = request.id;
   response.degradation = level;
 
   if (Status alive = ctx.CheckAlive(); !alive.ok()) {
-    return FailureResponse(request, alive);
+    return FailureResponse(alive);
   }
 
   // The kUncached level routes pair/single-source queries around the
@@ -351,16 +317,16 @@ QueryResponse QueryService::Run(const QueryRequest& request, const MetaPath& pat
     case QueryKind::kPair: {
       Result<std::vector<double>> scores = engine.ComputePairs(
           path, {{request.source, request.target}}, ctx);
-      if (!scores.ok()) return FailureResponse(request, scores.status());
+      if (!scores.ok()) return FailureResponse(scores.status());
       response.scores = std::move(*scores);
       break;
     }
     case QueryKind::kSingleSource: {
       Result<std::vector<double>> scores =
           engine.ComputeSingleSource(path, request.source, ctx);
-      if (!scores.ok()) return FailureResponse(request, scores.status());
+      if (!scores.ok()) return FailureResponse(scores.status());
       if (Status alive = ctx.CheckAlive(); !alive.ok()) {
-        return FailureResponse(request, alive);
+        return FailureResponse(alive);
       }
       response.scores = std::move(*scores);
       break;
@@ -381,7 +347,7 @@ QueryResponse QueryService::Run(const QueryRequest& request, const MetaPath& pat
       // included, not only the scatter.
       Result<TopKResult> result =
           engine.ComputeTopK(path, request.source, request.k, query_ctx);
-      if (!result.ok()) return FailureResponse(request, result.status());
+      if (!result.ok()) return FailureResponse(result.status());
       response.truncated = result->truncated;
       response.items = std::move(result->items);
       break;

@@ -2,13 +2,12 @@
 #define HETESIM_SERVICE_SERVICE_H_
 
 #include <memory>
-#include <unordered_set>
+#include <vector>
 
 #include "common/annotations.h"
 #include "common/context.h"
 #include "common/mutex.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/hetesim.h"
 #include "core/materialize.h"
 #include "hin/graph.h"
@@ -35,42 +34,14 @@ struct ServiceOptions {
   std::shared_ptr<MatrixStore> store;
   /// Engine options for admitted queries. `num_threads` here is per-query
   /// intra-query parallelism; inter-query parallelism is
-  /// `admission.workers`.
+  /// `admission.workers`, the number of queries executing at once.
   HeteSimOptions engine;
   /// Deadline slice for the kTruncatedTopK degradation level: a degraded
   /// top-k runs under min(its own deadline, now + this), so overloaded
-  /// queries surrender their worker quickly and return a marked partial
+  /// queries surrender their execution slot quickly and return a marked partial
   /// (a deadline error when the slice ends before the scatter, while a
   /// first touch computes the path's halves).
   double truncate_slice_ms = 10.0;
-};
-
-/// \brief Handle to one admitted (or refused) query.
-///
-/// Returned by `QueryService::Submit`. Refused queries are born done;
-/// admitted ones complete when their pool task finishes. Thread-safe.
-class PendingQuery {
- public:
-  /// Blocks until the response is ready.
-  const QueryResponse& Wait() const EXCLUDES(mutex_);
-  /// Blocks up to `ms`; false on timeout.
-  bool WaitForMs(int64_t ms) const EXCLUDES(mutex_);
-  bool done() const EXCLUDES(mutex_);
-
-  /// Requests cooperative cancellation of the running query (no-op once
-  /// done). The connection layer calls this when the client disconnects.
-  void Cancel() const { token_.Cancel(); }
-
- private:
-  friend class QueryService;
-
-  void Complete(QueryResponse response) EXCLUDES(mutex_);
-
-  CancelToken token_;
-  mutable Mutex mutex_;
-  mutable CondVar cond_;
-  bool done_ GUARDED_BY(mutex_) = false;
-  QueryResponse response_ GUARDED_BY(mutex_);
 };
 
 /// Point-in-time service counters for reports and introspection.
@@ -84,14 +55,15 @@ struct ServiceStats {
   double flops_per_second = 0;
 };
 
-/// \brief The resident query engine: admission pipeline in front of a
-/// worker pool executing HeteSim queries under per-query contexts.
+/// \brief The resident query engine: the admission pipeline in front of
+/// `admission.workers` execution slots, running HeteSim queries under
+/// per-query contexts on their callers' threads.
 ///
-/// One instance serves one graph. `Submit` runs the full admission
-/// pipeline synchronously on the caller's thread (shed before compute) and
-/// either returns a completed rejection or enqueues the query on the owned
-/// worker pool. It keeps no per-path state: every request parses its path,
-/// and the shared, budgeted, evictable cache is the only query state that
+/// One instance serves one graph and owns no threads. `Execute` runs the
+/// whole pipeline on the caller's thread: it sheds before any compute, waits
+/// for a free slot (that wait is the admission queue) and runs the query
+/// inline. It keeps no per-path state: every request parses its path, and
+/// the shared, budgeted, evictable cache is the only query state that
 /// outlives a request. Used directly (in-process mode of the workload
 /// harness) or behind `SocketServer` (hetesim_serve).
 class QueryService {
@@ -104,17 +76,19 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Admits or refuses `request`. Never blocks on compute: refusals return
-  /// an already-done handle, admissions return a handle completed by a
-  /// worker. Never returns null.
-  std::shared_ptr<PendingQuery> Submit(const QueryRequest& request)
+  /// Admits or refuses `request`; an admitted one waits for one of
+  /// `admission.workers` execution slots, then runs on the calling thread.
+  /// The wait ends early on the request's deadline, on `cancel` and on
+  /// `Shutdown`; cancelling `cancel` from another thread also stops a
+  /// running query at its next chunk. Refusals and failures are responses,
+  /// not errors. Thread-safe.
+  QueryResponse Execute(const QueryRequest& request,
+                        const CancelToken& cancel = CancelToken())
       EXCLUDES(mutex_);
 
-  /// Convenience: `Submit` + `Wait`.
-  QueryResponse Execute(const QueryRequest& request);
-
-  /// Cancels every in-flight query and drains the worker pool. Idempotent;
-  /// also run by the destructor. After shutdown, `Submit` sheds everything.
+  /// Refuses every later request, wakes every caller waiting for a slot and
+  /// cancels every executing query. Returns without waiting for the callers
+  /// to leave `Execute`. Idempotent; also run by the destructor.
   void Shutdown() EXCLUDES(mutex_);
 
   ServiceStats stats() const EXCLUDES(mutex_);
@@ -130,27 +104,35 @@ class QueryService {
   double EstimateFlops(const MetaPath& path, const QueryRequest& request) const;
   size_t EstimateBytes(const MetaPath& path, const QueryRequest& request) const;
 
-  /// Worker-side execution of an admitted request.
+  /// `Execute` without the completion counters.
+  QueryResponse Serve(const QueryRequest& request, const CancelToken& cancel)
+      EXCLUDES(mutex_);
+  /// Waits until a slot is free and claims it for `ctx`'s token, which
+  /// `Shutdown` then cancels. Fails on `ctx`'s deadline or cancellation and
+  /// on `Shutdown`.
+  [[nodiscard]] Status AcquireSlot(const QueryContext& ctx) EXCLUDES(mutex_);
+  void ReleaseSlot(const CancelToken& token) EXCLUDES(mutex_);
+
+  /// Execution of an admitted request on its slot.
   QueryResponse Run(const QueryRequest& request, const MetaPath& path,
                     DegradationLevel level, const QueryContext& ctx);
 
-  std::shared_ptr<PendingQuery> CompleteNow(QueryResponse response);
-  void RecordCompletion(const QueryResponse& response) EXCLUDES(mutex_);
-
   const HinGraph& graph_;
   const ServiceOptions options_;
+  const size_t slots_;  // max(1, admission.workers)
 
   std::shared_ptr<MemoryBudget> budget_;  // null when memory_mb == 0
   std::shared_ptr<PathMatrixCache> cache_;
   std::unique_ptr<HeteSimEngine> engine_;           // cache-backed
   std::unique_ptr<HeteSimEngine> engine_uncached_;  // degradation level 1
   std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<ThreadPool> pool_;
 
   mutable Mutex mutex_;
+  CondVar slot_freed_;  // signalled by ReleaseSlot, broadcast by Shutdown
   bool shutdown_ GUARDED_BY(mutex_) = false;
-  std::unordered_set<std::shared_ptr<PendingQuery>> inflight_
-      GUARDED_BY(mutex_);
+  /// Tokens of the queries holding a slot (each lives in its caller's
+  /// `Serve` frame until `ReleaseSlot`); the size is the slots taken.
+  std::vector<const CancelToken*> executing_ GUARDED_BY(mutex_);
   uint64_t completed_ GUARDED_BY(mutex_) = 0;
   uint64_t served_ GUARDED_BY(mutex_) = 0;
   uint64_t degraded_ GUARDED_BY(mutex_) = 0;

@@ -45,12 +45,13 @@ TEST(AcmGenerator, SizesMatchConfig) {
 
 TEST(AcmGenerator, TheFourteenConferences) {
   AcmDataset acm = *GenerateAcm(SmallConfig());
-  const std::vector<std::string>& names = AcmConferenceNames();
-  ASSERT_EQ(names.size(), 14u);
-  for (const std::string& name : names) {
-    EXPECT_TRUE(acm.graph.FindNode(acm.conference, name).ok()) << name;
+  const std::vector<std::string> names = {"KDD",  "ICML", "COLT", "SIGMOD", "VLDB",
+                                          "CIKM", "WWW",  "SIGIR", "SODA", "STOC",
+                                          "SOSP", "SPAA", "SIGCOMM", "MobiCOMM"};
+  ASSERT_EQ(acm.graph.NumNodes(acm.conference), 14);
+  for (size_t c = 0; c < names.size(); ++c) {
+    EXPECT_EQ(acm.graph.NodeName(acm.conference, static_cast<Index>(c)), names[c]);
   }
-  EXPECT_EQ(names[0], "KDD");
 }
 
 TEST(AcmGenerator, DeterministicGivenSeed) {

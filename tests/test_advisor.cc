@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/hetesim.h"
 #include "core/path_matrix.h"
 #include "matrix/ops.h"
 #include "test_util.h"
@@ -89,33 +88,6 @@ TEST_F(AdvisorTest, DeterministicPlans) {
     EXPECT_EQ(a.choices[i].bytes, b.choices[i].bytes);
     EXPECT_EQ(a.choices[i].benefit, b.choices[i].benefit);
   }
-}
-
-TEST_F(AdvisorTest, ApplyPlanPrimesTheCache) {
-  std::vector<WorkloadEntry> workload = {{Path("APCPA"), 1.0}, {Path("APC"), 1.0}};
-  MaterializationPlan plan = *AdviseMaterialization(graph_, workload);
-  auto cache = std::make_shared<PathMatrixCache>();
-  ASSERT_TRUE(ApplyMaterializationPlan(graph_, workload, plan, cache.get()).ok());
-  EXPECT_EQ(cache->stats().entries, plan.choices.size());
-  // All workload queries are now pure hits.
-  const size_t misses_before = cache->stats().misses;
-  HeteSimEngine engine(graph_, {}, cache);
-  for (const WorkloadEntry& entry : workload) {
-    engine.Compute(entry.path).value();
-  }
-  EXPECT_EQ(cache->stats().misses, misses_before);
-}
-
-TEST_F(AdvisorTest, ApplyPlanValidation) {
-  std::vector<WorkloadEntry> workload = {{Path("APC"), 1.0}};
-  MaterializationPlan plan = *AdviseMaterialization(graph_, workload);
-  EXPECT_TRUE(ApplyMaterializationPlan(graph_, workload, plan, nullptr)
-                  .IsInvalidArgument());
-  // A plan with an alien key is rejected.
-  plan.choices.push_back({"PM:not-a-real-half", 1, 1.0});
-  auto cache = std::make_shared<PathMatrixCache>();
-  EXPECT_TRUE(ApplyMaterializationPlan(graph_, workload, plan, cache.get())
-                  .IsInvalidArgument());
 }
 
 TEST_F(AdvisorTest, WorkloadValidation) {

@@ -33,6 +33,15 @@ void ExpectBitwiseEqual(const SparseMatrix& a, const SparseMatrix& b) {
   EXPECT_EQ(a.values(), b.values());
 }
 
+/// Each step's (left, right) operand slots, in execution order.
+std::vector<std::pair<int, int>> Operands(const ChainPlan& plan) {
+  std::vector<std::pair<int, int>> operands;
+  for (const ChainPlanStep& step : plan.steps) {
+    operands.emplace_back(step.left, step.right);
+  }
+  return operands;
+}
+
 // ---------------------------------------------------------------------------
 // Kernel selection and per-kernel equivalence.
 // ---------------------------------------------------------------------------
@@ -129,7 +138,6 @@ TEST(PlanChain, SingleMatrixIsALeafPlan) {
   EXPECT_EQ(plan.num_inputs, 1);
   EXPECT_TRUE(plan.steps.empty());
   EXPECT_EQ(plan.predicted_cost, 0.0);
-  EXPECT_EQ(plan.Parenthesization(), "0");
   ExpectBitwiseEqual(ExecuteChainPlan({a}, plan).value(), a);
 }
 
@@ -144,7 +152,8 @@ TEST(PlanChain, PicksKnownOptimalOrder) {
   ChainPlanOptions options;
   options.dense_switch_density = 2.0;  // never switch
   ChainPlan plan = PlanChain({a, b, c}, options);
-  EXPECT_EQ(plan.Parenthesization(), "(0.(1.2))");
+  // (0.(1.2)): slot 3 = 1.2, then 0.3.
+  EXPECT_EQ(Operands(plan), (std::vector<std::pair<int, int>>{{1, 2}, {0, 3}}));
 }
 
 TEST(PlanChain, DeterministicAndTieBreaksTowardLeftSplit) {
@@ -161,9 +170,11 @@ TEST(PlanChain, DeterministicAndTieBreaksTowardLeftSplit) {
   full.exact = true;
   std::vector<MatrixEstimate> same(4, full);
   ChainPlan plan = PlanChain(same, options);
-  EXPECT_EQ(plan.Parenthesization(), "(0.(1.(2.3)))");
+  // (0.(1.(2.3))): slot 4 = 2.3, slot 5 = 1.4, then 0.5.
+  EXPECT_EQ(Operands(plan),
+            (std::vector<std::pair<int, int>>{{2, 3}, {1, 4}, {0, 5}}));
   // Same inputs, same plan.
-  EXPECT_EQ(PlanChain(same, options).Parenthesization(), plan.Parenthesization());
+  EXPECT_EQ(Operands(PlanChain(same, options)), Operands(plan));
 }
 
 TEST(PlanChain, DensifyingIntermediateSwitchesRepresentation) {
@@ -175,7 +186,7 @@ TEST(PlanChain, DensifyingIntermediateSwitchesRepresentation) {
   ChainPlan plan = PlanChain({a, b, c});
   bool any_dense = false;
   for (const ChainPlanStep& step : plan.steps) any_dense |= step.dense_output;
-  EXPECT_TRUE(any_dense) << plan.Parenthesization();
+  EXPECT_TRUE(any_dense);
   // Dense execution still agrees with the seed product.
   const SparseMatrix reference = MultiplyChainLeftToRight({a, b, c});
   EXPECT_TRUE(ExecuteChainPlan({a, b, c}, plan).value().ApproxEquals(reference, 1e-9));

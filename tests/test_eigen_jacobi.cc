@@ -77,7 +77,8 @@ TEST(Jacobi, EigenEquationHolds) {
   DenseMatrix m = RandomSymmetric(6, 94);
   EigenDecomposition e = *JacobiEigenSymmetric(m);
   for (Index v = 0; v < 6; ++v) {
-    std::vector<double> x = e.vectors.Col(v);
+    std::vector<double> x(6);
+    for (Index k = 0; k < 6; ++k) x[static_cast<size_t>(k)] = e.vectors(k, v);
     std::vector<double> mx = m.MultiplyVector(x);
     for (Index k = 0; k < 6; ++k) {
       EXPECT_NEAR(mx[static_cast<size_t>(k)],

@@ -603,6 +603,38 @@ TEST(Frontier, OneShotTopKMultipliesOnlyTheRightHalf) {
   }
 }
 
+TEST(Frontier, OneShotSymmetricComputeMultipliesOneHalf) {
+  // A symmetric path's two halves are the same product, so a cache-less
+  // Compute multiplies the right half once and uses it as both. The left
+  // product it skips is bitwise that half, so the scores do not change.
+  const HinGraph& graph = DatasetGraph("dblp");
+  const HeteSimEngine engine(graph);
+  const HeteSimEngine cached(graph, HeteSimOptions{},
+                             std::make_shared<PathMatrixCache>());
+  for (const char* spec : {"C-P-A-P-C", "C-P-T-P-C", "T-P-C-P-T"}) {
+    SCOPED_TRACE(spec);
+    const MetaPath path = *MetaPath::Parse(graph.schema(), spec);
+    ASSERT_EQ(path, path.Reverse());
+    Trace trace;
+    const Result<DenseMatrix> got =
+        engine.Compute(path, QueryContext::Background().WithTrace(&trace));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const std::vector<Trace::Span> spans = trace.Spans();
+    EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                            [](const Trace::Span& span) {
+                              return span.name == "chain.step";
+                            }),
+              1);
+    const PathDecomposition decomposition = DecomposePath(graph, path);
+    const SparseMatrix left = LeftReachMatrix(decomposition);
+    const SparseMatrix right = RightReachMatrix(decomposition);
+    EXPECT_EQ(left.row_ptr(), right.row_ptr());
+    EXPECT_EQ(left.col_idx(), right.col_idx());
+    EXPECT_EQ(left.values(), right.values());
+    EXPECT_TRUE(got->ApproxEquals(*cached.Compute(path), 1e-12));
+  }
+}
+
 TEST(Frontier, UncachedEnginePairsMatchCached) {
   const HinGraph& graph = DatasetGraph("dblp");
   const MetaPath path = *MetaPath::Parse(graph.schema(), "A-P-C-P-A");

@@ -130,9 +130,9 @@ TEST(HinGraph, StepTransitionIsRowStochastic) {
 TEST(HinGraph, Degrees) {
   HinGraph g = testing::BuildFig4Graph();
   RelationId writes = *g.schema().RelationByName("writes");
-  EXPECT_EQ(g.OutDegree(writes, 0), 2);  // Tom
-  EXPECT_EQ(g.OutDegree(writes, 1), 3);  // Mary
-  EXPECT_EQ(g.InDegree(writes, 1), 2);   // p2 written by Tom and Mary
+  EXPECT_EQ(g.Adjacency(writes).RowNnz(0), 2);           // Tom
+  EXPECT_EQ(g.Adjacency(writes).RowNnz(1), 3);           // Mary
+  EXPECT_EQ(g.AdjacencyTranspose(writes).RowNnz(1), 2);  // p2 by Tom and Mary
 }
 
 TEST(HinGraph, SummaryMentionsTypesAndRelations) {

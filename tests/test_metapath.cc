@@ -18,7 +18,6 @@ TEST_F(MetaPathTest, ParseCompactCodes) {
   Result<MetaPath> path = MetaPath::Parse(schema(), "APC");
   ASSERT_TRUE(path.ok());
   EXPECT_EQ(path->length(), 2);
-  EXPECT_EQ(path->NumTypes(), 3);
   EXPECT_EQ(path->ToString(), "A-P-C");
 }
 

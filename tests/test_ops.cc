@@ -20,10 +20,6 @@ TEST(VectorOps, Norm2) {
   EXPECT_DOUBLE_EQ(Norm2({0, 0}), 0.0);
 }
 
-TEST(VectorOps, Sum) {
-  EXPECT_DOUBLE_EQ(Sum({1.5, 2.5, -1.0}), 3.0);
-}
-
 TEST(VectorOps, NormalizeL2) {
   std::vector<double> v = {3, 4};
   NormalizeL2(v);

@@ -62,17 +62,6 @@ TEST_F(PathWeightsTest, PerfectFitReachesNearZeroLoss) {
   EXPECT_LT(model.training_loss, 1e-3);
 }
 
-TEST_F(PathWeightsTest, CombinedRelevanceMatchesManualMix) {
-  std::vector<MetaPath> paths = {Path("APC"), Path("APAPC")};
-  PathWeightModel model;
-  model.paths = paths;
-  model.weights = {0.25, 0.75};
-  HeteSimEngine engine(graph_);
-  const double expected = 0.25 * *engine.ComputePair(paths[0], 1, 0) +
-                          0.75 * *engine.ComputePair(paths[1], 1, 0);
-  EXPECT_NEAR(*CombinedRelevance(graph_, model, 1, 0), expected, 1e-12);
-}
-
 TEST_F(PathWeightsTest, CombinedSingleSourceMatchesPairwise) {
   std::vector<MetaPath> paths = {Path("APC"), Path("APAPC")};
   PathWeightModel model;
@@ -80,9 +69,12 @@ TEST_F(PathWeightsTest, CombinedSingleSourceMatchesPairwise) {
   model.weights = {0.5, 0.5};
   std::vector<double> combined = *CombinedSingleSource(graph_, model, 0);
   ASSERT_EQ(combined.size(), 2u);
+  HeteSimEngine engine(graph_);
   for (Index c = 0; c < 2; ++c) {
     EXPECT_NEAR(combined[static_cast<size_t>(c)],
-                *CombinedRelevance(graph_, model, 0, c), 1e-12);
+                0.5 * *engine.ComputePair(paths[0], 0, c) +
+                    0.5 * *engine.ComputePair(paths[1], 0, c),
+                1e-12);
   }
 }
 
@@ -130,42 +122,8 @@ TEST_F(PathWeightsTest, Validation) {
                   .IsInvalidArgument());
 }
 
-TEST_F(PathWeightsTest, RankPathsByFitPrefersExplainingPath) {
-  HeteSimEngine engine(graph_);
-  MetaPath apc = Path("APC");
-  std::vector<LabeledPair> labels;
-  for (Index a = 0; a < 3; ++a) {
-    for (Index c = 0; c < 2; ++c) {
-      labels.push_back({a, c, *engine.ComputePair(apc, a, c)});
-    }
-  }
-  std::vector<MetaPath> paths = {Path("APAPC"), Path("APC")};
-  std::vector<PathFit> fits = *RankPathsByFit(graph_, paths, labels);
-  ASSERT_EQ(fits.size(), 2u);
-  EXPECT_EQ(fits[0].path_index, 1u);  // APC explains its own labels best
-  EXPECT_NEAR(fits[0].mse, 0.0, 1e-12);
-  EXPECT_GT(fits[1].mse, fits[0].mse);
-}
-
-TEST_F(PathWeightsTest, RankPathsByFitAscendingMse) {
-  std::vector<MetaPath> paths = {Path("APC"), Path("APAPC"), Path("APCPC")};
-  std::vector<LabeledPair> labels = {{0, 0, 1.0}, {0, 1, 0.0}, {2, 1, 1.0}};
-  std::vector<PathFit> fits = *RankPathsByFit(graph_, paths, labels);
-  for (size_t i = 1; i < fits.size(); ++i) {
-    EXPECT_LE(fits[i - 1].mse, fits[i].mse);
-  }
-}
-
-TEST_F(PathWeightsTest, RankPathsByFitValidation) {
-  EXPECT_TRUE(RankPathsByFit(graph_, {}, {{0, 0, 1.0}}).status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(RankPathsByFit(graph_, {Path("APC")}, {}).status()
-                  .IsInvalidArgument());
-}
-
 TEST_F(PathWeightsTest, MalformedModelRejected) {
   PathWeightModel model;  // empty
-  EXPECT_TRUE(CombinedRelevance(graph_, model, 0, 0).status().IsInvalidArgument());
   EXPECT_TRUE(CombinedSingleSource(graph_, model, 0).status().IsInvalidArgument());
 }
 

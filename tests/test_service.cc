@@ -18,6 +18,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include "common/metrics.h"
 #include "core/hetesim.h"
 #include "core/topk.h"
+#include "datagen/dblp_generator.h"
 #include "hin/metapath.h"
 #include "service/admission.h"
 #include "service/protocol.h"
@@ -617,6 +619,58 @@ TEST(QueryServiceMemory, TopKReadsTheCacheAfterEviction) {
   EXPECT_EQ(again.items, direct.items);
 }
 
+TEST(QueryServiceMemory, FullCacheKeepsServing) {
+  // A 1 MiB service walks every path of up to four steps over A, C and T
+  // once per query kind. The cache fills its share of the budget and evicts
+  // to admit each new half, but it never takes the room that admission and
+  // the queries' working sets need: no request is shed for memory pressure
+  // and an A-P-A pair is still served at the end. Queries whose own working
+  // set exceeds the budget may fail; they do not wedge the service.
+  DblpConfig config;
+  config.num_papers = 2500;
+  config.num_authors = 1000;
+  config.seed = 11;
+  const DblpDataset dataset = GenerateDblp(config).value();
+  ServiceOptions options;
+  options.admission.workers = 1;
+  options.memory_mb = 1;
+  std::unique_ptr<QueryService> service =
+      QueryService::Create(dataset.graph, options);
+
+  const std::vector<std::string> ends = {"A", "C", "T"};
+  std::vector<std::string> paths;
+  for (const std::string& x : ends) {
+    for (const std::string& y : ends) paths.push_back(x + "-P-" + y);
+  }
+  for (const std::string& x : ends) {
+    for (const std::string& z : ends) {
+      for (const std::string& y : ends) paths.push_back(x + "-P-" + z + "-P-" + y);
+    }
+  }
+  int served = 0;
+  for (const QueryKind kind : {QueryKind::kTopK, QueryKind::kSingleSource}) {
+    for (const std::string& path : paths) {
+      QueryRequest request;
+      request.kind = kind;
+      request.path = path;
+      request.source = 1;
+      request.k = 10;
+      const QueryResponse response = service->Execute(request);
+      EXPECT_EQ(response.message.find("memory pressure"), std::string::npos)
+          << path << ": " << response.message;
+      if (response.served()) ++served;
+    }
+  }
+  EXPECT_GT(served, 36);
+  QueryRequest pair;
+  pair.kind = QueryKind::kPair;
+  pair.path = "A-P-A";
+  pair.source = 1;
+  pair.target = 2;
+  const QueryResponse response = service->Execute(pair);
+  EXPECT_TRUE(response.served()) << response.message;
+}
+
 TEST_F(QueryServiceTest, MalformedPathIsAWellFormedErrorResponse) {
   // Unknown node type: the schema lookup fails before anything is charged.
   const QueryResponse response = service_->Execute(Pair("A-Z-Q", 0, 1));
@@ -658,17 +712,26 @@ TEST_F(QueryServiceTest, ShutdownShedsNewQueriesAndIsIdempotent) {
 }
 
 TEST_F(QueryServiceTest, CancelledSubmissionCompletesEitherWay) {
-  std::shared_ptr<PendingQuery> pending = service_->Submit(Pair("A-P-A", 0, 1));
-  ASSERT_NE(pending, nullptr);
-  pending->Cancel();
-  const QueryResponse& response = pending->Wait();
-  // The cancel races the worker: either it landed (kCancelled) or the
-  // query finished first — both must leave a completed, well-formed state.
+  // A token cancelled before the call stops the query before it runs.
+  const CancelToken before;
+  before.Cancel();
+  const QueryResponse refused = service_->Execute(Pair("A-P-A", 0, 1), before);
+  EXPECT_EQ(refused.outcome, ResponseOutcome::kCancelled);
+  EXPECT_EQ(refused.status_code, StatusCode::kCancelled);
+
+  // One cancelled from another thread races the call: either it landed
+  // (kCancelled) or the query finished first — both must leave a
+  // completed, well-formed state.
+  const CancelToken during;
+  std::thread canceller([during] { during.Cancel(); });
+  const QueryResponse response = service_->Execute(Pair("A-P-A", 0, 1), during);
+  canceller.join();
   if (response.outcome == ResponseOutcome::kCancelled) {
     EXPECT_EQ(response.status_code, StatusCode::kCancelled);
   } else {
     EXPECT_TRUE(response.served());
   }
+  EXPECT_EQ(service_->stats().completed, 2u);
 }
 
 TEST_F(QueryServiceTest, StatsCountCompletionsAndRefusals) {
@@ -681,6 +744,156 @@ TEST_F(QueryServiceTest, StatsCountCompletionsAndRefusals) {
   EXPECT_EQ(stats.served, 5u);
   EXPECT_EQ(stats.admission.admitted, 5u);
   EXPECT_GT(stats.flops_per_second, 0);
+}
+
+// ---------------------------------------------------------------------------
+// One dispatcher: a query runs on its caller's thread, at most
+// `admission.workers` at once, and waiting for a slot is the queue.
+
+class QueryServiceDispatch : public ::testing::Test {
+ protected:
+  QueryServiceDispatch() : graph_(testing::RandomTripartite(300, 300, 20, 0.2, 5)) {}
+
+  std::unique_ptr<QueryService> CreateService(int workers, int queue_capacity) {
+    ServiceOptions options;
+    options.admission.workers = workers;
+    options.admission.queue_capacity = queue_capacity;
+    // Admit any deadline: these tests expire them in the slot wait.
+    options.admission.deadline_headroom = 0;
+    options.memory_mb = 64;
+    options.cache_enabled = false;  // cache entries would legitimately persist
+    return QueryService::Create(graph_, options);
+  }
+
+  /// A single-source query along a path of `hops` A-B-A round trips. Its
+  /// right half multiplies a chain of `hops` dense 300 x 300 transitions.
+  static QueryRequest Walk(int hops) {
+    QueryRequest request;
+    request.kind = QueryKind::kSingleSource;
+    request.path = "A";
+    for (int i = 0; i < hops; ++i) request.path += "-B-A";
+    request.source = 0;
+    return request;
+  }
+
+  /// Runs a query that holds its slot for seconds, far longer than any
+  /// test needs, until `cancel` stops it. Returns once the query runs: its
+  /// chain products are then charged to the budget.
+  std::thread StartHog(QueryService& service, const CancelToken& cancel,
+                       QueryResponse* response) {
+    std::thread hog([&service, cancel, response] {
+      *response = service.Execute(Walk(200), cancel);
+    });
+    while (service.MemoryUsedBytes() < (256u << 10) &&
+           service.stats().completed == 0) {
+      std::this_thread::yield();
+    }
+    return hog;
+  }
+
+  /// Waits until `admitted` requests passed admission.
+  static void AwaitAdmitted(const QueryService& service, uint64_t admitted) {
+    while (service.stats().admission.admitted < admitted) {
+      std::this_thread::yield();
+    }
+  }
+
+  HinGraph graph_;
+};
+
+TEST_F(QueryServiceDispatch, WaitingForASlotIsTheQueue) {
+  std::unique_ptr<QueryService> service = CreateService(/*workers=*/1, 64);
+  const CancelToken hog_cancel;
+  QueryResponse hog_response;
+  std::thread hog = StartHog(*service, hog_cancel, &hog_response);
+  // Two callers arrive while the hog holds the only slot; whichever runs
+  // second waited at least as long as the first one ran.
+  QueryResponse responses[2];
+  std::vector<std::thread> callers;
+  for (QueryResponse& response : responses) {
+    callers.emplace_back(
+        [&service, &response] { response = service->Execute(Walk(8)); });
+  }
+  AwaitAdmitted(*service, 3);
+  hog_cancel.Cancel();
+  hog.join();
+  for (std::thread& t : callers) t.join();
+
+  EXPECT_EQ(hog_response.outcome, ResponseOutcome::kCancelled) << hog_response.message;
+  ASSERT_TRUE(responses[0].served()) << responses[0].message;
+  ASSERT_TRUE(responses[1].served()) << responses[1].message;
+  const bool first_ran_first = responses[0].queue_ms <= responses[1].queue_ms;
+  const QueryResponse& first = first_ran_first ? responses[0] : responses[1];
+  const QueryResponse& second = first_ran_first ? responses[1] : responses[0];
+  EXPECT_GT(first.exec_ms, 0.0);
+  EXPECT_GE(second.queue_ms, first.exec_ms);
+  EXPECT_EQ(service->MemoryUsedBytes(), 0u);
+}
+
+TEST_F(QueryServiceDispatch, QueueBoundCountsWaitingCallers) {
+  // The bound counts admitted queries that have not finished, running or
+  // waiting: with the hog running and one caller waiting, a third caller
+  // finds a queue of two and is turned away.
+  std::unique_ptr<QueryService> service = CreateService(/*workers=*/1, 2);
+  const CancelToken hog_cancel;
+  QueryResponse hog_response;
+  std::thread hog = StartHog(*service, hog_cancel, &hog_response);
+  QueryResponse waiting;
+  std::thread waiter([&service, &waiting] { waiting = service->Execute(Walk(1)); });
+  AwaitAdmitted(*service, 2);
+  const QueryResponse third = service->Execute(Walk(1));
+  hog_cancel.Cancel();
+  hog.join();
+  waiter.join();
+
+  EXPECT_EQ(third.outcome, ResponseOutcome::kRejected);
+  EXPECT_EQ(third.message, "queue full");
+  EXPECT_TRUE(waiting.served()) << waiting.message;
+  EXPECT_EQ(service->stats().admission.rejected_queue_full, 1u);
+  EXPECT_EQ(service->MemoryUsedBytes(), 0u);
+}
+
+TEST_F(QueryServiceDispatch, DeadlinePassingInTheSlotWaitReleasesEverything) {
+  std::unique_ptr<QueryService> service = CreateService(/*workers=*/1, 64);
+  const CancelToken hog_cancel;
+  QueryResponse hog_response;
+  std::thread hog = StartHog(*service, hog_cancel, &hog_response);
+  QueryRequest request = Walk(1);
+  request.deadline_ms = 30;
+  const QueryResponse expired = service->Execute(request);
+  hog_cancel.Cancel();
+  hog.join();
+
+  EXPECT_EQ(expired.outcome, ResponseOutcome::kDeadlineExceeded) << expired.message;
+  EXPECT_EQ(expired.status_code, StatusCode::kDeadlineExceeded);
+  EXPECT_GE(expired.queue_ms, 30.0);
+  EXPECT_EQ(expired.exec_ms, 0.0);
+  EXPECT_EQ(service->MemoryUsedBytes(), 0u);
+}
+
+TEST_F(QueryServiceDispatch, ShutdownReturnsEveryWaitingCaller) {
+  std::unique_ptr<QueryService> service = CreateService(/*workers=*/1, 64);
+  QueryResponse hog_response;
+  std::thread hog = StartHog(*service, CancelToken(), &hog_response);
+  constexpr int kWaiting = 4;
+  QueryResponse responses[kWaiting];
+  std::vector<std::thread> callers;
+  for (QueryResponse& response : responses) {
+    callers.emplace_back(
+        [&service, &response] { response = service->Execute(Walk(1)); });
+  }
+  AwaitAdmitted(*service, 1 + kWaiting);
+  // Shutdown cancels the running hog and wakes every waiting caller.
+  service->Shutdown();
+  hog.join();
+  for (std::thread& t : callers) t.join();
+
+  EXPECT_EQ(hog_response.outcome, ResponseOutcome::kCancelled) << hog_response.message;
+  for (const QueryResponse& response : responses) {
+    EXPECT_EQ(response.outcome, ResponseOutcome::kCancelled) << response.message;
+  }
+  EXPECT_EQ(service->stats().completed, 1u + kWaiting);
+  EXPECT_EQ(service->MemoryUsedBytes(), 0u);
 }
 
 }  // namespace

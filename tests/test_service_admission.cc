@@ -2,9 +2,10 @@
 // (DESIGN.md §13): every admitted query releases exactly its MemoryBudget
 // reservation and its admission queue charge on EVERY exit path — success,
 // degradation, deadline, cancellation, shed, shutdown, and fault-injected
-// allocation failure. The invariant checked after each drained batch is
-// simply `MemoryUsedBytes() == 0` (the cache is off, so per-query working
-// sets are the only budget customers) plus conservation of completions.
+// allocation failure. The invariant checked once each batch's callers have
+// returned is simply `MemoryUsedBytes() == 0` (the cache is off, so
+// per-query working sets are the only budget customers) plus conservation
+// of completions.
 // Runs under ASan/TSan in CI; with HETESIM_FAULT_INJECTION compiled in it
 // additionally drives the `service.admit.alloc` chaos site.
 
@@ -35,16 +36,16 @@ ServiceOptions SmallServiceOptions() {
   return options;
 }
 
-/// One batch of queries exercising every exit path at once. Returns the
-/// number submitted; every handle is waited on before returning.
+/// One batch of queries exercising every exit path at once, from more
+/// callers than the queue holds. Returns the number executed; every call
+/// has returned when it does.
 size_t DriveMixedBatch(QueryService& service, int rounds) {
+  constexpr int kCallers = 12;
   const char* kPaths[] = {"A-P-A", "C-P-A", "A-P-C"};
-  std::vector<std::shared_ptr<PendingQuery>> pendings;
-  std::vector<std::thread> submitters;
-  Mutex pending_mutex;
+  std::vector<std::thread> callers;
 
-  for (int worker = 0; worker < 4; ++worker) {
-    submitters.emplace_back([&, worker] {
+  for (int worker = 0; worker < kCallers; ++worker) {
+    callers.emplace_back([&, worker] {
       for (int i = 0; i < rounds; ++i) {
         QueryRequest request;
         request.id = static_cast<uint64_t>(worker) * 1000 + i;
@@ -78,22 +79,25 @@ size_t DriveMixedBatch(QueryService& service, int rounds) {
             request.kind = QueryKind::kPair;
             request.path = "A-Z-Q";
             break;
-          default:  // cancelled right after submission
+          default:  // cancelled before or during the call
             request.kind = QueryKind::kSingleSource;
             request.path = "A-P-A";
             request.source = i % 3;
             break;
         }
-        std::shared_ptr<PendingQuery> pending = service.Submit(request);
-        if (variant == 5) pending->Cancel();
-        MutexLock lock(pending_mutex);
-        pendings.push_back(std::move(pending));
+        const CancelToken cancel;
+        std::thread canceller;
+        if (variant == 5 && i % 2 == 0) cancel.Cancel();
+        if (variant == 5 && i % 2 == 1) {
+          canceller = std::thread([cancel] { cancel.Cancel(); });
+        }
+        (void)service.Execute(request, cancel);
+        if (canceller.joinable()) canceller.join();
       }
     });
   }
-  for (std::thread& t : submitters) t.join();
-  for (const auto& pending : pendings) (void)pending->Wait();
-  return pendings.size();
+  for (std::thread& t : callers) t.join();
+  return static_cast<size_t>(kCallers) * static_cast<size_t>(rounds);
 }
 
 TEST(ServiceMemoryProperty, EveryExitPathReleasesItsReservation) {
@@ -118,19 +122,24 @@ TEST(ServiceMemoryProperty, ShutdownMidFlightReleasesEverything) {
   const HinGraph graph = BuildFig4Graph();
   for (int round = 0; round < 3; ++round) {
     auto service = QueryService::Create(graph, SmallServiceOptions());
-    std::vector<std::shared_ptr<PendingQuery>> pendings;
-    for (int i = 0; i < 64; ++i) {
-      QueryRequest request;
-      request.id = static_cast<uint64_t>(i);
-      request.kind = i % 2 == 0 ? QueryKind::kPair : QueryKind::kSingleSource;
-      request.path = "A-P-A";
-      request.source = i % 3;
-      request.target = (i + 1) % 3;
-      pendings.push_back(service->Submit(request));
-      // Shut down while some of the batch is still queued or running.
-      if (i == 20) service->Shutdown();
+    std::vector<std::thread> callers;
+    for (int caller = 0; caller < 8; ++caller) {
+      callers.emplace_back([&service, caller] {
+        for (int i = 0; i < 8; ++i) {
+          QueryRequest request;
+          request.id = static_cast<uint64_t>(caller * 8 + i);
+          request.kind = i % 2 == 0 ? QueryKind::kPair : QueryKind::kSingleSource;
+          request.path = "A-P-A";
+          request.source = i % 3;
+          request.target = (i + 1) % 3;
+          (void)service->Execute(request);
+        }
+      });
     }
-    for (const auto& pending : pendings) (void)pending->Wait();
+    // Shut down while some of the calls are still waiting or running.
+    while (service->stats().completed < 20) std::this_thread::yield();
+    service->Shutdown();
+    for (std::thread& t : callers) t.join();
     EXPECT_EQ(service->MemoryUsedBytes(), 0u) << "round " << round;
     EXPECT_EQ(service->stats().completed, 64u);
   }

@@ -13,20 +13,29 @@ SparseMatrix PathGraph3() {
   return SparseMatrix::FromTriplets(3, 3, {{0, 1, 1.0}, {1, 2, 1.0}});
 }
 
-TEST(SimRankHomogeneous, DiagonalIsOne) {
-  DenseMatrix s = SimRankHomogeneous(PathGraph3());
+/// SimRank over `adjacency` as the view of a one-type network.
+DenseMatrix SimRankOn(const SparseMatrix& adjacency,
+                      const SimRankOptions& options = {}) {
+  HomogeneousView view;
+  view.adjacency = adjacency;
+  view.type_offset = {0, adjacency.rows()};
+  return SimRankHeterogeneous(view, options);
+}
+
+TEST(SimRankHeterogeneous, DiagonalIsOne) {
+  DenseMatrix s = SimRankOn(PathGraph3());
   for (Index i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(s(i, i), 1.0);
 }
 
-TEST(SimRankHomogeneous, SymmetricResult) {
+TEST(SimRankHeterogeneous, SymmetricResult) {
   SparseMatrix g = testing::RandomBipartiteAdjacency(8, 8, 0.3, 51);
-  DenseMatrix s = SimRankHomogeneous(g);
+  DenseMatrix s = SimRankOn(g);
   EXPECT_TRUE(s.ApproxEquals(s.Transpose(), 1e-12));
 }
 
-TEST(SimRankHomogeneous, ValuesInUnitInterval) {
+TEST(SimRankHeterogeneous, ValuesInUnitInterval) {
   SparseMatrix g = testing::RandomBipartiteAdjacency(10, 10, 0.25, 52);
-  DenseMatrix s = SimRankHomogeneous(g);
+  DenseMatrix s = SimRankOn(g);
   for (Index i = 0; i < s.rows(); ++i) {
     for (Index j = 0; j < s.cols(); ++j) {
       EXPECT_GE(s(i, j), 0.0);
@@ -35,31 +44,31 @@ TEST(SimRankHomogeneous, ValuesInUnitInterval) {
   }
 }
 
-TEST(SimRankHomogeneous, NoSharedInNeighborsNoFirstOrderSimilarity) {
+TEST(SimRankHeterogeneous, NoSharedInNeighborsNoFirstOrderSimilarity) {
   // In the 3-node path graph, nodes 1 and 2 have in-neighbor sets {0} and
   // {1}: SimRank(1,2) needs SimRank(0,1) which needs I(0) = {} -> 0.
-  DenseMatrix s = SimRankHomogeneous(PathGraph3());
+  DenseMatrix s = SimRankOn(PathGraph3());
   EXPECT_DOUBLE_EQ(s(1, 2), 0.0);
   EXPECT_DOUBLE_EQ(s(0, 1), 0.0);
 }
 
-TEST(SimRankHomogeneous, SharedInNeighborClassic) {
+TEST(SimRankHeterogeneous, SharedInNeighborClassic) {
   // Two sinks fed by one source: s(1,2) = C after convergence.
   SparseMatrix g = SparseMatrix::FromTriplets(3, 3, {{0, 1, 1.0}, {0, 2, 1.0}});
   SimRankOptions options;
   options.decay = 0.8;
-  DenseMatrix s = SimRankHomogeneous(g, options);
+  DenseMatrix s = SimRankOn(g, options);
   EXPECT_NEAR(s(1, 2), 0.8, 1e-9);
 }
 
-TEST(SimRankHomogeneous, DecayScalesSimilarity) {
+TEST(SimRankHeterogeneous, DecayScalesSimilarity) {
   SparseMatrix g = testing::RandomBipartiteAdjacency(8, 8, 0.3, 53);
   SimRankOptions low;
   low.decay = 0.2;
   SimRankOptions high;
   high.decay = 0.9;
-  DenseMatrix s_low = SimRankHomogeneous(g, low);
-  DenseMatrix s_high = SimRankHomogeneous(g, high);
+  DenseMatrix s_low = SimRankOn(g, low);
+  DenseMatrix s_high = SimRankOn(g, high);
   for (Index i = 0; i < 8; ++i) {
     for (Index j = 0; j < 8; ++j) {
       if (i != j) {
@@ -145,7 +154,7 @@ TEST(Property5, HoldsOnRandomBipartiteGraphs) {
 }
 
 TEST(SimRankDeath, NonSquareAborts) {
-  EXPECT_DEATH({ (void)SimRankHomogeneous(SparseMatrix(2, 3)); }, "CHECK failed");
+  EXPECT_DEATH({ (void)SimRankOn(SparseMatrix(2, 3)); }, "CHECK failed");
 }
 
 }  // namespace

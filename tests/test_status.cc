@@ -26,7 +26,6 @@ TEST(Status, FactoryCodesMatchPredicates) {
   EXPECT_TRUE(Status::OutOfRange("x").IsOutOfRange());
   EXPECT_TRUE(Status::FailedPrecondition("x").IsFailedPrecondition());
   EXPECT_TRUE(Status::IOError("x").IsIOError());
-  EXPECT_TRUE(Status::NotImplemented("x").IsNotImplemented());
   EXPECT_TRUE(Status::Internal("x").IsInternal());
   EXPECT_TRUE(Status::DeadlineExceeded("x").IsDeadlineExceeded());
   EXPECT_TRUE(Status::ResourceExhausted("x").IsResourceExhausted());
@@ -114,12 +113,6 @@ TEST(Result, HoldsError) {
   Result<int> r(Status::NotFound("gone"));
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsNotFound());
-  EXPECT_EQ(r.ValueOr(42), 42);
-}
-
-TEST(Result, ValueOrReturnsValueWhenOk) {
-  Result<std::string> r(std::string("hello"));
-  EXPECT_EQ(r.ValueOr("fallback"), "hello");
 }
 
 TEST(Result, MoveOutValue) {

@@ -2,7 +2,7 @@
 //
 // Usage:
 //   hetesim_serve --graph FILE --socket PATH
-//       [--workers N]            executor threads draining admitted queries (2)
+//       [--workers N]            queries executing at once (2)
 //       [--queue-depth N]        admission queue capacity (64)
 //       [--memory-mb N]          service memory budget, 0 = unlimited (0)
 //       [--no-cache]             disable the shared path-matrix cache: the
