@@ -385,6 +385,47 @@ TEST_F(CacheBudgetTest, AccountedBytesNeverExceedLimit) {
   EXPECT_GT(stats.evictions + stats.rejected_inserts, 0u);
 }
 
+TEST_F(CacheBudgetTest, CacheShareLeavesTheRestOfTheBudgetFree) {
+  // The budget holds the whole working set, but the cache may take only a
+  // share of it: admissions evict down to the share although the budget
+  // still has room, so the rest stays free for the budget's other users.
+  const std::vector<const char*> paths = {"ABC", "ABA", "BCB", "ABCBA", "CBA"};
+  size_t largest = 0;
+  size_t distinct_total = 0;
+  {
+    PathMatrixCache sizing;
+    for (const char* spec : paths) {
+      largest = std::max(largest,
+                         sizing.GetLeft(graph_, Path(spec)).value()->ApproxBytes());
+      largest = std::max(largest,
+                         sizing.GetRight(graph_, Path(spec)).value()->ApproxBytes());
+    }
+    distinct_total = sizing.stats().accounted_bytes;
+  }
+  // Big enough to admit any single entry, too small to hold them all.
+  const size_t share = std::max(largest, distinct_total * 3 / 5);
+  ASSERT_LT(share, distinct_total);
+
+  auto budget = std::make_shared<MemoryBudget>(distinct_total);
+  PathMatrixCache cache;
+  cache.SetMemoryBudget(budget, share);
+  for (int round = 0; round < 2; ++round) {
+    for (const char* spec : paths) {
+      ASSERT_TRUE(cache.GetLeft(graph_, Path(spec)).ok());
+      ASSERT_TRUE(cache.GetRight(graph_, Path(spec)).ok());
+      EXPECT_LE(budget->used_bytes(), share);
+    }
+  }
+  const PathMatrixCache::Stats stats = cache.stats();
+  EXPECT_LE(stats.peak_accounted_bytes, share);
+  EXPECT_LE(budget->peak_bytes(), share);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.rejected_inserts, 0u);
+  // What the cache left free can be reserved by someone else.
+  EXPECT_TRUE(budget->TryReserve(distinct_total - share));
+  budget->Release(distinct_total - share);
+}
+
 TEST_F(CacheBudgetTest, EvictedEntryIsRecomputedOnReturn) {
   MetaPath first = Path("ABCBA");
   MetaPath second = Path("BCB");
