@@ -7,6 +7,7 @@
 
 #include "bench_util.h"
 
+#include "core/frontier.h"
 #include "datagen/random_hin.h"
 #include "matrix/ops.h"
 #include "matrix/spgemm.h"
@@ -53,7 +54,9 @@ void BM_RowCosine(benchmark::State& state) {
   SparseMatrix a = Square(1000, 0.05, 5);
   Index r = 0;
   for (auto _ : state) {
-    double c = a.RowCosine(r, a, (r + 1) % a.rows());
+    const Index s = (r + 1) % a.rows();
+    double c = RowCosine(a.RowIndices(r), a.RowValues(r), a.RowIndices(s),
+                         a.RowValues(s), /*normalized=*/true);
     benchmark::DoNotOptimize(c);
     r = (r + 1) % a.rows();
   }

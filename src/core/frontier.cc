@@ -8,6 +8,7 @@
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
+#include "matrix/ops.h"
 
 namespace hetesim {
 
@@ -34,25 +35,90 @@ TopKMetrics& GlobalTopKMetrics() {
   return metrics;
 }
 
-/// `ScatterTopK` body, separated so the entry point can bracket it with the
-/// query span, the latency observation and the truncation counter.
+/// The one scatter loop (DESIGN.md §14): adds `weights[j]` times row
+/// `rows[j]` of `m` into `acc` for ascending `j` — the term order of a
+/// dense row-times-matrix product, so every sum is bitwise reproducible.
+/// With `kRecordTouched`, an exact-zero contribution is skipped (it changes
+/// no bit of `acc`) and an entry's first nonzero one appends its column to
+/// `touched`. Polls `ctx` at an adaptive stride and stops at the first
+/// poll that finds it expired. Returns how many entries of `rows` it
+/// scattered.
+template <bool kRecordTouched>
+size_t Scatter(const SparseMatrix& m, std::span<const Index> rows,
+               std::span<const double> weights, const QueryContext& ctx,
+               std::span<double> acc, std::vector<Index>* touched) {
+  PollStrideController poller;
+  for (size_t j = 0; j < rows.size(); ++j) {
+    if (j > 0 && poller.ShouldPoll(j) && ctx.Expired()) return j;
+    const double w = weights[j];
+    const auto cols = m.RowIndices(rows[j]);
+    const auto vals = m.RowValues(rows[j]);
+    for (size_t i = 0; i < cols.size(); ++i) {
+      const double contribution = w * vals[i];
+      double& slot = acc[static_cast<size_t>(cols[i])];
+      if constexpr (kRecordTouched) {
+        if (contribution == 0.0) continue;
+        if (slot == 0.0) touched->push_back(cols[i]);
+      }
+      slot += contribution;
+    }
+  }
+  return rows.size();
+}
+
+/// Keeps the best `k` of `candidates`: descending score, ties by ascending
+/// id.
+std::vector<Scored> KeepBest(std::vector<Scored> candidates, int k) {
+  auto by_score_desc = [](const Scored& a, const Scored& b) {
+    return a.score != b.score ? a.score > b.score : a.id < b.id;
+  };
+  const size_t keep =
+      std::min(static_cast<size_t>(std::max(k, 0)), candidates.size());
+  std::partial_sort(candidates.begin(),
+                    candidates.begin() + static_cast<ptrdiff_t>(keep),
+                    candidates.end(), by_score_desc);
+  candidates.resize(keep);
+  return candidates;
+}
+
+/// Brackets a top-k query with the `topk.query` span, the latency
+/// observation and the truncation counter.
+template <typename Query>
+Result<TopKResult> TracedTopK(int k, const QueryContext& ctx, Query query) {
+  TraceSpan span(ctx.trace(), "topk.query");
+  if (span.active()) span.Annotate("k", std::to_string(k));
+  Stopwatch stopwatch;
+  Result<TopKResult> result = query();
+  if (MetricsEnabled()) {
+    TopKMetrics& metrics = GlobalTopKMetrics();
+    metrics.queries.Increment();
+    metrics.latency.Observe(stopwatch.ElapsedSeconds());
+    if (result.ok() && result->truncated) metrics.truncated.Increment();
+  }
+  if (span.active()) {
+    if (!result.ok()) {
+      span.Annotate("status",
+                    std::string(StatusCodeToString(result.status().code())));
+    } else if (result->truncated) {
+      span.Annotate("truncated", "true");
+    }
+  }
+  return result;
+}
+
+/// `ScatterTopK` body, run inside `TracedTopK`.
 Result<TopKResult> ScatterTopKTraced(const TargetIndex& index,
                                      std::span<const Index> middles,
                                      std::span<const double> weights, int k,
                                      bool normalized, const QueryContext& ctx) {
   TopKResult result;
   result.middle_total = static_cast<Index>(middles.size());
-  double norm_squared = 0.0;
-  for (double w : weights) norm_squared += w * w;
-  const double nu = std::sqrt(norm_squared);
+  const double nu = Norm2(weights);
   if (nu == 0.0) {
     // Source reaches nothing: the empty answer is complete, not truncated.
     result.middle_processed = result.middle_total;
     return result;
   }
-  // Scatter the row in ascending middle order — the term order of a dense
-  // row-times-matrix product and of `ScatterRow`, so scores are bitwise
-  // reproducible. Skipping an exact +0.0 contribution changes no score bit.
   // On expiry the partial scores are ranked and returned with the
   // truncation marker set.
   const size_t num_targets = static_cast<size_t>(index.num_targets());
@@ -61,25 +127,9 @@ Result<TopKResult> ScatterTopKTraced(const TargetIndex& index,
       ctx.Reserve(num_targets * (sizeof(double) + sizeof(Index))));
   std::vector<double> scores(num_targets, 0.0);
   std::vector<Index> touched;
-  PollStrideController poller;
-  size_t processed = middles.size();
-  for (size_t j = 0; j < middles.size(); ++j) {
-    if (j > 0 && poller.ShouldPoll(j) && ctx.Expired()) {
-      result.truncated = true;
-      processed = j;
-      break;
-    }
-    const double um = weights[j];
-    const auto targets = index.by_middle.RowIndices(middles[j]);
-    const auto reach = index.by_middle.RowValues(middles[j]);
-    for (size_t i = 0; i < targets.size(); ++i) {
-      const double contribution = um * reach[i];
-      if (contribution == 0.0) continue;
-      double& slot = scores[static_cast<size_t>(targets[i])];
-      if (slot == 0.0) touched.push_back(targets[i]);
-      slot += contribution;
-    }
-  }
+  const size_t processed =
+      Scatter<true>(index.by_middle, middles, weights, ctx, scores, &touched);
+  result.truncated = processed < middles.size();
   result.middle_processed = static_cast<Index>(processed);
   result.candidates_examined = static_cast<Index>(touched.size());
   std::vector<Scored> candidates;
@@ -93,27 +143,14 @@ Result<TopKResult> ScatterTopKTraced(const TargetIndex& index,
     }
     if (s != 0.0) candidates.push_back({t, s});
   }
-  auto by_score_desc = [](const Scored& a, const Scored& b) {
-    return a.score != b.score ? a.score > b.score : a.id < b.id;
-  };
-  const size_t keep =
-      std::min(static_cast<size_t>(std::max(k, 0)), candidates.size());
-  std::partial_sort(candidates.begin(),
-                    candidates.begin() + static_cast<ptrdiff_t>(keep),
-                    candidates.end(), by_score_desc);
-  candidates.resize(keep);
-  result.items = std::move(candidates);
+  result.items = KeepBest(std::move(candidates), k);
   return result;
 }
 
-/// One hop of frontier propagation: `y = x^T * m`, touching only the rows
-/// `x` reaches. Contributions accumulate into a dense array of the hop's
-/// output dimension in ascending input-index order (the outer loop) — the
-/// term order of the dense `VectorThroughChain`, so values are bitwise equal
-/// to it — while a touched list records which columns were reached; sorting
-/// that list emits the hop ascending. Entries below
-/// `relative_threshold * max_entry` are dropped, their L1 mass added to the
-/// frontier's running error bound.
+/// One hop of frontier propagation: `y = x^T * m`, scattering only the rows
+/// `x` reaches while recording the columns they touch; sorting that list
+/// emits the hop ascending. Entries below `relative_threshold * max_entry`
+/// are dropped, their L1 mass added to the frontier's running error bound.
 Result<SparseVector> ApplyHop(const SparseVector& x, const SparseMatrix& m,
                               double relative_threshold,
                               const QueryContext& ctx) {
@@ -133,20 +170,9 @@ Result<SparseVector> ApplyHop(const SparseVector& x, const SparseMatrix& m,
   std::vector<Index> touched;
   touched.reserve(out_bound);
   // Hops are unbounded work (a hub row can touch the whole target type), so
-  // the gather polls at an adaptive stride.
-  PollStrideController poller;
-  for (size_t i = 0; i < x.indices.size(); ++i) {
-    if (i > 0 && poller.ShouldPoll(i)) {
-      HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
-    }
-    const double xv = x.values[i];
-    const auto cols = m.RowIndices(x.indices[i]);
-    const auto vals = m.RowValues(x.indices[i]);
-    for (size_t j = 0; j < cols.size(); ++j) {
-      double& slot = acc[static_cast<size_t>(cols[j])];
-      if (slot == 0.0) touched.push_back(cols[j]);
-      slot += xv * vals[j];
-    }
+  // the scatter polls and an expired context fails the hop.
+  if (Scatter<true>(m, x.indices, x.values, ctx, acc, &touched) < x.nnz()) {
+    return ctx.CheckAlive();
   }
   // A slot that a product left at zero is pushed again on its next touch.
   std::sort(touched.begin(), touched.end());
@@ -161,8 +187,8 @@ Result<SparseVector> ApplyHop(const SparseVector& x, const SparseMatrix& m,
   y.dropped_mass = x.dropped_mass;
   y.indices.reserve(touched.size());
   y.values.reserve(touched.size());
-  // Bounded pass over the already-reserved accumulator; the gather loop
-  // above is where the hop's unbounded work (and polling) lives.
+  // Bounded pass over the already-reserved accumulator; the scatter above
+  // is where the hop's unbounded work (and polling) lives.
   for (Index col : touched) {  // hetesim-lint: allow(cancel-poll)
     const double value = acc[static_cast<size_t>(col)];
     if (value == 0.0) continue;
@@ -216,30 +242,22 @@ Result<std::vector<double>> ScatterRow(const TargetIndex& index,
   HETESIM_ASSIGN_OR_RETURN(MemoryReservation reservation,
                            ctx.Reserve(num_targets * sizeof(double)));
   std::vector<double> scores(num_targets, 0.0);
-  PollStrideController poller;
-  for (size_t j = 0; j < middles.size(); ++j) {
-    if (j > 0 && poller.ShouldPoll(j)) {
-      HETESIM_RETURN_NOT_OK(ctx.CheckAlive());
-    }
-    const double um = weights[j];
-    const auto targets = index.by_middle.RowIndices(middles[j]);
-    const auto values = index.by_middle.RowValues(middles[j]);
-    for (size_t i = 0; i < targets.size(); ++i) {
-      scores[static_cast<size_t>(targets[i])] += um * values[i];
-    }
+  if (Scatter<false>(index.by_middle, middles, weights, ctx, scores, nullptr) <
+      middles.size()) {
+    return ctx.CheckAlive();
   }
   if (!normalized) return scores;
-  double norm_squared = 0.0;
-  for (double w : weights) norm_squared += w * w;
-  const double nu = std::sqrt(norm_squared);
+  const double nu = Norm2(weights);
   if (nu == 0.0) {
     // The source reaches no middle object: relevance is 0 to everything
     // (the paper's O(s|R1) = empty convention).
     std::fill(scores.begin(), scores.end(), 0.0);
     return scores;
   }
-  // One division per target of the answer row; the scatter above polls.
-  for (size_t t = 0; t < num_targets; ++t) {
+  // One pass over the answer row, dividing only its nonzero entries (a zero
+  // stays zero); the scatter above polls.
+  for (size_t t = 0; t < num_targets; ++t) {  // hetesim-lint: allow(cancel-poll)
+    if (scores[t] == 0.0) continue;
     const double nt = index.norms[t];
     if (nt != 0.0) scores[t] /= nu * nt;
   }
@@ -250,50 +268,50 @@ Result<TopKResult> ScatterTopK(const TargetIndex& index,
                                std::span<const Index> middles,
                                std::span<const double> weights, int k,
                                bool normalized, const QueryContext& ctx) {
-  TraceSpan span(ctx.trace(), "topk.query");
-  if (span.active()) span.Annotate("k", std::to_string(k));
-  Stopwatch stopwatch;
-  Result<TopKResult> result =
-      ScatterTopKTraced(index, middles, weights, k, normalized, ctx);
-  if (MetricsEnabled()) {
-    TopKMetrics& metrics = GlobalTopKMetrics();
-    metrics.queries.Increment();
-    metrics.latency.Observe(stopwatch.ElapsedSeconds());
-    if (result.ok() && result->truncated) metrics.truncated.Increment();
-  }
-  if (span.active()) {
-    if (!result.ok()) {
-      span.Annotate("status",
-                    std::string(StatusCodeToString(result.status().code())));
-    } else if (result->truncated) {
-      span.Annotate("truncated", "true");
-    }
-  }
-  return result;
+  return TracedTopK(k, ctx, [&] {
+    return ScatterTopKTraced(index, middles, weights, k, normalized, ctx);
+  });
 }
 
-double SparseDot(const SparseVector& a, const SparseVector& b) {
-  double sum = 0.0;
+Result<TopKResult> RankRow(std::span<const double> scores, Index middles,
+                           int k, const QueryContext& ctx) {
+  return TracedTopK(k, ctx, [&]() -> Result<TopKResult> {
+    TopKResult result;
+    result.middle_total = middles;
+    result.middle_processed = middles;
+    std::vector<Scored> candidates;
+    // Bounded pass over a row that is already complete.
+    for (size_t t = 0; t < scores.size(); ++t) {  // hetesim-lint: allow(cancel-poll)
+      if (scores[t] != 0.0) candidates.push_back({static_cast<Index>(t), scores[t]});
+    }
+    result.candidates_examined = static_cast<Index>(candidates.size());
+    result.items = KeepBest(std::move(candidates), k);
+    return result;
+  });
+}
+
+double RowCosine(std::span<const Index> a_indices,
+                 std::span<const double> a_values,
+                 std::span<const Index> b_indices,
+                 std::span<const double> b_values, bool normalized) {
+  double dot = 0.0;
   size_t i = 0;
   size_t j = 0;
-  while (i < a.indices.size() && j < b.indices.size()) {
-    if (a.indices[i] < b.indices[j]) {
+  while (i < a_indices.size() && j < b_indices.size()) {
+    if (a_indices[i] < b_indices[j]) {
       ++i;
-    } else if (a.indices[i] > b.indices[j]) {
+    } else if (a_indices[i] > b_indices[j]) {
       ++j;
     } else {
-      sum += a.values[i] * b.values[j];
+      dot += a_values[i] * b_values[j];
       ++i;
       ++j;
     }
   }
-  return sum;
-}
-
-double SparseNorm2(const SparseVector& a) {
-  double sum = 0.0;
-  for (double v : a.values) sum += v * v;
-  return std::sqrt(sum);
+  if (!normalized) return dot;
+  const double na = Norm2(a_values);
+  const double nb = Norm2(b_values);
+  return (na == 0.0 || nb == 0.0) ? 0.0 : dot / (na * nb);
 }
 
 }  // namespace hetesim

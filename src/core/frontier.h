@@ -15,15 +15,18 @@ namespace hetesim {
 /// \file
 /// Sparse single-source primitives (DESIGN.md §14).
 ///
-/// A source's row of a path's left reachable matrix is scattered through
-/// the right half's `TargetIndex`: `TopKSearcher::Query` and the cached
-/// engine's single-source and top-k queries read that row from the cached
-/// left half. The cache-less engine's queries instead propagate one
-/// *sparse* row vector from the source end of the decomposed path (and, for
-/// pair queries, one from the target end): each hop is a vector×CSR
-/// product over only the reached rows, optionally dropping mass below a
+/// One scatter loop adds a sparse row times a CSR matrix into a dense array
+/// in ascending row order. Three callers run it: `ScatterRow` and
+/// `ScatterTopK` scatter a source's row of a path's left reachable matrix
+/// through the right half's `TargetIndex` (the cached engine's
+/// single-source and top-k queries and `TopKSearcher::Query`), and
+/// `PropagateFrontier` runs each hop of a *sparse* row vector propagated
+/// from one end of the decomposed path, optionally dropping mass below a
 /// relative threshold with a tracked error bound (the paper's §4.6 pruning
-/// discussion made concrete).
+/// discussion made concrete). The cache-less engine answers a source from
+/// its propagated frontier and the right half alone, and ranks that row
+/// with `RankRow`. Every pair score, cached or propagated, is one
+/// `RowCosine` of two sorted sparse rows.
 
 /// Adaptive deadline/cancellation poll pacing for item-granular loops.
 ///
@@ -114,12 +117,13 @@ struct TargetIndex {
 /// Single-source HeteSim of a source whose left-half row is (`middles`,
 /// `weights`), ascending middle ids and their reach probabilities: the row
 /// is scattered through `index` in ascending middle order into a dense row
-/// over every target, then, when `normalized`, divided by the row's norm
-/// and the stored target norms (Definition 10). That is the term order of
-/// the dense `right.MultiplyVector(left.RowDense(source))`, so the scores
-/// are bitwise equal to it. The output row is reserved against `ctx`'s
-/// budget (`ResourceExhausted` when it does not fit) and the scatter polls
-/// `ctx` at an adaptive stride.
+/// over every target, then, when `normalized`, its nonzero entries are
+/// divided by the row's norm and the stored target norms (Definition 10).
+/// That is the term order of the dense
+/// `right.MultiplyVector(left.RowDense(source))`, so the scores are bitwise
+/// equal to it. The output row is reserved against `ctx`'s budget
+/// (`ResourceExhausted` when it does not fit) and the scatter polls `ctx`
+/// at an adaptive stride.
 [[nodiscard]] Result<std::vector<double>> ScatterRow(
     const TargetIndex& index, std::span<const Index> middles,
     std::span<const double> weights, bool normalized, const QueryContext& ctx);
@@ -173,26 +177,41 @@ struct TopKResult {
                                              int k, bool normalized,
                                              const QueryContext& ctx);
 
+/// The `k` best targets of a complete single-source row `scores` (the
+/// cache-less engine's one-shot answer): its nonzero entries, ranked like
+/// `ScatterTopK`'s candidates by descending score, ties by ascending id,
+/// with `candidates_examined` their count. `middles` is the number of
+/// middle objects the source reached, reported as both `middle_total` and
+/// `middle_processed`: a complete row is never truncated. Traced as
+/// `topk.query`; counted in the `hetesim_topk_*` metrics.
+[[nodiscard]] Result<TopKResult> RankRow(std::span<const double> scores,
+                                         Index middles, int k,
+                                         const QueryContext& ctx);
+
 /// Propagates the indicator vector of `source` through `steps`, one half's
-/// per-step transitions, keeping the frontier sparse. Each hop accumulates
-/// into a dense array of its output dimension in ascending input order, so
-/// at `relative_threshold = 0` the values are bitwise equal to the dense
-/// `VectorThroughChain`. `relative_threshold` in [0, 1) drops entries below
-/// `threshold * max_entry` after each hop, accumulating the dropped L1 mass
-/// into the result's `dropped_mass` (0 = exact). Each hop charges its
-/// accumulator against `ctx`'s memory budget and polls `ctx` at an adaptive
-/// stride inside its gather. Fails with `ResourceExhausted` at the
-/// `frontier.alloc` fault point.
+/// per-step transitions, keeping the frontier sparse. Each hop scatters
+/// the frontier into a dense array of its output dimension in ascending
+/// input order, so at `relative_threshold = 0` the values are bitwise equal
+/// to the dense `VectorThroughChain`. `relative_threshold` in [0, 1) drops
+/// entries below `threshold * max_entry` after each hop, accumulating the
+/// dropped L1 mass into the result's `dropped_mass` (0 = exact). Each hop
+/// charges its accumulator against `ctx`'s memory budget and polls `ctx` at
+/// an adaptive stride inside its scatter. Fails with `ResourceExhausted` at
+/// the `frontier.alloc` fault point.
 [[nodiscard]] Result<SparseVector> PropagateFrontier(
     Index source, const std::vector<SparseMatrix>& steps,
     double relative_threshold, const QueryContext& ctx);
 
-/// Dot product of two sorted sparse vectors (two-pointer merge, ascending
-/// index order — the same term order as the dense accumulation).
-double SparseDot(const SparseVector& a, const SparseVector& b);
-
-/// Euclidean norm of a sparse vector.
-double SparseNorm2(const SparseVector& a);
+/// HeteSim of one pair from its two reachable-probability rows, each given
+/// as strictly ascending indices with their values (a CSR row or a
+/// propagated frontier): the dot product by a two-pointer merge in
+/// ascending index order — the term order of the dense accumulation — and,
+/// when `normalized`, its cosine (Definition 10), 0 when either row is all
+/// zero. Unnormalized, it is the raw meeting probability of Equation 5.
+double RowCosine(std::span<const Index> a_indices,
+                 std::span<const double> a_values,
+                 std::span<const Index> b_indices,
+                 std::span<const double> b_values, bool normalized);
 
 }  // namespace hetesim
 

@@ -1,5 +1,6 @@
 #include "core/hetesim.h"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 #include <utility>
@@ -71,17 +72,6 @@ void RecordQueryOutcome(TraceSpan& span, const Status& status,
   }
 }
 
-/// Equation 7 on two propagated frontiers: their dot, cosine-normalized
-/// when `normalized` (0 when either side reaches nothing).
-double CombineFrontiers(const SparseVector& u, const SparseVector& v,
-                        bool normalized) {
-  const double dot = SparseDot(u, v);
-  if (!normalized) return dot;
-  const double nu = SparseNorm2(u);
-  const double nv = SparseNorm2(v);
-  return (nu == 0.0 || nv == 0.0) ? 0.0 : dot / (nu * nv);
-}
-
 /// `InvalidArgument` for a path parsed against another schema than
 /// `graph`'s, or `OutOfRange` when `source` is not a node of the path's
 /// source type.
@@ -100,31 +90,92 @@ Status CheckSource(const HinGraph& graph, const MetaPath& path, Index source) {
   return Status::OK();
 }
 
-/// The cache-less single-source plan: `source`'s frontier propagated
-/// through the left half's transitions and the right half's product. A
-/// symmetric path (its own reverse) walks one chain on both sides, so only
-/// the right half is decomposed and the source propagates through it.
-Status PropagateSource(const HinGraph& graph, const HeteSimOptions& options,
-                       const MetaPath& path, Index source,
-                       const QueryContext& ctx, SparseVector* frontier,
-                       SparseMatrix* right) {
-  const bool symmetric = path == path.Reverse();
+/// `path`'s decomposition for a query. A symmetric path (its own reverse)
+/// walks one chain on both sides, so only its right half is decomposed.
+PathDecomposition DecomposeForQuery(const HinGraph& graph, const MetaPath& path,
+                                    bool symmetric) {
+  if (!symmetric) return DecomposePath(graph, path);
   PathDecomposition decomposition;
-  if (symmetric) {
-    decomposition.right_transitions =
-        DecomposeHalf(graph, path, /*left_side=*/false);
-  } else {
-    decomposition = DecomposePath(graph, path);
-  }
+  decomposition.right_transitions = DecomposeHalf(graph, path, /*left_side=*/false);
+  return decomposition;
+}
+
+/// The cached single-source plan's inputs: the path's cached left half,
+/// whose row for the source is scattered, and its right half's shared
+/// `TargetIndex` (DESIGN.md §14).
+struct CachedPlan {
+  std::shared_ptr<const SparseMatrix> left;
+  std::shared_ptr<const TargetIndex> index;
+};
+
+Result<CachedPlan> LookUpCachedPlan(PathMatrixCache& cache, const HinGraph& graph,
+                                    const MetaPath& path, const QueryContext& ctx,
+                                    int num_threads) {
+  CachedPlan plan;
+  HETESIM_ASSIGN_OR_RETURN(plan.left, cache.GetLeft(graph, path, ctx, num_threads));
+  HETESIM_ASSIGN_OR_RETURN(plan.index,
+                           cache.GetTargetIndex(graph, path, ctx, num_threads));
+  return plan;
+}
+
+/// The cache-less single-source answer, shared by single-source and top-k:
+/// one row over every target, cosine-normalized per Definition 10 when
+/// `options.normalized`. `reservation` charges the dense frontier and the
+/// row to the query's budget for as long as the row is held.
+struct OneShotRow {
+  MemoryReservation reservation;
+  std::vector<double> scores;
+  /// Middle objects the source's propagated frontier reaches.
+  Index middles = 0;
+};
+
+/// The one-shot plan (DESIGN.md §14): `source`'s frontier is propagated
+/// through the left half's transitions (through the right half's on a
+/// symmetric path), densified over the middle type and multiplied into the
+/// computed right half, so only that half is multiplied.
+Result<OneShotRow> ComputeOneShotRow(const HinGraph& graph,
+                                     const HeteSimOptions& options,
+                                     const MetaPath& path, Index source,
+                                     const QueryContext& ctx) {
+  const bool symmetric = path == path.Reverse();
+  const PathDecomposition decomposition = DecomposeForQuery(graph, path, symmetric);
   HETESIM_ASSIGN_OR_RETURN(
-      *frontier,
+      const SparseVector frontier,
       PropagateFrontier(source,
                         symmetric ? decomposition.right_transitions
                                   : decomposition.left_transitions,
                         options.truncation, ctx));
+  HETESIM_ASSIGN_OR_RETURN(const SparseMatrix right,
+                           RightReachMatrix(decomposition, options.num_threads, ctx));
+  const size_t num_middle = static_cast<size_t>(right.cols());
+  OneShotRow row;
+  row.middles = static_cast<Index>(frontier.nnz());
   HETESIM_ASSIGN_OR_RETURN(
-      *right, RightReachMatrix(decomposition, options.num_threads, ctx));
-  return Status::OK();
+      row.reservation,
+      ctx.Reserve((num_middle + static_cast<size_t>(right.rows())) * sizeof(double)));
+  std::vector<double> u(num_middle, 0.0);
+  for (size_t i = 0; i < frontier.nnz(); ++i) {
+    u[static_cast<size_t>(frontier.indices[i])] = frontier.values[i];
+  }
+  // scores[t] = u . PM_R(t,:), then cosine-normalize per Definition 10.
+  row.scores = right.MultiplyVector(u);
+  if (!options.normalized) return row;
+  const double nu = Norm2(u);
+  if (nu == 0.0) {
+    // Source cannot reach the middle type at all: relevance is 0 to
+    // everything (the paper's O(s|R1) = empty convention).
+    std::fill(row.scores.begin(), row.scores.end(), 0.0);
+    return row;
+  }
+  // One pass over the answer row, dividing only its nonzero entries (a zero
+  // stays zero); the propagation and the right half poll.
+  for (Index t = 0; t < right.rows(); ++t) {  // hetesim-lint: allow(cancel-poll)
+    double& score = row.scores[static_cast<size_t>(t)];
+    if (score == 0.0) continue;
+    const double nt = right.RowNorm(t);
+    if (nt != 0.0) score /= nu * nt;
+  }
+  return row;
 }
 
 }  // namespace
@@ -145,14 +196,9 @@ Status HeteSimEngine::GetHalves(
     return Status::OK();
   }
   // A symmetric path (its own reverse) has equal halves: the right one is
-  // multiplied once and serves as both, as in `PropagateSource`.
+  // multiplied once and serves as both.
   const bool symmetric = path == path.Reverse();
-  PathDecomposition decomposition;
-  if (symmetric) {
-    decomposition.right_transitions = DecomposeHalf(graph_, path, /*left_side=*/false);
-  } else {
-    decomposition = DecomposePath(graph_, path);
-  }
+  const PathDecomposition decomposition = DecomposeForQuery(graph_, path, symmetric);
   HETESIM_ASSIGN_OR_RETURN(SparseMatrix computed_right,
                            RightReachMatrix(decomposition, options_.num_threads, ctx));
   *right = std::make_shared<const SparseMatrix>(std::move(computed_right));
@@ -273,48 +319,15 @@ Result<std::vector<double>> HeteSimEngine::ComputeSingleSource(
     const MetaPath& path, Index source, const QueryContext& ctx) const {
   HETESIM_RETURN_NOT_OK(CheckSource(graph_, path, source));
   if (cache_ != nullptr) {
-    // Scatter the source's cached left-half row through the right half's
-    // shared index (DESIGN.md §14).
-    HETESIM_ASSIGN_OR_RETURN(std::shared_ptr<const SparseMatrix> left,
-                             cache_->GetLeft(graph_, path, ctx, options_.num_threads));
     HETESIM_ASSIGN_OR_RETURN(
-        std::shared_ptr<const TargetIndex> index,
-        cache_->GetTargetIndex(graph_, path, ctx, options_.num_threads));
-    return ScatterRow(*index, left->RowIndices(source), left->RowValues(source),
-                      options_.normalized, ctx);
+        const CachedPlan plan,
+        LookUpCachedPlan(*cache_, graph_, path, ctx, options_.num_threads));
+    return ScatterRow(*plan.index, plan.left->RowIndices(source),
+                      plan.left->RowValues(source), options_.normalized, ctx);
   }
-  SparseVector frontier;
-  SparseMatrix right;
-  HETESIM_RETURN_NOT_OK(PropagateSource(graph_, options_, path, source, ctx,
-                                        &frontier, &right));
-  // Densify the frontier over the whole middle type for the row product
-  // below, reserved on the budget before it is allocated like the answer
-  // row.
-  const size_t num_middle = static_cast<size_t>(right.cols());
-  HETESIM_ASSIGN_OR_RETURN(MemoryReservation frontier_reservation,
-                           ctx.Reserve(num_middle * sizeof(double)));
-  std::vector<double> u(num_middle, 0.0);
-  for (size_t i = 0; i < frontier.nnz(); ++i) {
-    u[static_cast<size_t>(frontier.indices[i])] = frontier.values[i];
-  }
-  // scores[t] = u . PM_R(t,:), then cosine-normalize per Definition 10.
-  HETESIM_ASSIGN_OR_RETURN(
-      MemoryReservation reservation,
-      ctx.Reserve(static_cast<size_t>(right.rows()) * sizeof(double)));
-  std::vector<double> scores = right.MultiplyVector(u);
-  if (options_.normalized) {
-    const double nu = Norm2(u);
-    if (nu == 0.0) {
-      // Source cannot reach the middle type at all: relevance is 0 to
-      // everything (the paper's O(s|R1) = empty convention).
-      return std::vector<double>(scores.size(), 0.0);
-    }
-    for (Index t = 0; t < right.rows(); ++t) {
-      const double nt = right.RowNorm(t);
-      if (nt != 0.0) scores[static_cast<size_t>(t)] /= nu * nt;
-    }
-  }
-  return scores;
+  HETESIM_ASSIGN_OR_RETURN(OneShotRow row,
+                           ComputeOneShotRow(graph_, options_, path, source, ctx));
+  return std::move(row.scores);
 }
 
 Result<TopKResult> HeteSimEngine::ComputeTopK(const MetaPath& path,
@@ -322,23 +335,15 @@ Result<TopKResult> HeteSimEngine::ComputeTopK(const MetaPath& path,
                                               const QueryContext& ctx) const {
   HETESIM_RETURN_NOT_OK(CheckSource(graph_, path, source));
   if (cache_ != nullptr) {
-    HETESIM_ASSIGN_OR_RETURN(std::shared_ptr<const SparseMatrix> left,
-                             cache_->GetLeft(graph_, path, ctx, options_.num_threads));
     HETESIM_ASSIGN_OR_RETURN(
-        std::shared_ptr<const TargetIndex> index,
-        cache_->GetTargetIndex(graph_, path, ctx, options_.num_threads));
-    return ScatterTopK(*index, left->RowIndices(source), left->RowValues(source),
-                       k, options_.normalized, ctx);
+        const CachedPlan plan,
+        LookUpCachedPlan(*cache_, graph_, path, ctx, options_.num_threads));
+    return ScatterTopK(*plan.index, plan.left->RowIndices(source),
+                       plan.left->RowValues(source), k, options_.normalized, ctx);
   }
-  // One-shot: the propagated frontier stands in for the left half's row, so
-  // only the right half is multiplied.
-  SparseVector frontier;
-  SparseMatrix right;
-  HETESIM_RETURN_NOT_OK(PropagateSource(graph_, options_, path, source, ctx,
-                                        &frontier, &right));
-  const TargetIndex index = TargetIndex::Build(right);
-  return ScatterTopK(index, frontier.indices, frontier.values, k,
-                     options_.normalized, ctx);
+  HETESIM_ASSIGN_OR_RETURN(const OneShotRow row,
+                           ComputeOneShotRow(graph_, options_, path, source, ctx));
+  return RankRow(row.scores, row.middles, k, ctx);
 }
 
 Result<double> HeteSimEngine::ComputePair(const MetaPath& path, Index source,
@@ -405,9 +410,10 @@ Result<std::vector<double>> HeteSimEngine::ComputePairsTraced(
           // sized.
           for (int64_t p = pair_begin; p < pair_end; ++p) {  // hetesim-lint: allow(cancel-poll)
             const auto& [source, target] = pairs[static_cast<size_t>(p)];
-            scores[static_cast<size_t>(p)] =
-                options_.normalized ? left->RowCosine(source, *right, target)
-                                    : left->RowDot(source, *right, target);
+            scores[static_cast<size_t>(p)] = RowCosine(
+                left->RowIndices(source), left->RowValues(source),
+                right->RowIndices(target), right->RowValues(target),
+                options_.normalized);
           }
         },
         {.cost_per_element = 64.0});
@@ -443,7 +449,8 @@ Result<std::vector<double>> HeteSimEngine::ComputePairsTraced(
     HETESIM_ASSIGN_OR_RETURN(
         const SparseVector* v,
         frontier_of(target, decomposition.right_transitions, target_frontiers));
-    scores.push_back(CombineFrontiers(*u, *v, options_.normalized));
+    scores.push_back(
+        RowCosine(u->indices, u->values, v->indices, v->values, options_.normalized));
   }
   return scores;
 }

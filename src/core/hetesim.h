@@ -92,23 +92,26 @@ class HeteSimEngine {
   /// Errors when `source` is out of range for the path's source type. With
   /// a cache, the source's cached left-half row is scattered through the
   /// right half's shared `TargetIndex` (`ScatterRow`: bitwise equal to the
-  /// dense row product); without one, the source's frontier is propagated
-  /// (`PropagateFrontier`) and multiplied into the computed right half.
-  /// Cache misses, the propagation and the scatter run under `ctx`, and
-  /// the dense frontier and answer row are reserved on its budget.
+  /// dense row product); without one, the one-shot plan propagates the
+  /// source's frontier (`PropagateFrontier`), densifies it over the middle
+  /// type and multiplies it into the computed right half, the only half it
+  /// multiplies. Cache misses, the propagation and the scatter run under
+  /// `ctx`, and the answer row (and the dense frontier) are reserved on its
+  /// budget.
   [[nodiscard]] Result<std::vector<double>> ComputeSingleSource(
       const MetaPath& path, Index source,
       const QueryContext& ctx = QueryContext::Background()) const;
 
-  /// The `k` targets most relevant to `source`, ranked by `ScatterTopK`
-  /// (DESIGN.md §14). With a cache, the source's cached left-half row is
-  /// scattered through the right half's shared `TargetIndex`, both looked
-  /// up on every call as in `ComputeSingleSource`; without one, the
-  /// source's frontier is propagated (honouring `truncation`) and scattered
-  /// through an index of the freshly computed right half, so only that half
-  /// is multiplied. Cache reads, the propagation and the half run under
-  /// `ctx` and fail on its expiry; the scatter itself returns a marked
-  /// partial ranking instead (`TopKResult::truncated`).
+  /// The `k` targets most relevant to `source` (DESIGN.md §14), by
+  /// descending score, ties by ascending id. With a cache, `ScatterTopK`
+  /// scatters the source's cached left-half row through the right half's
+  /// shared `TargetIndex`, both looked up as in `ComputeSingleSource`; cache
+  /// reads fail on `ctx`'s expiry, and the scatter returns a marked partial
+  /// ranking instead (`TopKResult::truncated`). Without a cache, `RankRow`
+  /// ranks the positive entries of the one-shot single-source row (the
+  /// propagation honours `truncation`), with that row's reservations: the
+  /// query fails on expiry or returns the complete ranking, never a
+  /// truncated one.
   [[nodiscard]] Result<TopKResult> ComputeTopK(
       const MetaPath& path, Index source, int k,
       const QueryContext& ctx = QueryContext::Background()) const;

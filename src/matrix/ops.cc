@@ -14,7 +14,7 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b) {
   return acc;
 }
 
-double Norm2(const std::vector<double>& a) {
+double Norm2(std::span<const double> a) {
   double acc = 0.0;
   for (double v : a) acc += v * v;
   return std::sqrt(acc);

@@ -1,6 +1,7 @@
 #ifndef HETESIM_MATRIX_OPS_H_
 #define HETESIM_MATRIX_OPS_H_
 
+#include <span>
 #include <vector>
 
 #include "common/context.h"
@@ -12,8 +13,8 @@ namespace hetesim {
 /// Dot product of two equal-length vectors.
 double Dot(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Euclidean (L2) norm.
-double Norm2(const std::vector<double>& a);
+/// Euclidean (L2) norm, its squares summed in order.
+double Norm2(std::span<const double> a);
 
 /// Scales `a` in place to unit L2 norm; no-op for an all-zero vector.
 void NormalizeL2(std::vector<double>& a);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "matrix/ops.h"
+
 namespace hetesim {
 
 SparseMatrix::SparseMatrix(Index rows, Index cols)
@@ -265,41 +267,7 @@ SparseMatrix SparseMatrix::Add(const SparseMatrix& other) const {
   return FromTriplets(rows_, cols_, std::move(triplets));
 }
 
-double SparseMatrix::RowDot(Index r, const SparseMatrix& other, Index s) const {
-  HETESIM_CHECK_EQ(cols_, other.cols_);
-  auto ai = RowIndices(r);
-  auto av = RowValues(r);
-  auto bi = other.RowIndices(s);
-  auto bv = other.RowValues(s);
-  double acc = 0.0;
-  size_t p = 0;
-  size_t q = 0;
-  while (p < ai.size() && q < bi.size()) {
-    if (ai[p] < bi[q]) {
-      ++p;
-    } else if (ai[p] > bi[q]) {
-      ++q;
-    } else {
-      acc += av[p] * bv[q];
-      ++p;
-      ++q;
-    }
-  }
-  return acc;
-}
-
-double SparseMatrix::RowNorm(Index r) const {
-  double acc = 0.0;
-  for (double v : RowValues(r)) acc += v * v;
-  return std::sqrt(acc);
-}
-
-double SparseMatrix::RowCosine(Index r, const SparseMatrix& other, Index s) const {
-  const double na = RowNorm(r);
-  const double nb = other.RowNorm(s);
-  if (na == 0.0 || nb == 0.0) return 0.0;
-  return RowDot(r, other, s) / (na * nb);
-}
+double SparseMatrix::RowNorm(Index r) const { return Norm2(RowValues(r)); }
 
 std::vector<double> SparseMatrix::RowDense(Index r) const {
   std::vector<double> out(static_cast<size_t>(cols_), 0.0);

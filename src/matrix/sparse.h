@@ -93,15 +93,8 @@ class SparseMatrix {
   /// Element-wise sum; shapes must match.
   SparseMatrix Add(const SparseMatrix& other) const;
 
-  /// Dot product of row `r` of this with row `s` of `other`
-  /// (`cols()` must equal `other.cols()`), via sorted-merge.
-  double RowDot(Index r, const SparseMatrix& other, Index s) const;
   /// L2 norm of row `r`.
   double RowNorm(Index r) const;
-  /// Cosine similarity of row `r` of this and row `s` of `other`;
-  /// 0 when either row is all-zero. This is exactly the normalized HeteSim
-  /// combination step (Definition 10).
-  double RowCosine(Index r, const SparseMatrix& other, Index s) const;
 
   /// Row `r` expanded to a dense vector of size cols().
   std::vector<double> RowDense(Index r) const;

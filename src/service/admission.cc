@@ -38,12 +38,6 @@ double TokenBucket::SecondsUntil(double cost, Clock::time_point now) const {
   return (cost - copy.tokens_) / rate_;
 }
 
-double TokenBucket::tokens(Clock::time_point now) const {
-  TokenBucket copy = *this;
-  copy.RefillLocked(now);
-  return copy.tokens_;
-}
-
 void TokenBucket::RefillLocked(Clock::time_point now) {
   if (!primed_) {
     primed_ = true;
@@ -198,9 +192,7 @@ AdmissionDecision AdmissionController::Admit(uint32_t tenant, double flops,
   return decision;
 }
 
-void AdmissionController::Finish(double flops, double exec_seconds,
-                                 Clock::time_point now) {
-  (void)now;
+void AdmissionController::Finish(double flops, double exec_seconds) {
   MutexLock lock(mutex_);
   if (queue_depth_ > 0) --queue_depth_;
   queued_flops_ = std::max(0.0, queued_flops_ - std::max(0.0, flops));
@@ -220,12 +212,6 @@ AdmissionStats AdmissionController::stats() const {
 int AdmissionController::queue_depth() const {
   MutexLock lock(mutex_);
   return queue_depth_;
-}
-
-double AdmissionController::load(Clock::time_point now) const {
-  (void)now;
-  MutexLock lock(mutex_);
-  return LoadLocked();
 }
 
 double AdmissionController::flops_per_second() const {

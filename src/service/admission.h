@@ -45,8 +45,6 @@ class TokenBucket {
   /// Seconds until `cost` tokens will be available (0 if already).
   double SecondsUntil(double cost, Clock::time_point now) const;
 
-  double tokens(Clock::time_point now) const;
-
  private:
   void RefillLocked(Clock::time_point now);
 
@@ -143,15 +141,11 @@ class AdmissionController {
   /// Releases the queue charge taken by an admitted query and feeds the
   /// measured execution time back into the cost calibration.
   /// `exec_seconds` <= 0 skips calibration (e.g. the query never ran).
-  void Finish(double flops, double exec_seconds, Clock::time_point now)
-      EXCLUDES(mutex_);
+  void Finish(double flops, double exec_seconds) EXCLUDES(mutex_);
 
   AdmissionStats stats() const EXCLUDES(mutex_);
   /// Queries admitted and not yet finished.
   int queue_depth() const EXCLUDES(mutex_);
-  /// Current combined load signal in [0, 1] (max of queue and memory
-  /// fractions) — what the degradation ladder keys on.
-  double load(Clock::time_point now) const EXCLUDES(mutex_);
   /// Current calibrated throughput estimate.
   double flops_per_second() const EXCLUDES(mutex_);
 

@@ -1,7 +1,5 @@
 #include "service/client.h"
 
-#include <errno.h>
-#include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -15,66 +13,6 @@
 #include "common/string_util.h"
 
 namespace hetesim::service {
-namespace {
-
-/// poll() with absolute deadline, EINTR-safe. revents, 0 on timeout, -1 on
-/// failure.
-int PollFd(int fd, short events, Clock::time_point deadline) {
-  for (;;) {
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    const int timeout_ms =
-        static_cast<int>(std::max<int64_t>(0, remaining.count()));
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = events;
-    pfd.revents = 0;
-    const int rc = poll(&pfd, 1, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (rc == 0) return 0;
-    return pfd.revents;
-  }
-}
-
-bool ReadFullyDeadline(int fd, uint8_t* buffer, size_t bytes,
-                       Clock::time_point deadline) {
-  size_t done = 0;
-  while (done < bytes) {
-    const int revents = PollFd(fd, POLLIN, deadline);
-    if (revents <= 0 || (revents & (POLLERR | POLLNVAL)) != 0) return false;
-    const ssize_t n = recv(fd, buffer + done, bytes - done, 0);
-    if (n == 0) return false;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool WriteFullyDeadline(int fd, const uint8_t* data, size_t bytes,
-                        Clock::time_point deadline) {
-  size_t done = 0;
-  while (done < bytes) {
-    const int revents = PollFd(fd, POLLOUT, deadline);
-    if (revents <= 0 || (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
-      return false;
-    }
-    const ssize_t n = send(fd, data + done, bytes - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // SocketClient
@@ -128,8 +66,8 @@ QueryResponse SocketClient::Execute(const QueryRequest& request) {
   const auto io_grace = std::chrono::milliseconds(io_timeout_ms_);
   const std::string frame =
       EncodeFrame(FrameType::kRequest, EncodeRequest(request));
-  if (!WriteFullyDeadline(fd_, reinterpret_cast<const uint8_t*>(frame.data()),
-                          frame.size(), Clock::now() + io_grace)) {
+  if (WriteFully(fd_, reinterpret_cast<const uint8_t*>(frame.data()),
+                 frame.size(), Clock::now() + io_grace) != IoResult::kDone) {
     return TransportError(request, "request write failed");
   }
 
@@ -141,7 +79,8 @@ QueryResponse SocketClient::Execute(const QueryRequest& request) {
         std::chrono::duration<double, std::milli>(request.deadline_ms));
   }
   uint8_t header_bytes[kFrameHeaderBytes];
-  if (!ReadFullyDeadline(fd_, header_bytes, sizeof(header_bytes), read_deadline)) {
+  if (ReadFully(fd_, header_bytes, sizeof(header_bytes), read_deadline) !=
+      IoResult::kDone) {
     return TransportError(request, "response header read failed");
   }
   Result<FrameHeader> header = DecodeFrameHeader(header_bytes);
@@ -154,8 +93,8 @@ QueryResponse SocketClient::Execute(const QueryRequest& request) {
   }
   std::string payload(header->payload_bytes, '\0');
   if (header->payload_bytes > 0 &&
-      !ReadFullyDeadline(fd_, reinterpret_cast<uint8_t*>(payload.data()),
-                         payload.size(), read_deadline)) {
+      ReadFully(fd_, reinterpret_cast<uint8_t*>(payload.data()), payload.size(),
+                read_deadline) != IoResult::kDone) {
     return TransportError(request, "response payload read failed");
   }
   Result<QueryResponse> response = DecodeResponse(payload);
@@ -169,13 +108,11 @@ bool SocketClient::Ping() {
   if (!EnsureConnected()) return false;
   const auto deadline = Clock::now() + std::chrono::milliseconds(io_timeout_ms_);
   const std::string frame = EncodeFrame(FrameType::kPing, "");
-  if (!WriteFullyDeadline(fd_, reinterpret_cast<const uint8_t*>(frame.data()),
-                          frame.size(), deadline)) {
-    Disconnect();
-    return false;
-  }
   uint8_t header_bytes[kFrameHeaderBytes];
-  if (!ReadFullyDeadline(fd_, header_bytes, sizeof(header_bytes), deadline)) {
+  if (WriteFully(fd_, reinterpret_cast<const uint8_t*>(frame.data()),
+                 frame.size(), deadline) != IoResult::kDone ||
+      ReadFully(fd_, header_bytes, sizeof(header_bytes), deadline) !=
+          IoResult::kDone) {
     Disconnect();
     return false;
   }

@@ -1,5 +1,10 @@
 #include "service/protocol.h"
 
+#include <errno.h>
+#include <poll.h>
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -12,6 +17,28 @@ namespace {
 // decoder rejects versions it does not know rather than misparsing.
 constexpr uint8_t kRequestVersion = 1;
 constexpr uint8_t kResponseVersion = 1;
+
+/// poll() one fd for `events`, retrying on EINTR, until `deadline`.
+/// Returns the revents, 0 on timeout and -1 when poll() fails.
+int PollFd(int fd, short events, std::chrono::steady_clock::time_point deadline) {
+  for (;;) {
+    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    const int timeout_ms =
+        static_cast<int>(std::max<int64_t>(0, remaining.count()));
+    struct pollfd pfd;
+    pfd.fd = fd;
+    pfd.events = events;
+    pfd.revents = 0;
+    const int rc = poll(&pfd, 1, timeout_ms);
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      return -1;
+    }
+    if (rc == 0) return 0;  // timeout
+    return pfd.revents;
+  }
+}
 
 /// Little-endian append-only serializer over a std::string.
 class ByteWriter {
@@ -324,6 +351,45 @@ Result<QueryResponse> DecodeResponse(std::string_view payload) {
   HETESIM_RETURN_NOT_OK(r.F64(&resp.exec_ms));
   HETESIM_RETURN_NOT_OK(r.CheckDone());
   return resp;
+}
+
+IoResult ReadFully(int fd, uint8_t* buffer, size_t bytes,
+                   std::chrono::steady_clock::time_point deadline) {
+  size_t done = 0;
+  while (done < bytes) {
+    const int revents = PollFd(fd, POLLIN, deadline);
+    if (revents == 0) return IoResult::kTimedOut;
+    if (revents < 0 || (revents & (POLLERR | POLLNVAL)) != 0) {
+      return IoResult::kFailed;
+    }
+    const ssize_t n = recv(fd, buffer + done, bytes - done, 0);
+    if (n == 0) return IoResult::kFailed;  // orderly EOF
+    if (n < 0) {
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+      return IoResult::kFailed;
+    }
+    done += static_cast<size_t>(n);
+  }
+  return IoResult::kDone;
+}
+
+IoResult WriteFully(int fd, const uint8_t* data, size_t bytes,
+                    std::chrono::steady_clock::time_point deadline) {
+  size_t done = 0;
+  while (done < bytes) {
+    const int revents = PollFd(fd, POLLOUT, deadline);
+    if (revents == 0) return IoResult::kTimedOut;  // peer not draining
+    if (revents < 0 || (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
+      return IoResult::kFailed;
+    }
+    const ssize_t n = send(fd, data + done, bytes - done, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+      return IoResult::kFailed;
+    }
+    done += static_cast<size_t>(n);
+  }
+  return IoResult::kDone;
 }
 
 }  // namespace hetesim::service

@@ -1,6 +1,7 @@
 #ifndef HETESIM_SERVICE_PROTOCOL_H_
 #define HETESIM_SERVICE_PROTOCOL_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -140,6 +141,22 @@ std::string EncodeRequest(const QueryRequest& request);
 /// Response payload codecs.
 std::string EncodeResponse(const QueryResponse& response);
 [[nodiscard]] Result<QueryResponse> DecodeResponse(std::string_view payload);
+
+/// How a deadline-bounded socket transfer ended.
+enum class IoResult : uint8_t {
+  kDone,      ///< every byte was moved
+  kTimedOut,  ///< the deadline passed first: the peer stalled
+  kFailed,    ///< end of stream, a socket error or a failed poll()
+};
+
+/// Exact-length IO on a stream socket, the one copy both ends of HSQ1 read
+/// and write frames with: poll() waits for `fd` at most until `deadline`,
+/// and EINTR and EAGAIN retry. A write to a closed peer fails instead of
+/// raising SIGPIPE.
+[[nodiscard]] IoResult ReadFully(int fd, uint8_t* buffer, size_t bytes,
+                                 std::chrono::steady_clock::time_point deadline);
+[[nodiscard]] IoResult WriteFully(int fd, const uint8_t* data, size_t bytes,
+                                  std::chrono::steady_clock::time_point deadline);
 
 }  // namespace hetesim::service
 

@@ -31,32 +31,12 @@ constexpr short kHangUpEvents = POLLRDHUP;
 constexpr short kHangUpEvents = 0;
 #endif
 
-/// poll() one fd for `events`, retrying on EINTR, honoring an absolute
-/// deadline. Returns the revents (0 on timeout, -1 on poll failure).
-int PollFd(int fd, short events, Clock::time_point deadline) {
-  for (;;) {
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    const int timeout_ms =
-        static_cast<int>(std::max<int64_t>(0, remaining.count()));
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = events;
-    pfd.revents = 0;
-    const int rc = poll(&pfd, 1, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (rc == 0) return 0;  // timeout
-    return pfd.revents;
-  }
-}
-
 }  // namespace
 
 SocketServer::SocketServer(QueryService* service, const ServerOptions& options)
-    : service_(service), options_(options) {}
+    : service_(service),
+      options_(options),
+      io_timeout_(std::chrono::milliseconds(options.io_timeout_ms)) {}
 
 Result<std::unique_ptr<SocketServer>> SocketServer::Start(
     QueryService* service, const ServerOptions& options) {
@@ -120,8 +100,10 @@ void SocketServer::Stop() {
   if (listen_fd_ >= 0) shutdown(listen_fd_, SHUT_RDWR);
   {
     MutexLock lock(mutex_);
-    for (const auto& [fd, cancel] : executing_) cancel.Cancel();
-    for (int fd : connection_fds_) shutdown(fd, SHUT_RDWR);
+    for (const auto& [fd, executing] : connections_) {
+      if (executing.has_value()) executing->Cancel();
+      shutdown(fd, SHUT_RDWR);
+    }
   }
   // Joining the pools guarantees no handler touches a fd after this.
   accept_pool_.reset();
@@ -136,22 +118,22 @@ void SocketServer::Stop() {
 void SocketServer::TrackConnection(int fd, bool add) {
   MutexLock lock(mutex_);
   if (add) {
-    connection_fds_.push_back(fd);
+    connections_.emplace(fd, std::nullopt);
   } else {
-    connection_fds_.erase(
-        std::remove(connection_fds_.begin(), connection_fds_.end(), fd),
-        connection_fds_.end());
+    connections_.erase(fd);
   }
 }
 
 void SocketServer::TrackExecution(int fd, const CancelToken* cancel) {
   MutexLock lock(mutex_);
+  if (cancel != nullptr && stopped_) cancel->Cancel();
+  auto it = connections_.find(fd);
+  if (it == connections_.end()) return;
   if (cancel == nullptr) {
-    executing_.erase(fd);
-    return;
+    it->second.reset();
+  } else {
+    it->second = *cancel;
   }
-  if (stopped_) cancel->Cancel();
-  executing_.emplace(fd, *cancel);
 }
 
 void SocketServer::AcceptLoop() {
@@ -160,8 +142,8 @@ void SocketServer::AcceptLoop() {
     watched.assign(1, {listen_fd_, POLLIN, 0});
     {
       MutexLock lock(mutex_);
-      for (const auto& entry : executing_) {
-        watched.push_back({entry.first, kHangUpEvents, 0});
+      for (const auto& [fd, executing] : connections_) {
+        if (executing.has_value()) watched.push_back({fd, kHangUpEvents, 0});
       }
     }
     const int rc = poll(watched.data(), watched.size(), kWatchPeriodMs);
@@ -174,13 +156,14 @@ void SocketServer::AcceptLoop() {
       for (size_t i = 1; i < watched.size(); ++i) {
         if ((watched[i].revents & (POLLHUP | POLLERR | kHangUpEvents)) == 0) continue;
         // Only this loop accepts, so a registered fd is still the polled
-        // connection; a missing one has finished its request meanwhile.
-        auto it = executing_.find(watched[i].fd);
-        if (it == executing_.end()) continue;
-        it->second.Cancel();
+        // connection; one without a token has finished its request
+        // meanwhile.
+        auto it = connections_.find(watched[i].fd);
+        if (it == connections_.end() || !it->second.has_value()) continue;
+        it->second->Cancel();
         // Unwatched from here on, so the hang-up is counted once and does
         // not spin this loop while the query winds down.
-        executing_.erase(it);
+        it->second.reset();
         disconnect_cancels_.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -216,56 +199,29 @@ void SocketServer::HandleConnection(int fd) {
   active_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-bool SocketServer::ReadFully(int fd, uint8_t* buffer, size_t bytes) {
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(options_.io_timeout_ms);
-  size_t done = 0;
-  while (done < bytes) {
-    if (stopping_.load(std::memory_order_acquire)) return false;
-    const int revents = PollFd(fd, POLLIN, deadline);
-    if (revents == 0) {
-      closed_stall_.fetch_add(1, std::memory_order_relaxed);
-      return false;  // slow-client stall
-    }
-    if (revents < 0 || (revents & (POLLERR | POLLNVAL)) != 0) return false;
-    const ssize_t n = recv(fd, buffer + done, bytes - done, 0);
-    if (n == 0) return false;  // orderly EOF
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return false;
-    }
-    done += static_cast<size_t>(n);
+bool SocketServer::Completed(IoResult result) {
+  if (result == IoResult::kTimedOut) {
+    // A slow client, or one that stopped draining its socket.
+    closed_stall_.fetch_add(1, std::memory_order_relaxed);
   }
-  return true;
+  return result == IoResult::kDone;
 }
 
-bool SocketServer::WriteFully(int fd, const uint8_t* data, size_t bytes) {
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(options_.io_timeout_ms);
-  size_t done = 0;
-  while (done < bytes) {
-    if (stopping_.load(std::memory_order_acquire)) return false;
-    const int revents = PollFd(fd, POLLOUT, deadline);
-    if (revents == 0) {
-      closed_stall_.fetch_add(1, std::memory_order_relaxed);
-      return false;  // client not draining its socket
-    }
-    if (revents < 0 || (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
-      return false;
-    }
-    const ssize_t n = send(fd, data + done, bytes - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  return true;
+bool SocketServer::Receive(int fd, uint8_t* buffer, size_t bytes) {
+  // Stop shuts every connection down, which also ends a transfer under way.
+  if (stopping_.load(std::memory_order_acquire)) return false;
+  return Completed(ReadFully(fd, buffer, bytes, Clock::now() + io_timeout_));
+}
+
+bool SocketServer::Send(int fd, const std::string& frame) {
+  if (stopping_.load(std::memory_order_acquire)) return false;
+  return Completed(WriteFully(fd, reinterpret_cast<const uint8_t*>(frame.data()),
+                              frame.size(), Clock::now() + io_timeout_));
 }
 
 bool SocketServer::ServeOne(int fd) {
   uint8_t header_bytes[kFrameHeaderBytes];
-  if (!ReadFully(fd, header_bytes, sizeof(header_bytes))) return false;
+  if (!Receive(fd, header_bytes, sizeof(header_bytes))) return false;
   Result<FrameHeader> header = DecodeFrameHeader(header_bytes);
   if (!header.ok()) {
     // Bad magic/type/length: the byte stream is unsynchronized, nothing
@@ -275,15 +231,12 @@ bool SocketServer::ServeOne(int fd) {
   }
   std::string payload(header->payload_bytes, '\0');
   if (header->payload_bytes > 0 &&
-      !ReadFully(fd, reinterpret_cast<uint8_t*>(payload.data()),
-                 payload.size())) {
+      !Receive(fd, reinterpret_cast<uint8_t*>(payload.data()), payload.size())) {
     return false;
   }
 
   if (header->type == FrameType::kPing) {
-    const std::string pong = EncodeFrame(FrameType::kPong, "");
-    return WriteFully(fd, reinterpret_cast<const uint8_t*>(pong.data()),
-                      pong.size());
+    return Send(fd, EncodeFrame(FrameType::kPong, ""));
   }
   if (header->type != FrameType::kRequest) {
     closed_protocol_.fetch_add(1, std::memory_order_relaxed);
@@ -316,10 +269,7 @@ bool SocketServer::ServeOne(int fd) {
     TrackExecution(fd, nullptr);
   }
 
-  const std::string frame =
-      EncodeFrame(FrameType::kResponse, EncodeResponse(response));
-  return WriteFully(fd, reinterpret_cast<const uint8_t*>(frame.data()),
-                    frame.size());
+  return Send(fd, EncodeFrame(FrameType::kResponse, EncodeResponse(response)));
 }
 
 SocketServer::Stats SocketServer::stats() const {

@@ -2,17 +2,19 @@
 #define HETESIM_SERVICE_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/annotations.h"
 #include "common/context.h"
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
+#include "service/protocol.h"
 #include "service/service.h"
 
 namespace hetesim::service {
@@ -82,16 +84,21 @@ class SocketServer {
   /// One request/response exchange; false = close the connection.
   bool ServeOne(int fd);
 
-  /// poll()-guarded exact-length IO; false on timeout/EOF/error.
-  bool ReadFully(int fd, uint8_t* buffer, size_t bytes);
-  bool WriteFully(int fd, const uint8_t* data, size_t bytes);
+  /// Exact-length frame IO within `io_timeout_ms` (service/protocol.h);
+  /// false on timeout, EOF, error or a stopping server.
+  bool Receive(int fd, uint8_t* buffer, size_t bytes);
+  bool Send(int fd, const std::string& frame);
+  /// Counts a stalled peer; true when the transfer completed.
+  bool Completed(IoResult result);
 
+  /// Registers (`add`) or removes connection `fd`.
   void TrackConnection(int fd, bool add) EXCLUDES(mutex_);
-  /// Registers `fd`'s executing request under `cancel` (null unregisters).
+  /// Records the token of the request `fd`'s handler executes (null: none).
   void TrackExecution(int fd, const CancelToken* cancel) EXCLUDES(mutex_);
 
   QueryService* const service_;
   const ServerOptions options_;
+  const std::chrono::milliseconds io_timeout_;
 
   int listen_fd_ = -1;
   std::atomic<bool> stopping_{false};
@@ -105,10 +112,11 @@ class SocketServer {
   std::atomic<uint64_t> requests_{0};
 
   mutable Mutex mutex_;
-  std::vector<int> connection_fds_ GUARDED_BY(mutex_);
-  /// The connections whose handler is inside `Execute`, with the token of
-  /// the request it runs; the accept loop polls them for a hang-up.
-  std::unordered_map<int, CancelToken> executing_ GUARDED_BY(mutex_);
+  /// Every open connection, with the token of the request its handler runs
+  /// inside `Execute`, if any: the accept loop polls those for a hang-up,
+  /// and `Stop` cancels them and shuts every connection down.
+  std::unordered_map<int, std::optional<CancelToken>> connections_
+      GUARDED_BY(mutex_);
   bool stopped_ GUARDED_BY(mutex_) = false;
 
   /// Declared last so their destructors join before members vanish.

@@ -56,7 +56,7 @@ class AdmissionCharge {
  public:
   AdmissionCharge(AdmissionController& admission, double flops)
       : admission_(admission), flops_(flops) {}
-  ~AdmissionCharge() { admission_.Finish(flops_, exec_seconds_, Clock::now()); }
+  ~AdmissionCharge() { admission_.Finish(flops_, exec_seconds_); }
   AdmissionCharge(const AdmissionCharge&) = delete;
   AdmissionCharge& operator=(const AdmissionCharge&) = delete;
 
@@ -168,7 +168,8 @@ size_t QueryService::EstimateBytes(const MetaPath& path,
   // buffers and scratch. Deliberately coarse — the point is that thousands
   // of queued queries visibly pressure the budget. A single-source or top-k
   // query's dense score row is not included: the query reserves it on the
-  // same budget while it runs (`ScatterRow`, `ScatterTopK`).
+  // same budget while it runs (`ScatterRow` and `ScatterTopK` on the cache,
+  // the one-shot plan without one).
   constexpr size_t kBaseBytes = 16 << 10;
   if (request.kind != QueryKind::kTopK) return kBaseBytes;
   // A response never holds more items than there are targets, whatever `k`

@@ -9,9 +9,10 @@
 // single-source scatter must reproduce the dense row product bitwise,
 // share one index per right half, and honour its context's budget and
 // cancellation. The engine's top-k ranks like a searcher on its cache and,
-// without one, multiplies only the right half. The cache-less engine's
-// frontier propagation surfaces injected allocation failures at the
-// `frontier.alloc` fault point.
+// without one, ranks the positive entries of the cache-less single-source
+// row bitwise, multiplies only the right half and reserves what that row
+// reserves. The cache-less engine's frontier propagation surfaces injected
+// allocation failures at the `frontier.alloc` fault point.
 
 #include "core/frontier.h"
 
@@ -341,6 +342,31 @@ TEST_P(FrontierPropertyTest, EngineTopKEqualsSearcherAndExhaustive) {
   }
 }
 
+TEST_P(FrontierPropertyTest, UncachedTopKBitwiseEqualsUncachedSingleSource) {
+  // Without a cache, top-k and single-source run one plan: ranking every
+  // target, top-k lists exactly the positive entries of the single-source
+  // row, bitwise, by descending score then ascending id, and examines
+  // exactly those.
+  const MetaPath path = this->path();
+  const HeteSimEngine engine(graph());
+  const int all = static_cast<int>(graph().NumNodes(path.TargetType()));
+  const Index num_sources = graph().NumNodes(path.SourceType());
+  for (Index s = 0; s < num_sources; ++s) {
+    const std::vector<double> row = *engine.ComputeSingleSource(path, s);
+    std::vector<Scored> want;
+    for (size_t t = 0; t < row.size(); ++t) {
+      if (row[t] > 0.0) want.push_back({static_cast<Index>(t), row[t]});
+    }
+    std::sort(want.begin(), want.end(), [](const Scored& a, const Scored& b) {
+      return a.score != b.score ? a.score > b.score : a.id < b.id;
+    });
+    const TopKResult got = *engine.ComputeTopK(path, s, all);
+    ASSERT_EQ(got.items, want) << GetParam().path << " source " << s;
+    EXPECT_EQ(got.candidates_examined, static_cast<Index>(want.size()))
+        << GetParam().path << " source " << s;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(GeneratedNets, FrontierPropertyTest,
                          ::testing::ValuesIn(AllCases()), CaseName);
 
@@ -574,6 +600,28 @@ TEST(Frontier, UncachedSingleSourceReservesItsDenseFrontier) {
       path, 0, QueryContext::Background().WithBudget(&short_by_one));
   EXPECT_TRUE(refused.status().IsResourceExhausted()) << refused.status().ToString();
   EXPECT_EQ(short_by_one.used_bytes(), 0u);
+}
+
+TEST(Frontier, OneShotTopKReservesItsFrontierAndRow) {
+  // Without a cache, top-k reserves what single-source reserves, the dense
+  // frontier over the 20 middle objects beside the row over the 4000
+  // targets: one byte short refuses the query and keeps nothing reserved,
+  // and exactly that much is enough.
+  const HinGraph graph = testing::RandomTripartite(10, 20, 4000, 0.05, 7);
+  const MetaPath path = *MetaPath::Parse(graph.schema(), "ABC");
+  const HeteSimEngine engine(graph);
+  const size_t plan_bytes = (4000 + 20) * sizeof(double);
+  MemoryBudget short_by_one(plan_bytes - 1);
+  const Result<TopKResult> refused = engine.ComputeTopK(
+      path, 0, 5, QueryContext::Background().WithBudget(&short_by_one));
+  EXPECT_TRUE(refused.status().IsResourceExhausted()) << refused.status().ToString();
+  EXPECT_EQ(short_by_one.used_bytes(), 0u);
+  MemoryBudget enough(plan_bytes);
+  const Result<TopKResult> served = engine.ComputeTopK(
+      path, 0, 5, QueryContext::Background().WithBudget(&enough));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->items, engine.ComputeTopK(path, 0, 5)->items);
+  EXPECT_EQ(enough.used_bytes(), 0u);
 }
 
 TEST(Frontier, OneShotTopKMultipliesOnlyTheRightHalf) {

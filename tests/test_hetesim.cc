@@ -255,7 +255,11 @@ TEST_P(HeteSimConsistencyTest, UnnormalizedEqualsLeftDotRight) {
   DenseMatrix scores = raw.Compute(path).value();
   for (Index i = 0; i < scores.rows(); ++i) {
     for (Index j = 0; j < scores.cols(); ++j) {
-      EXPECT_NEAR(scores(i, j), left.RowDot(i, right, j), 1e-12);
+      EXPECT_NEAR(scores(i, j),
+                  RowCosine(left.RowIndices(i), left.RowValues(i),
+                            right.RowIndices(j), right.RowValues(j),
+                            /*normalized=*/false),
+                  1e-12);
     }
   }
 }

@@ -16,8 +16,8 @@ TEST(VectorOps, Dot) {
 }
 
 TEST(VectorOps, Norm2) {
-  EXPECT_DOUBLE_EQ(Norm2({3, 4}), 5.0);
-  EXPECT_DOUBLE_EQ(Norm2({0, 0}), 0.0);
+  EXPECT_DOUBLE_EQ(Norm2(std::vector<double>{3, 4}), 5.0);
+  EXPECT_DOUBLE_EQ(Norm2(std::vector<double>{0, 0}), 0.0);
 }
 
 TEST(VectorOps, NormalizeL2) {

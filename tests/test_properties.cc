@@ -5,6 +5,8 @@
 // over generated DBLP/ACM networks that re-checks the paper properties
 // under every chain-plan kernel choice.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/pcrw.h"
+#include "common/string_util.h"
 #include "core/hetesim.h"
 #include "core/materialize.h"
 #include "core/topk.h"
@@ -27,6 +30,8 @@
 #include "hin/digest.h"
 #include "matrix/chain_plan.h"
 #include "matrix/spgemm.h"
+#include "service/client.h"
+#include "service/server.h"
 #include "service/service.h"
 #include "store/store.h"
 #include "test_util.h"
@@ -221,7 +226,7 @@ TEST_P(RandomGraphProperties, EveryEntryPointAgreesWithCompute) {
   // Differential check of every query entry point against the full matrix:
   // the engine (pair, single-source and top-k) without and with a cache,
   // a searcher over that cache, a fresh cache reading a store the first one
-  // was flushed to, and an in-process service.
+  // was flushed to, and a service called in process and over its socket.
   HeteSimEngine uncached(graph_);
   const DenseMatrix expected = uncached.Compute(path_).value();
   const Index num_sources = expected.rows();
@@ -282,32 +287,47 @@ TEST_P(RandomGraphProperties, EveryEntryPointAgreesWithCompute) {
   EXPECT_EQ(restarted->ComputeCount(PathMatrixCache::RightKey(path_)), 0u);
   std::filesystem::remove_all(dir);
 
+  // One service, called in process and through its socket server.
   std::unique_ptr<service::QueryService> svc =
       service::QueryService::Create(graph_, service::ServiceOptions{});
-  for (Index s = 0; s < num_sources; ++s) {
-    SCOPED_TRACE(s);
-    service::QueryRequest request;
-    request.path = std::get<1>(GetParam());
-    request.source = s;
-    request.kind = service::QueryKind::kSingleSource;
-    const service::QueryResponse single = svc->Execute(request);
-    ASSERT_EQ(single.outcome, service::ResponseOutcome::kOk) << single.message;
-    ASSERT_EQ(single.scores.size(), static_cast<size_t>(num_targets));
-    request.kind = service::QueryKind::kTopK;
-    request.k = static_cast<int32_t>(num_targets);
-    const service::QueryResponse top = svc->Execute(request);
-    ASSERT_EQ(top.outcome, service::ResponseOutcome::kOk) << top.message;
-    ExpectRanksPositiveEntries(top.items, expected.Row(s));
-    request.kind = service::QueryKind::kPair;
-    for (Index t = 0; t < num_targets; ++t) {
-      EXPECT_NEAR(single.scores[static_cast<size_t>(t)], expected(s, t), 1e-12);
-      request.target = t;
-      const service::QueryResponse pair = svc->Execute(request);
-      ASSERT_EQ(pair.outcome, service::ResponseOutcome::kOk) << pair.message;
-      ASSERT_EQ(pair.scores.size(), 1u);
-      EXPECT_NEAR(pair.scores[0], expected(s, t), 1e-12);
+  service::ServerOptions server_options;
+  server_options.socket_path = StrFormat(
+      "%shsp_%d.sock", ::testing::TempDir().c_str(), static_cast<int>(getpid()));
+  server_options.max_connections = 2;
+  std::unique_ptr<service::SocketServer> server =
+      service::SocketServer::Start(svc.get(), server_options).value();
+  service::InProcessClient in_process(svc.get());
+  service::SocketClient over_socket(server_options.socket_path);
+  const std::pair<const char*, service::ServiceClient*> clients[] = {
+      {"in process", &in_process}, {"socket", &over_socket}};
+  for (const auto& [label, client] : clients) {
+    SCOPED_TRACE(label);
+    for (Index s = 0; s < num_sources; ++s) {
+      SCOPED_TRACE(s);
+      service::QueryRequest request;
+      request.path = std::get<1>(GetParam());
+      request.source = s;
+      request.kind = service::QueryKind::kSingleSource;
+      const service::QueryResponse single = client->Execute(request);
+      ASSERT_EQ(single.outcome, service::ResponseOutcome::kOk) << single.message;
+      ASSERT_EQ(single.scores.size(), static_cast<size_t>(num_targets));
+      request.kind = service::QueryKind::kTopK;
+      request.k = static_cast<int32_t>(num_targets);
+      const service::QueryResponse top = client->Execute(request);
+      ASSERT_EQ(top.outcome, service::ResponseOutcome::kOk) << top.message;
+      ExpectRanksPositiveEntries(top.items, expected.Row(s));
+      request.kind = service::QueryKind::kPair;
+      for (Index t = 0; t < num_targets; ++t) {
+        EXPECT_NEAR(single.scores[static_cast<size_t>(t)], expected(s, t), 1e-12);
+        request.target = t;
+        const service::QueryResponse pair = client->Execute(request);
+        ASSERT_EQ(pair.outcome, service::ResponseOutcome::kOk) << pair.message;
+        ASSERT_EQ(pair.scores.size(), 1u);
+        EXPECT_NEAR(pair.scores[0], expected(s, t), 1e-12);
+      }
     }
   }
+  server->Stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -225,7 +225,7 @@ TEST(Admission, AdmitsAtIdleAtFullLevel) {
   EXPECT_TRUE(decision.admitted);
   EXPECT_EQ(decision.level, DegradationLevel::kFull);
   EXPECT_EQ(controller.queue_depth(), 1);
-  controller.Finish(1e3, 0, Clock::now());
+  controller.Finish(1e3, 0);
   EXPECT_EQ(controller.queue_depth(), 0);
 }
 
@@ -243,7 +243,7 @@ TEST(Admission, QueueFullIsAStructuralReject) {
   EXPECT_GT(refused.retry_after_ms, 0);
   EXPECT_EQ(controller.stats().rejected_queue_full, 1u);
   // Finishing one admitted query reopens the queue.
-  controller.Finish(1e3, 0, now);
+  controller.Finish(1e3, 0);
   EXPECT_TRUE(controller.Admit(0, 1e3, 0, now).admitted);
 }
 
@@ -345,11 +345,11 @@ TEST(Admission, FinishCalibratesThroughputTowardMeasured) {
   EXPECT_DOUBLE_EQ(controller.flops_per_second(), 2e8);
   ASSERT_TRUE(controller.Admit(0, 1e8, 0, Clock::now()).admitted);
   // Measured: 1e8 flops in 1 s = 1e8 flops/s; EWMA alpha 0.2.
-  controller.Finish(1e8, 1.0, Clock::now());
+  controller.Finish(1e8, 1.0);
   EXPECT_NEAR(controller.flops_per_second(), 0.8 * 2e8 + 0.2 * 1e8, 1.0);
   // Absurd samples are clamped, not adopted.
   ASSERT_TRUE(controller.Admit(0, 1e3, 0, Clock::now()).admitted);
-  controller.Finish(1e3, 1e-12, Clock::now());
+  controller.Finish(1e3, 1e-12);
   EXPECT_LE(controller.flops_per_second(), 1e12);
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/frontier.h"
 #include "matrix/spgemm.h"
 #include "test_util.h"
 
@@ -178,20 +179,26 @@ TEST(SparseMatrix, Add) {
   EXPECT_EQ(sum.NumNonZeros(), a.NumNonZeros());
 }
 
+/// `RowCosine` (core/frontier.h) of rows `r` and `s` of `a`.
+double CosineOfRows(const SparseMatrix& a, Index r, Index s, bool normalized) {
+  return RowCosine(a.RowIndices(r), a.RowValues(r), a.RowIndices(s),
+                   a.RowValues(s), normalized);
+}
+
 TEST(SparseMatrix, RowDotSparseRows) {
   SparseMatrix a = SparseMatrix::FromTriplets(2, 4, {{0, 0, 1.0}, {0, 2, 2.0},
                                                      {1, 2, 3.0}, {1, 3, 1.0}});
-  EXPECT_EQ(a.RowDot(0, a, 1), 6.0);  // overlap only at column 2
-  EXPECT_EQ(a.RowDot(0, a, 0), 5.0);
+  EXPECT_EQ(CosineOfRows(a, 0, 1, false), 6.0);  // overlap only at column 2
+  EXPECT_EQ(CosineOfRows(a, 0, 0, false), 5.0);
 }
 
 TEST(SparseMatrix, RowNormAndCosine) {
   SparseMatrix a = SparseMatrix::FromTriplets(3, 2, {{0, 0, 3.0}, {0, 1, 4.0},
                                                      {1, 0, 1.0}});
   EXPECT_DOUBLE_EQ(a.RowNorm(0), 5.0);
-  EXPECT_DOUBLE_EQ(a.RowCosine(0, a, 0), 1.0);
-  EXPECT_DOUBLE_EQ(a.RowCosine(0, a, 1), 3.0 / 5.0);
-  EXPECT_EQ(a.RowCosine(0, a, 2), 0.0);  // zero row: cosine defined as 0
+  EXPECT_DOUBLE_EQ(CosineOfRows(a, 0, 0, true), 1.0);
+  EXPECT_DOUBLE_EQ(CosineOfRows(a, 0, 1, true), 3.0 / 5.0);
+  EXPECT_EQ(CosineOfRows(a, 0, 2, true), 0.0);  // zero row: cosine defined as 0
 }
 
 TEST(SparseMatrix, RowDense) {
